@@ -296,7 +296,9 @@ class DiscoveryClient:
         if session is None:
             raise SessionError(f"no session with {device_id!r}")
         if session.result is None:
-            raise SessionError(f"session with {device_id!r} is {session.status}")
+            reason = session.psi.failure_reason
+            detail = f": {reason}" if reason else ""
+            raise SessionError(f"session with {device_id!r} is {session.status}{detail}")
         return session.result
 
     def end_session(self, device_id: str) -> bool:

@@ -5,9 +5,11 @@ A bearer capability is a fresh uniformly random byte string whose
 possession proves an authentic friendship.  Higher-order values are
 derived from it with a SHA-256 hash chain, so holding the k-fold hash
 proves a social path without revealing the base value.  Bloom filters
-carry capability sets compactly during discovery, and X25519 key
-agreement produces the per-session symmetric key that protects the
-discovery transcript and binds set items to the session.
+carry capability sets compactly during discovery; each filter has one
+fresh salt, and every item is hashed once under it, all of its bit
+positions coming from that single digest.  X25519 key agreement
+produces the per-session symmetric key that protects the discovery
+transcript and binds set items to the session.
 
 Every use of SHA-256 here is domain-separated with a one-byte context
 label so chain values, filter indexes and derived keys live in disjoint
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
+import struct
 from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -30,9 +33,13 @@ DEFAULT_CAPABILITY_BITS = 256
 PUBLIC_KEY_BYTES = 32
 DIGEST_BYTES = 32
 BF_SALT_BYTES = 16
-BF_WIRE_VERSION = 1
+BF_WIRE_VERSION = 2
 
 _MAX_GAMMA = 255
+# Filter wire header: version, beta, gamma, salt.
+_BF_HEADER_BYTES = 1 + 4 + 1 + BF_SALT_BYTES
+# Digest bytes 0..7 and 8..15 as two big-endian integers.
+_unpack_hash_pair = struct.Struct(">QQ").unpack_from
 
 # One-byte domain separation labels.
 _CHAIN_LABEL = b"\x01"
@@ -103,31 +110,34 @@ def bf_false_positive_estimate(alpha: int, beta: int, gamma: int) -> float:
 class BloomFilter:
     """Bit-array set sketch with salted SHA-256 index functions.
 
-    Each filter carries ``gamma`` fresh random salts, one per index
-    function, so bit positions are not comparable across filters and a
-    transferred filter is only meaningful inside its own session.  The
-    filter never produces false negatives; false positives occur at
-    roughly the rate :func:`bf_false_positive_estimate` predicts.
+    Each filter carries one fresh random 16-byte salt, so bit positions
+    are not comparable across filters and a transferred filter is only
+    meaningful inside its own session.  An item is hashed once, as
+    ``d = SHA-256(0x02 || salt || item)``; with ``h1 = d[0:8]`` and
+    ``h2 = d[8:16] | 1`` read big-endian, its ``gamma`` positions are
+    ``(h1 + i * h2) mod beta`` for ``i = 0 .. gamma - 1`` (double hashing
+    after Kirsch and Mitzenmacher, ESA 2006).  The filter never produces
+    false negatives; false positives occur at roughly the rate
+    :func:`bf_false_positive_estimate` predicts.
 
     A single instance is not safe for concurrent mutation.
     """
 
-    def __init__(self, beta: int, gamma: int, salts: list[bytes] | None = None):
+    def __init__(self, beta: int, gamma: int, salt: bytes | None = None):
         if beta < 0:
             raise ValueError("filter size must be non-negative")
         if not 1 <= gamma <= _MAX_GAMMA:
             raise ValueError(f"index-function count must lie in [1, {_MAX_GAMMA}]")
-        if salts is None:
-            salts = [secrets.token_bytes(BF_SALT_BYTES) for _ in range(gamma)]
-        if len(salts) != gamma:
-            raise ValueError("need exactly one salt per index function")
-        if any(len(s) != BF_SALT_BYTES for s in salts):
-            raise ValueError(f"salts must be {BF_SALT_BYTES} bytes")
+        if salt is None:
+            salt = secrets.token_bytes(BF_SALT_BYTES)
+        if len(salt) != BF_SALT_BYTES:
+            raise ValueError(f"salt must be {BF_SALT_BYTES} bytes")
         self.beta = beta
         self.gamma = gamma
-        self.salts = list(salts)
+        self.salt = bytes(salt)
         self.bits = bytearray((beta + 7) // 8)
         self.inserted_count = 0
+        self._hasher = hashlib.sha256(_BF_LABEL + self.salt)
 
     @classmethod
     def sized_for(cls, alpha: int, p: float) -> "BloomFilter":
@@ -135,38 +145,53 @@ class BloomFilter:
         beta = bf_optimal_size(alpha, p)
         return cls(beta, bf_hash_count(alpha, beta))
 
-    def _positions(self, item: bytes):
-        for salt in self.salts:
-            digest = hashlib.sha256(_BF_LABEL + salt + item).digest()
-            yield int.from_bytes(digest[:8], "big") % self.beta
+    def _hashes(self, item: bytes) -> tuple[int, int]:
+        """``(h1, h2)`` for ``item``: the start and the odd stride of its positions."""
+        hasher = self._hasher.copy()
+        hasher.update(item)
+        h1, h2 = _unpack_hash_pair(hasher.digest())
+        return h1, h2 | 1
 
     def insert(self, item: bytes) -> None:
-        if self.beta == 0:
+        beta = self.beta
+        if beta == 0:
             raise ValueError("cannot insert into a zero-size filter")
-        for pos in self._positions(item):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        h1, h2 = self._hashes(item)
+        bits = self.bits
+        for i in range(self.gamma):
+            pos = (h1 + i * h2) % beta
+            bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
     def __contains__(self, item: bytes) -> bool:
-        if self.beta == 0:
+        beta = self.beta
+        if beta == 0:
             return False
-        return all(self.bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(item))
+        h1, h2 = self._hashes(item)
+        bits = self.bits
+        for i in range(self.gamma):
+            pos = (h1 + i * h2) % beta
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     def to_bytes(self) -> bytes:
         """Serialize: version byte, beta (4-byte big-endian), gamma (1 byte),
-        the gamma 16-byte salts, then ceil(beta / 8) bytes of bits where bit
-        j lives in byte j // 8 under mask 1 << (j % 8)."""
+        the 16-byte salt, then ceil(beta / 8) bytes of bits where bit j
+        lives in byte j // 8 under mask 1 << (j % 8)."""
         return (
             bytes([BF_WIRE_VERSION])
             + self.beta.to_bytes(4, "big")
             + bytes([self.gamma])
-            + b"".join(self.salts)
+            + self.salt
             + bytes(self.bits)
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
-        if len(data) < 6:
+        """Parse :meth:`to_bytes` output; raises ValueError for anything else,
+        including filters of another wire version."""
+        if len(data) < _BF_HEADER_BYTES:
             raise ValueError("truncated filter")
         if data[0] != BF_WIRE_VERSION:
             raise ValueError(f"unsupported filter version {data[0]}")
@@ -174,13 +199,10 @@ class BloomFilter:
         gamma = data[5]
         if gamma < 1:
             raise ValueError("index-function count must be at least one")
-        salt_end = 6 + gamma * BF_SALT_BYTES
-        bits_len = (beta + 7) // 8
-        if len(data) != salt_end + bits_len:
+        if len(data) != _BF_HEADER_BYTES + (beta + 7) // 8:
             raise ValueError("filter length does not match declared parameters")
-        salts = [data[6 + i * BF_SALT_BYTES : 6 + (i + 1) * BF_SALT_BYTES] for i in range(gamma)]
-        bf = cls(beta, gamma, salts)
-        bf.bits = bytearray(data[salt_end:])
+        bf = cls(beta, gamma, data[6:_BF_HEADER_BYTES])
+        bf.bits = bytearray(data[_BF_HEADER_BYTES:])
         return bf
 
 

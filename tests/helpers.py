@@ -1,6 +1,7 @@
-"""Shared world-building utilities for the test suite."""
+"""Shared world-building and wire-format utilities for the test suite."""
 
 import random
+import secrets
 
 from sopal.client import DiscoveryClient, LocalServerHandle
 from sopal.graph import SocialGraph
@@ -53,3 +54,15 @@ def random_member_subset(adjacency, fraction: float, seed) -> set[str]:
     rng = random.Random(seed)
     size = max(2, round(fraction * len(nodes)))
     return set(rng.sample(nodes, min(size, len(nodes))))
+
+
+def v1_filter_blob(beta: int, gamma: int) -> bytes:
+    """An empty filter in the retired version-1 layout: version byte, beta,
+    gamma, then one 16-byte salt per index function before the bits."""
+    return (
+        b"\x01"
+        + beta.to_bytes(4, "big")
+        + bytes([gamma])
+        + secrets.token_bytes(16 * gamma)
+        + bytes((beta + 7) // 8)
+    )

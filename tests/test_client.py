@@ -13,9 +13,9 @@ from sopal.client import (
     build_input_set,
     run_discovery_pair,
 )
-from sopal.crypto import hash_chain, new_capability
+from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.graph import true_shortest_distance
-from sopal.psi import recv_frame, send_frame
+from sopal.psi import MSG_BF, PsiSession, recv_frame, send_frame
 from sopal.sim import gnp_graph
 from sopal.store import DistributionResult
 
@@ -24,6 +24,7 @@ from helpers import (
     enrolled_world,
     path_adjacency,
     random_member_subset,
+    v1_filter_blob,
 )
 
 
@@ -285,6 +286,27 @@ class TestSessionApi:
         assert reply is None and done
         with pytest.raises(SessionError, match="failed"):
             a.get_result("dev-b")
+
+    def test_failure_reason_is_reported_without_secrets(self):
+        ground = path_adjacency("user-alice", "user-carol", "user-bob")
+        _, _, _, clients = enrolled_world(ground, ["user-alice", "user-bob"])
+        alice, bob = clients["user-alice"], clients["user-bob"]
+        values = [it.value for it in alice.input_items()]
+        # a peer speaking the version-1 filter format, over a valid session
+        init, hello = PsiSession.start_initiator(values, KeyPair.generate(), "user-alice")
+        hello_b, _ = bob.handle_message("dev-a", hello)
+        init.step(hello_b)
+        init._send_counter = 0
+        v1_frame = init._seal(MSG_BF, v1_filter_blob(init.declared_beta, init.declared_gamma))
+        assert bob.handle_message("dev-a", v1_frame) == (None, True)
+        with pytest.raises(SessionError) as info:
+            bob.get_result("dev-a")
+        message = str(info.value)
+        assert "failed: malformed filter: unsupported filter version 1" in message
+        for uid in ("user-alice", "user-bob", "user-carol"):
+            assert uid not in message
+        for item in alice.input_items() + bob.input_items():
+            assert item.value.hex() not in message
 
     def test_discovery_over_stream_sockets(self):
         a, b = self.make_pair()

@@ -19,6 +19,7 @@ from sopal.crypto import (
     new_capability,
 )
 
+from helpers import v1_filter_blob
 from oracles import pure_sha256, pure_x25519
 
 # sha256 of the chain label byte followed by 32 zero bytes, computed with
@@ -170,28 +171,34 @@ class TestBloomFilter:
         for item in items:
             bf.insert(item)
         parsed = BloomFilter.from_bytes(bf.to_bytes())
-        assert (parsed.beta, parsed.gamma, parsed.salts) == (bf.beta, bf.gamma, bf.salts)
+        assert (parsed.beta, parsed.gamma, parsed.salt) == (bf.beta, bf.gamma, bf.salt)
         assert parsed.bits == bf.bits
         assert all(item in parsed for item in items)
 
     def test_wire_layout_is_bit_exact(self):
         salt = b"\x5a" * 16
-        bf = BloomFilter(16, 1, [salt])
-        item = b"layout-check"
+        beta, gamma = 61, 4
+        bf = BloomFilter(beta, gamma, salt)
+        item = b"layout-check-0"
         bf.insert(item)
-        # independently recompute the single index: first 8 digest bytes,
-        # big-endian, mod beta, with the filter domain label 0x02
+        # independently recompute the positions from one digest with the
+        # filter domain label 0x02: h1 and h2 are digest bytes 0..7 and
+        # 8..15, big-endian, h2 forced odd; position i is h1 + i * h2 mod beta
         digest = hashlib.sha256(b"\x02" + salt + item).digest()
-        j = int.from_bytes(digest[:8], "big") % 16
+        h1 = int.from_bytes(digest[:8], "big")
+        raw_h2 = int.from_bytes(digest[8:16], "big")
+        assert raw_h2 % 2 == 0  # so the test also pins the "| 1"
+        positions = {(h1 + i * (raw_h2 | 1)) % beta for i in range(gamma)}
+        assert len(positions) == gamma
         blob = bf.to_bytes()
-        assert blob[0] == 1
-        assert int.from_bytes(blob[1:5], "big") == 16
-        assert blob[5] == 1
+        assert blob[0] == 2
+        assert int.from_bytes(blob[1:5], "big") == beta
+        assert blob[5] == gamma
         assert blob[6:22] == salt
         bits = blob[22:]
-        assert len(bits) == 2
-        assert bits[j // 8] & (1 << (j % 8))
-        assert sum(bin(b).count("1") for b in bits) == 1
+        assert len(bits) == (beta + 7) // 8
+        set_bits = {j for j in range(len(bits) * 8) if bits[j // 8] & (1 << (j % 8))}
+        assert set_bits == positions
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -202,13 +209,41 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(good[:-1])
 
+    def test_from_bytes_refuses_version_one(self):
+        with pytest.raises(ValueError, match="version 1"):
+            BloomFilter.from_bytes(v1_filter_blob(64, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=80),
+        st.builds(
+            lambda version, beta, gamma, salt, bits, cut: (
+                bytes([version]) + beta.to_bytes(4, "big") + bytes([gamma])
+                + salt + bits[: max(0, (beta + 7) // 8 + cut)]
+            ),
+            st.sampled_from([1, 2, 3]),
+            st.integers(0, 200),
+            st.integers(0, 255),
+            st.binary(min_size=16, max_size=16),
+            st.binary(min_size=30, max_size=30),
+            st.sampled_from([-1, 0, 0, 1]),
+        ),
+    ))
+    def test_from_bytes_on_arbitrary_bytes(self, data):
+        try:
+            bf = BloomFilter.from_bytes(data)
+        except ValueError:
+            return
+        assert bf.to_bytes() == data
+
     def test_salt_validation(self):
         with pytest.raises(ValueError):
-            BloomFilter(8, 2, [b"\x00" * 16])
+            BloomFilter(8, 2, b"\x00" * 32)
         with pytest.raises(ValueError):
-            BloomFilter(8, 1, [b"short"])
+            BloomFilter(8, 1, b"short")
         with pytest.raises(ValueError):
             BloomFilter(8, 0)
+        assert BloomFilter(8, 2, b"\x00" * 16).salt == b"\x00" * 16
 
 
 class TestKeyAgreement:

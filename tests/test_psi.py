@@ -20,6 +20,7 @@ from sopal.psi import (
     parse_frame,
 )
 
+from helpers import v1_filter_blob
 from oracles import brute_intersection
 
 
@@ -184,6 +185,18 @@ class TestFailureModes:
         forged = init._seal(MSG_BF, wrong.to_bytes())
         with pytest.raises(ProtocolError, match="declared"):
             resp.step(forged)
+
+    def test_version_one_filter_fails_responder(self):
+        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
+        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        hello_b, _ = resp.step(hello)
+        init.step(hello_b)
+        init._send_counter = 0  # seal into the message slot the responder expects
+        forged = init._seal(MSG_BF, v1_filter_blob(init.declared_beta, init.declared_gamma))
+        with pytest.raises(ProtocolError, match="malformed filter"):
+            resp.step(forged)
+        assert resp.phase == PHASE_FAILED
+        assert "unsupported filter version 1" in resp.failure_reason
 
 
 class TestReject:
