@@ -190,7 +190,7 @@ class DiscoveryClient:
     """One user's discovery endpoint.
 
     The capability cache (the input set) is shared by all sessions and
-    refreshed under a writer lock; each discovery session snapshots it at
+    refreshed under a lock; each discovery session snapshots it at
     creation, and many sessions may run concurrently.
     """
 

@@ -3,14 +3,14 @@
 The capability service never sees a whole OSN graph.  It accumulates the
 edges that enrolled members attest through their friend lists, tracks
 which nodes are enrolled members versus server-created ersatz stand-ins,
-and answers hop-layer queries against that partial view.  Plain BFS
-helpers double as the ground-truth oracle for tests and the coverage
-simulator.
+and answers hop-layer queries against that partial view.  It does no
+locking; the capability store serializes every access.  :func:`hop_layers`
+is the one layer walk; :func:`true_shortest_distance` stays a separate
+BFS as the independent ground-truth oracle for tests.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -31,10 +31,6 @@ class FriendLayers:
         """The set of nodes exactly ``k`` hops out (k is 1-based)."""
         return self.layers[k - 1]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def total(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
@@ -42,19 +38,39 @@ class FriendLayers:
 class SocialGraph:
     """The partial social graph the server can attest.
 
-    Every edge is added by :meth:`record_member`, so every edge has at
-    least one member endpoint and every ersatz node has at least one
-    member neighbor.  Edges are never removed: a member re-registering
+    Every edge is added by :meth:`record_member` (or restored from a
+    snapshot by :meth:`from_parts`), so every edge has at least one
+    member endpoint and every ersatz node has at least one member
+    neighbor.  Edges are never removed: a member re-registering
     with a different friend list unions the new edges with the ones
     already observed.
 
-    Reads may run concurrently; mutation is serialized internally.
+    Not synchronized: a caller that shares the graph between threads
+    holds its own lock around every read and write.
     """
 
     def __init__(self):
         self._kind: dict[str, str] = {}
         self._adj: dict[str, set[str]] = {}
-        self._write_lock = threading.Lock()
+
+    @classmethod
+    def from_parts(
+        cls, node_kinds: Mapping[str, str], edges: Iterable[tuple[str, str]]
+    ) -> "SocialGraph":
+        """Rebuild a graph from a snapshot's node kinds and edges; raises
+        ValueError for an unknown kind or an edge to an unlisted node."""
+        graph = cls()
+        for uid, kind in node_kinds.items():
+            if kind not in (MEMBER, ERSATZ):
+                raise ValueError(f"node {uid!r} has unknown kind {kind!r}")
+            graph._kind[uid] = kind
+            graph._adj[uid] = set()
+        for u, v in edges:
+            if u not in graph._kind or v not in graph._kind:
+                raise ValueError(f"edge {u!r}-{v!r} has an endpoint that is not a node")
+            graph._adj[u].add(v)
+            graph._adj[v].add(u)
+        return graph
 
     def record_member(self, uid: str, friend_list: Iterable[str]) -> None:
         """Enroll ``uid`` as a member and attest its complete friend list.
@@ -63,17 +79,16 @@ class SocialGraph:
         was ersatz keeps its accumulated edges and simply flips kind when
         it enrolls itself later.
         """
-        with self._write_lock:
-            self._kind[uid] = MEMBER
-            self._adj.setdefault(uid, set())
-            for friend in friend_list:
-                if friend == uid:
-                    continue
-                if friend not in self._kind:
-                    self._kind[friend] = ERSATZ
-                self._adj.setdefault(friend, set())
-                self._adj[uid].add(friend)
-                self._adj[friend].add(uid)
+        self._kind[uid] = MEMBER
+        self._adj.setdefault(uid, set())
+        for friend in friend_list:
+            if friend == uid:
+                continue
+            if friend not in self._kind:
+                self._kind[friend] = ERSATZ
+            self._adj.setdefault(friend, set())
+            self._adj[uid].add(friend)
+            self._adj[friend].add(uid)
 
     def kind_of(self, uid: str) -> str | None:
         return self._kind.get(uid)
@@ -87,9 +102,6 @@ class SocialGraph:
     def node_kinds(self) -> dict[str, str]:
         return dict(self._kind)
 
-    def members(self) -> list[str]:
-        return sorted(u for u, k in self._kind.items() if k == MEMBER)
-
     def edges(self) -> list[tuple[str, str]]:
         """All known edges as sorted (low, high) pairs."""
         seen = set()
@@ -101,34 +113,20 @@ class SocialGraph:
     def __len__(self) -> int:
         return len(self._kind)
 
-    def layer_friend_sets(self, uid: str, n: int, member_only: bool = False) -> FriendLayers:
+    def layer_friend_sets(self, uid: str, n: int) -> FriendLayers:
         """Breadth-first hop layers around a member, out to depth ``n``.
 
         Each node lands in the layer of its first discovery, the center is
-        in no layer, and layers are pairwise disjoint.  With
-        ``member_only`` the walk is restricted to the member-induced
-        subgraph.
+        in no layer, and layers are pairwise disjoint.
         """
         if n < 1:
             raise ValueError("layer depth must be at least 1")
         if not self.is_member(uid):
             raise ValueError(f"hop layers are only defined for members, not {uid!r}")
-        seen = {uid}
-        frontier = {uid}
-        layers: list[set[str]] = []
-        for _ in range(n):
-            nxt = set()
-            for node in frontier:
-                for nbr in self._adj.get(node, ()):
-                    if nbr in seen:
-                        continue
-                    if member_only and self._kind.get(nbr) != MEMBER:
-                        continue
-                    nxt.add(nbr)
-            seen |= nxt
-            layers.append(nxt)
-            frontier = nxt
-        return FriendLayers(center=uid, layers=layers)
+        layers: list[set[str]] = [set() for _ in range(n + 1)]
+        for node, depth in hop_layers(self._adj, uid, n).items():
+            layers[depth].add(node)
+        return FriendLayers(center=uid, layers=layers[1:])
 
 
 def true_shortest_distance(adjacency: Adjacency, u: str, v: str) -> int | None:

@@ -22,6 +22,7 @@ the server saturates.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import secrets
@@ -109,10 +110,6 @@ class MockOsnConnector:
         return sorted(self._adjacency[uid])
 
 
-def _json_bytes(body: dict) -> bytes:
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 class _Handler(BaseHTTPRequestHandler):
     server_version = "sopal/0.1"
     protocol_version = "HTTP/1.1"
@@ -125,7 +122,9 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.sopal  # type: ignore[attr-defined]
 
     def _send_json(self, code: int, body: dict) -> None:
-        data = _json_bytes(body)
+        self._send(code, json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+
+    def _send(self, code: int, data: bytes) -> None:
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -145,12 +144,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _with_work(self, fn) -> None:
         ctx = self._ctx
-        if ctx.concurrency_gate is not None:
-            with ctx.concurrency_gate:
-                if ctx.simulated_work_s:
-                    time.sleep(ctx.simulated_work_s)
-                fn()
-        else:
+        with ctx.concurrency_gate or contextlib.nullcontext():
             if ctx.simulated_work_s:
                 time.sleep(ctx.simulated_work_s)
             fn()
@@ -186,12 +180,7 @@ class _Handler(BaseHTTPRequestHandler):
         except NotEnrolledError as exc:
             self._send_json(403, {"error": "not-enrolled", "detail": str(exc)})
             return
-        data = result.to_json().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        self._send(200, result.to_json().encode("utf-8"))
 
     def _post(self):
         if self.path.partition("?")[0] != "/v1/capability":
@@ -221,10 +210,11 @@ class _Handler(BaseHTTPRequestHandler):
 class SopalHttpServer:
     """Single-instance capability server.
 
-    Handles requests concurrently on top of the store's reader/writer
-    contract.  ``simulated_work_s`` and ``max_concurrent`` model a
-    per-request backend cost and a bounded handler pool, which makes
-    saturation behaviour observable at desk scale for the load probe.
+    Handles requests on concurrent threads; the store's one lock
+    serializes their reads and writes.  ``simulated_work_s`` and
+    ``max_concurrent`` model a per-request backend cost and a bounded
+    handler pool, which makes saturation behaviour observable at desk
+    scale for the load probe.
     """
 
     def __init__(

@@ -343,9 +343,12 @@ def preferential_attachment_graph(n: int, m: int, seed) -> dict[str, set[str]]:
             repeated += [nodes[i], nodes[j]]
     for i in range(m + 1, n):
         u = nodes[i]
-        targets: set[str] = set()
+        # draw order, not a set, so the graph does not depend on the hash seed
+        targets: list[str] = []
         while len(targets) < m:
-            targets.add(rng.choice(repeated))
+            v = rng.choice(repeated)
+            if v not in targets:
+                targets.append(v)
         for v in targets:
             adj[u].add(v)
             adj[v].add(u)
@@ -368,7 +371,8 @@ def forest_fire_graph(n: int, forward_prob: float = 0.35, seed=0) -> dict[str, s
             spread = 0
             while rng.random() < forward_prob:
                 spread += 1
-            fresh = [x for x in adj[w] if x not in burned and x != u]
+            # sorted, so the shuffle does not depend on the hash seed
+            fresh = [x for x in sorted(adj[w]) if x not in burned and x != u]
             rng.shuffle(fresh)
             for x in fresh[:spread]:
                 burned.add(x)

@@ -78,48 +78,18 @@ class DistributionResult:
         return cls(r_u=r_u, r_h=r_h)
 
 
-class _ReadWriteLock:
-    """Many concurrent readers, exclusive writers."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire_read(self):
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self):
-        with self._cond:
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-
-    def acquire_write(self):
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-
-    def release_write(self):
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
 class CapabilityStore:
     """Persistent store of capability records plus the attested graph.
 
-    Reads (distribute, snapshots) run concurrently; uploads and expiry
-    are serialized writes, and readers always see a consistent snapshot.
-    ``connector`` supplies authenticated friend lists; any object with a
-    ``friends_of(uid)`` method works.  With ``ersatz_enabled`` off the
-    store creates no stand-in records and distributes over the
-    member-induced subgraph only, which models the pre-ersatz behaviour
-    for the simulator's comparison runs.
+    One lock serializes every read and write of the records and the
+    graph, so each call sees a consistent state.  Under the GIL a
+    reader/writer split would give pure-Python readers no parallelism.
+    Reading ``graph`` directly bypasses the lock.  ``connector`` supplies
+    authenticated friend lists; any object with a ``friends_of(uid)``
+    method works.  With ``ersatz_enabled`` off the store creates no
+    stand-in records and attests only member-member edges, so it
+    distributes over the member-induced subgraph, which models the
+    pre-ersatz behaviour for the simulator's comparison runs.
     """
 
     def __init__(
@@ -139,7 +109,7 @@ class CapabilityStore:
         self.ersatz_enabled = ersatz_enabled
         self._clock = clock
         self._records: dict[str, CapRecord] = {}
-        self._lock = _ReadWriteLock()
+        self._lock = threading.Lock()
 
     # -- writes ----------------------------------------------------------
 
@@ -151,30 +121,23 @@ class CapabilityStore:
         overwritten in place, which upgrades the node transparently; a
         re-upload by an existing member just refreshes the value.
         """
-        if len(cap) != self.capability_bits // 8:
-            raise ValueError(
-                f"capability must be {self.capability_bits} bits, got {len(cap) * 8}"
-            )
+        self._check_length(cap)
         if self.connector is None:
             raise RuntimeError("store has no OSN connector configured")
         friends = list(self.connector.friends_of(uid))
         now = self._clock()
-        self._lock.acquire_write()
-        try:
-            self.graph.record_member(uid, friends)
-            self._records[uid] = CapRecord(uid, cap, MEMBER, now, self.default_ttl_s)
+        with self._lock:
             if self.ersatz_enabled:
                 for friend in friends:
                     if friend not in self._records:
-                        self._records[friend] = CapRecord(
-                            friend,
-                            new_capability(self.capability_bits),
-                            ERSATZ,
-                            now,
-                            self.default_ttl_s,
-                        )
-        finally:
-            self._lock.release_write()
+                        self._records[friend] = self._new_ersatz(friend, now)
+            else:
+                # Each member-member edge is recorded when its second
+                # endpoint enrolls; this relies on friend lists being
+                # symmetric, as the graph assumes by storing edges both ways.
+                friends = [f for f in friends if self.graph.is_member(f)]
+            self.graph.record_member(uid, friends)
+            self._records[uid] = CapRecord(uid, cap, MEMBER, now, self.default_ttl_s)
 
     def expire_and_refresh(self, now: float | None = None) -> int:
         """Apply TTLs; returns how many records expired.
@@ -187,8 +150,7 @@ class CapabilityStore:
         if now is None:
             now = self._clock()
         count = 0
-        self._lock.acquire_write()
-        try:
+        with self._lock:
             for uid, rec in list(self._records.items()):
                 if not rec.expired(now):
                     continue
@@ -196,17 +158,20 @@ class CapabilityStore:
                     self._records[uid] = replace(rec, stale=True)
                     count += 1
                 elif rec.kind == ERSATZ:
-                    self._records[uid] = CapRecord(
-                        uid,
-                        new_capability(self.capability_bits),
-                        ERSATZ,
-                        now,
-                        self.default_ttl_s,
-                    )
+                    self._records[uid] = self._new_ersatz(uid, now)
                     count += 1
-        finally:
-            self._lock.release_write()
         return count
+
+    def _new_ersatz(self, uid: str, now: float) -> CapRecord:
+        """A stand-in record with a fresh random value."""
+        cap = new_capability(self.capability_bits)
+        return CapRecord(uid, cap, ERSATZ, now, self.default_ttl_s)
+
+    def _check_length(self, cap: bytes) -> None:
+        if len(cap) != self.capability_bits // 8:
+            raise ValueError(
+                f"capability must be {self.capability_bits} bits, got {len(cap) * 8}"
+            )
 
     # -- reads -----------------------------------------------------------
 
@@ -219,14 +184,11 @@ class CapabilityStore:
         """
         if d_max < 0:
             raise ValueError("maximum degree must be non-negative")
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             rec = self._records.get(uid)
             if rec is None or rec.kind != MEMBER:
                 raise NotEnrolledError(f"{uid!r} has no member record")
-            layers = self.graph.layer_friend_sets(
-                uid, d_max + 1, member_only=not self.ersatz_enabled
-            )
+            layers = self.graph.layer_friend_sets(uid, d_max + 1)
             r_u = []
             for fid in sorted(layers.layer(1)):
                 fcap = self._live_cap(fid)
@@ -240,8 +202,6 @@ class CapabilityStore:
                     if fcap is not None:
                         r_h.append((degree, hash_chain(fcap, degree)))
             r_h.sort()
-        finally:
-            self._lock.release_read()
         return DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
 
     def _live_cap(self, uid: str) -> bytes | None:
@@ -251,22 +211,12 @@ class CapabilityStore:
         return rec.cap
 
     def record_of(self, uid: str) -> CapRecord | None:
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             return self._records.get(uid)
-        finally:
-            self._lock.release_read()
-
-    def capability_of(self, uid: str) -> bytes | None:
-        rec = self.record_of(uid)
-        return rec.cap if rec else None
 
     def record_count(self) -> int:
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             return len(self._records)
-        finally:
-            self._lock.release_read()
 
     # -- persistence -------------------------------------------------------
 
@@ -279,8 +229,7 @@ class CapabilityStore:
         ``ttl_s``, ``stale``; graph ``nodes`` as ``{id, kind}`` and
         ``edges`` as ``[low, high]`` pairs.
         """
-        self._lock.acquire_read()
-        try:
+        with self._lock:
             body = {
                 "format_version": SNAPSHOT_VERSION,
                 "capability_bits": self.capability_bits,
@@ -303,8 +252,6 @@ class CapabilityStore:
                 ],
                 "edges": [[u, v] for u, v in self.graph.edges()],
             }
-        finally:
-            self._lock.release_read()
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snapshot-", suffix=".tmp")
         try:
@@ -325,22 +272,22 @@ class CapabilityStore:
             body = json.load(fh)
         if body.get("format_version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {body.get('format_version')}")
+        graph = SocialGraph.from_parts(
+            {node["id"]: node["kind"] for node in body["nodes"]}, body["edges"]
+        )
+        kinds = graph.node_kinds()
+        if not body["ersatz_enabled"] and ERSATZ in kinds.values():
+            raise ValueError("snapshot lists ersatz nodes but has ersatz records disabled")
         store = cls(
-            SocialGraph(),
+            graph,
             connector,
             capability_bits=body["capability_bits"],
             default_ttl_s=body["default_ttl_s"],
             ersatz_enabled=body["ersatz_enabled"],
             clock=clock,
         )
-        for node in body["nodes"]:
-            store.graph._kind[node["id"]] = node["kind"]
-            store.graph._adj.setdefault(node["id"], set())
-        for u, v in body["edges"]:
-            store.graph._adj.setdefault(u, set()).add(v)
-            store.graph._adj.setdefault(v, set()).add(u)
         for entry in body["records"]:
-            store._records[entry["id"]] = CapRecord(
+            rec = CapRecord(
                 uid=entry["id"],
                 cap=bytes.fromhex(entry["cap"]),
                 kind=entry["kind"],
@@ -348,4 +295,8 @@ class CapabilityStore:
                 ttl_s=entry["ttl_s"],
                 stale=entry["stale"],
             )
+            if kinds.get(rec.uid) != rec.kind:
+                raise ValueError(f"record {rec.uid!r} is not a {rec.kind!r} node of the graph")
+            store._check_length(rec.cap)
+            store._records[rec.uid] = rec
         return store

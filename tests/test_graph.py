@@ -124,19 +124,6 @@ class TestLayering:
             assert not (seen & layer)
             seen |= layer
 
-    def test_member_only_layering_skips_non_members(self):
-        g = SocialGraph()
-        # A - e - B where e never enrolls, plus A - M - B all members
-        g.record_member("A", ["e", "M"])
-        g.record_member("B", ["e", "M"])
-        g.record_member("M", ["A", "B"])
-        full = g.layer_friend_sets("A", 2)
-        assert full.layer(1) == {"e", "M"}
-        assert full.layer(2) == {"B"}
-        members_only = g.layer_friend_sets("A", 2, member_only=True)
-        assert members_only.layer(1) == {"M"}
-        assert members_only.layer(2) == {"B"}
-
     def test_monotone_under_new_members(self):
         adjacency = gnp_graph(30, 0.1, seed=9)
         g = SocialGraph()

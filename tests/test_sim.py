@@ -1,6 +1,10 @@
 """Coverage model, sampling procedure, generators, and equivalence."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,29 @@ class TestRunCoverage:
         assert first.splitlines()[0] == (
             "fraction,length,ersatz,mean_coverage,std,pairs_sampled,seed"
         )
+
+    def test_generated_sources_ignore_the_hash_seed(self):
+        code = (
+            "from sopal.sim import SimConfig, run_coverage\n"
+            "for source in ('pa:300:3', 'ff:300:0.35'):\n"
+            "    config = SimConfig(graph_source=source, member_fractions=(0.5,),"
+            " pairs_per_cell=50, repetitions=1, seed=3)\n"
+            "    print(run_coverage(config).to_csv())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0].count("\n") > 4
+        assert outputs[0] == outputs[1]
 
     def test_length_two_with_ersatz_is_total(self):
         for seed in (1, 2):

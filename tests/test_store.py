@@ -1,6 +1,7 @@
 """Capability store: uploads, ersatz nodes, distribution, TTL, snapshots."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -143,6 +144,17 @@ class TestDistribute:
         result = store.distribute("A", 1)
         assert DistributionResult.from_json(result.to_json()) == result
 
+    def test_ersatz_off_attests_only_member_edges(self):
+        # A - e - B where e never enrolls, plus A - M - B all members
+        ground = adjacency_from_edges([("A", "e"), ("e", "B"), ("A", "M"), ("M", "B")])
+        store, _ = make_store(ground, ersatz_enabled=False)
+        for uid in ("A", "B", "M"):
+            store.upload_capability(uid, new_capability())
+        result = store.distribute("A", 1)
+        assert [uid for uid, _ in result.r_u] == ["M"]
+        assert result.r_h == ((1, hash_chain(store.record_of("B").cap, 1)),)
+        assert "e" not in store.graph.node_kinds()
+
     def test_upgrade_is_transparent_to_friends(self):
         store, _ = make_store(adjacency_from_edges([("A", "C"), ("B", "C")]))
         store.upload_capability("A", new_capability())
@@ -246,6 +258,53 @@ class TestSnapshot:
         store.save_snapshot(path)
         assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            pytest.param(
+                lambda body: body["nodes"][0].update(kind="admin"),
+                "unknown kind",
+                id="unknown-kind",
+            ),
+            pytest.param(
+                lambda body: body["edges"].append(["A", "ghost"]),
+                "not a node",
+                id="edge-to-unlisted-node",
+            ),
+            pytest.param(
+                lambda body: body["records"].append({**body["records"][0], "id": "ghost"}),
+                "not a 'member' node",
+                id="record-without-node",
+            ),
+            pytest.param(
+                lambda body: body["records"][0].update(kind=ERSATZ),
+                "not a 'ersatz' node",
+                id="record-kind-differs-from-node",
+            ),
+            pytest.param(
+                lambda body: body["records"][0].update(cap="00" * 16),
+                "256 bits",
+                id="short-capability",
+            ),
+            pytest.param(
+                lambda body: body.update(ersatz_enabled=False),
+                "ersatz records disabled",
+                id="ersatz-node-with-ersatz-off",
+            ),
+        ],
+    )
+    def test_rejects_inconsistent_snapshot(self, tmp_path, corrupt, reason):
+        store, _ = make_store(path_adjacency("A", "B"))
+        store.upload_capability("A", new_capability())
+        path = tmp_path / "snap.json"
+        store.save_snapshot(path)
+        body = json.loads(path.read_text())
+        assert body["nodes"][0]["id"] == body["records"][0]["id"] == "A"
+        corrupt(body)
+        path.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match=reason):
+            CapabilityStore.load_snapshot(path)
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
@@ -266,25 +325,36 @@ class TestConcurrency:
             try:
                 for _ in range(50):
                     result = store.distribute(uids[0], 1)
-                    layers = store.graph.layer_friend_sets(uids[0], 2)
-                    assert result.total() <= layers.total() + 50
+                    assert {uid for uid, _ in result.r_u} <= ground[uids[0]]
+                    assert all(degree == 1 for degree, _ in result.r_h)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        def writer():
+        def writer(batch):
             try:
-                for uid in uids[10:30]:
+                for uid in batch:
                     store.upload_capability(uid, new_capability())
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
-        threads.append(threading.Thread(target=writer))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads.append(threading.Thread(target=writer, args=(uids[10:20],)))
+        threads.append(threading.Thread(target=writer, args=(uids[20:30],)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        # after the dust settles the cardinality law holds again
+        # after the dust settles no write is lost and the cardinality law holds
+        members = uids[:30]
+        assert store.record_count() == len(set(members).union(*(ground[m] for m in members)))
+        expected_edges = {tuple(sorted((u, v))) for u in members for v in ground[u]}
+        assert store.graph.edges() == sorted(expected_edges)
         result = store.distribute(uids[0], 1)
         assert result.total() == store.graph.layer_friend_sets(uids[0], 2).total()
