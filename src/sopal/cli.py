@@ -11,12 +11,13 @@ authentication or enrollment failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import http.client
 import logging
 import signal
 import socket
 import sys
 import threading
-import urllib.error
 
 from sopal.client import DiscoveryClient, HttpServerHandle
 from sopal.crypto import new_capability
@@ -138,9 +139,9 @@ def cmd_enroll(args) -> int:
     if not members:
         print("membership file is empty; nothing to do")
         return 0
-    handle = HttpServerHandle(_addr_url(args.addr))
-    for uid in members:
-        handle.upload(f"mock:{uid}", new_capability())
+    with contextlib.closing(HttpServerHandle(_addr_url(args.addr))) as handle:
+        for uid in members:
+            handle.upload(f"mock:{uid}", new_capability())
     print(f"enrolled {len(members)} users")
     return 0
 
@@ -158,9 +159,10 @@ def cmd_discover(args) -> int:
     client_b = DiscoveryClient(
         args.uid_b, handle, d_max=args.dmax, fp_target=args.fp_target
     )
-    for client in (client_a, client_b):
-        client.renew_capability()
-        client.update_capabilities()
+    with contextlib.closing(handle):
+        for client in (client_a, client_b):
+            client.renew_capability()
+            client.update_capabilities()
 
     sock_a, sock_b = socket.socketpair()
     results = {}
@@ -256,7 +258,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ConnectionError, urllib.error.URLError, TimeoutError) as exc:
+    except (ConnectionError, http.client.HTTPException, socket.gaierror, TimeoutError) as exc:
         print(f"error: server unreachable: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except (AuthError, NotEnrolledError, PermissionError) as exc:

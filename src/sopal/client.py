@@ -21,10 +21,11 @@ advanced ``rejectSoPaLSession``, ``updateCapabilities`` and
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,43 +140,85 @@ class LocalServerHandle:
 
 
 class HttpServerHandle:
-    """Server access over HTTP, matching :mod:`sopal.server`'s routes."""
+    """Server access over HTTP, matching :mod:`sopal.server`'s routes.
+
+    Each calling thread keeps one persistent HTTP/1.1 connection, so a
+    client that renews, uploads and downloads again and again connects
+    once, not once per request.  A request on a reused connection that
+    the server has closed meanwhile (after its idle timeout, say) fails
+    before any status line arrives; it is sent once more on a fresh
+    connection, which is safe because every route is idempotent.
+    ``https`` URLs get an ``HTTPSConnection`` with the default TLS
+    context, which verifies the server's certificate.
+    """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        parts = urllib.parse.urlsplit(self.base_url)
+        connection_class = {
+            "http": http.client.HTTPConnection,
+            "https": http.client.HTTPSConnection,
+        }.get(parts.scheme)
+        if connection_class is None or not parts.hostname:
+            raise ValueError(f"server URL must be http(s)://host[:port], got {base_url!r}")
+        self._new_connection = functools.partial(
+            connection_class, parts.hostname, parts.port, timeout=timeout_s
+        )
+        self._path_prefix = parts.path
+        self._local = threading.local()
 
-    def _request(self, req: urllib.request.Request) -> bytes:
+    def close(self) -> None:
+        """Close the calling thread's connection; its next request opens
+        a new one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
+    def _exchange(self, method: str, path: str, token: str, body: bytes | None):
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection()
+        reused = conn.sock is not None
+        url = self._path_prefix + path
+        headers = {"Authorization": f"Bearer {token}"}
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            detail = ""
             try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-            except Exception:
-                pass
-            if exc.code == 401:
-                raise PermissionError(f"authentication failed: {detail}") from exc
-            if exc.code == 403:
-                raise NotEnrolledError(detail or "not enrolled") from exc
-            raise RuntimeError(f"server returned {exc.code}: {detail}") from exc
+                conn.request(method, url, body, headers)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # http.client.RemoteDisconnected is a ConnectionResetError.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, url, body, headers)
+                resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
+        status, data = self._exchange(method, path, token, body)
+        if 200 <= status < 300:
+            return data
+        detail = ""
+        try:
+            detail = json.loads(data.decode("utf-8")).get("error", "")
+        except (ValueError, AttributeError):
+            pass
+        if status == 401:
+            raise PermissionError(f"authentication failed: {detail}")
+        if status == 403:
+            raise NotEnrolledError(detail or "not enrolled")
+        raise RuntimeError(f"server returned {status}: {detail}")
 
     def upload(self, token: str, cap: bytes) -> None:
-        req = urllib.request.Request(
-            f"{self.base_url}/v1/capability",
-            data=cap.hex().encode("ascii"),
-            headers={"Authorization": f"Bearer {token}"},
-            method="POST",
-        )
-        self._request(req)
+        self._request("POST", "/v1/capability", token, cap.hex().encode("ascii"))
 
     def download(self, token: str, d_max: int) -> DistributionResult:
-        req = urllib.request.Request(
-            f"{self.base_url}/v1/capabilities?dmax={d_max}",
-            headers={"Authorization": f"Bearer {token}"},
-        )
-        return DistributionResult.from_json(self._request(req).decode("utf-8"))
+        data = self._request("GET", f"/v1/capabilities?dmax={d_max}", token)
+        return DistributionResult.from_json(data.decode("utf-8"))
 
 
 class _ClientSession:

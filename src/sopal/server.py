@@ -13,6 +13,11 @@ Routes:
 
 All routes take ``Authorization: Bearer <token>``.  The server runs over
 TLS when given a certificate, or in loudly flagged plaintext test mode.
+Connections are persistent HTTP/1.1: a client may send many requests on
+one connection, which the server closes after ``IDLE_TIMEOUT_S`` without
+a request.  A POST body must carry ``Content-Length`` and be at most
+``MAX_BODY_BYTES`` long; the server reads it before answering, so an
+error reply never leaves it to be parsed as the next request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
 of requests per second at a running server and reports per-second
@@ -26,11 +31,11 @@ import contextlib
 import json
 import logging
 import secrets
+import socket
 import ssl
 import statistics
 import threading
 import time
-import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +47,16 @@ from sopal.store import CapabilityStore, NotEnrolledError
 logger = logging.getLogger(__name__)
 
 MOCK_TOKEN_PREFIX = "mock:"
+
+# A kept-open connection with no request for this long is closed, so its
+# handler thread does not outlive an idle client.
+IDLE_TIMEOUT_S = 5.0
+# Largest POST body read: the hex of a capability of up to 16384 bits.
+# A longer body is refused with 413.
+MAX_BODY_BYTES = 4096
+# How often serve_forever checks for a shutdown request; stop() waits
+# for at most one interval.
+POLL_INTERVAL_S = 0.05
 
 
 class AuthError(Exception):
@@ -113,6 +128,10 @@ class MockOsnConnector:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "sopal/0.1"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # With Nagle on, a reply on a kept-open connection waits for the
+    # client's delayed ACK, about 40 ms per request.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
         logger.debug("%s %s", self.address_string(), fmt % args)
@@ -121,15 +140,20 @@ class _Handler(BaseHTTPRequestHandler):
     def _ctx(self) -> "SopalHttpServer":
         return self.server.sopal  # type: ignore[attr-defined]
 
-    def _send_json(self, code: int, body: dict) -> None:
-        self._send(code, json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+    def _send_json(self, code: int, body: dict, *, close: bool = False) -> None:
+        data = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        self._send(code, data, close=close)
 
-    def _send(self, code: int, data: bytes) -> None:
+    def _send(self, code: int, data: bytes, *, close: bool = False) -> None:
+        """Send one response, headers and body in a single write."""
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if close:
+            self.send_header("Connection", "close")
+        self._headers_buffer.append(b"\r\n")
+        self.wfile.write(b"".join(self._headers_buffer) + data)
+        self._headers_buffer = []
 
     def _authenticate(self) -> str | None:
         header = self.headers.get("Authorization", "")
@@ -182,7 +206,25 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(200, result.to_json().encode("utf-8"))
 
+    def _read_body(self) -> bytes | None:
+        """The request body, or None after answering 400 or 413 and
+        closing the connection, since the body stays unread."""
+        declared = self.headers.get("Content-Length", "")
+        if not (declared.isascii() and declared.isdigit()):
+            self._send_json(400, {"error": "Content-Length required"}, close=True)
+            return None
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True
+            )
+            return None
+        return self.rfile.read(length)
+
     def _post(self):
+        body = self._read_body()
+        if body is None:
+            return
         if self.path.partition("?")[0] != "/v1/capability":
             self._send_json(404, {"error": "no such route"})
             return
@@ -190,9 +232,7 @@ class _Handler(BaseHTTPRequestHandler):
         if uid is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length).decode("ascii").strip()
-            cap = bytes.fromhex(raw)
+            cap = bytes.fromhex(body.decode("ascii").strip())
         except (ValueError, UnicodeDecodeError):
             self._send_json(400, {"error": "body must be the capability as hex"})
             return
@@ -207,14 +247,47 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"status": "ok"})
 
 
+class _ThreadingServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that keeps its open connections, so that
+    they can be closed when the server stops."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection; a handler thread blocked on
+        it reads end-of-file and exits."""
+        with self._open_lock:
+            live = list(self._open)
+        for conn in live:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+
+
 class SopalHttpServer:
     """Single-instance capability server.
 
-    Handles requests on concurrent threads; the store's one lock
-    serializes their reads and writes.  ``simulated_work_s`` and
-    ``max_concurrent`` model a per-request backend cost and a bounded
-    handler pool, which makes saturation behaviour observable at desk
-    scale for the load probe.
+    Handles each connection on its own thread; the store's one lock
+    serializes their reads and writes.  Connections stay open between
+    requests until the client closes them, ``IDLE_TIMEOUT_S`` passes
+    without a request, or :meth:`stop` closes them all.
+    ``simulated_work_s`` and ``max_concurrent`` model a per-request
+    backend cost and a bounded handler pool, which makes saturation
+    behaviour observable at desk scale for the load probe.
     """
 
     def __init__(
@@ -235,6 +308,11 @@ class SopalHttpServer:
             raise ValueError(
                 "refusing to start without TLS; pass insecure_plaintext=True for test use"
             )
+        if store.capability_bits // 4 > MAX_BODY_BYTES:
+            raise ValueError(
+                f"{store.capability_bits}-bit capabilities exceed the "
+                f"{MAX_BODY_BYTES}-byte body limit"
+            )
         self.store = store
         self.connector = connector
         self.d_max = d_max
@@ -242,8 +320,7 @@ class SopalHttpServer:
         self.concurrency_gate = (
             threading.Semaphore(max_concurrent) if max_concurrent else None
         )
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ThreadingServer((host, port), _Handler)
         self._httpd.sopal = self  # type: ignore[attr-defined]
         self._scheme = "http"
         if tls_cert:
@@ -268,11 +345,16 @@ class SopalHttpServer:
         return f"{self._scheme}://{host}:{port}"
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop accepting and close every open connection, so that no
+        client is answered after this returns."""
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread:
             self._thread.join(timeout=5)

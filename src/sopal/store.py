@@ -72,9 +72,18 @@ class DistributionResult:
 
     @classmethod
     def from_json(cls, text: str) -> "DistributionResult":
-        body = json.loads(text)
-        r_u = tuple((e["id"], bytes.fromhex(e["cap"])) for e in body["r_u"])
-        r_h = tuple((int(e["degree"]), bytes.fromhex(e["digest"])) for e in body["r_h"])
+        """Parse a download body; raises only ``ValueError`` when it is
+        malformed."""
+        try:
+            body = json.loads(text)
+            r_u = tuple((e["id"], bytes.fromhex(e["cap"])) for e in body["r_u"])
+            r_h = tuple((e["degree"], bytes.fromhex(e["digest"])) for e in body["r_h"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed distribution: {exc!r}") from None
+        if not all(isinstance(uid, str) for uid, _ in r_u):
+            raise ValueError("malformed distribution: ids must be strings")
+        if not all(type(degree) is int for degree, _ in r_h):
+            raise ValueError("malformed distribution: degrees must be integers")
         return cls(r_u=r_u, r_h=r_h)
 
 

@@ -1,7 +1,14 @@
 """Shared world-building and wire-format utilities for the test suite."""
 
+import datetime
+import ipaddress
 import random
 import secrets
+
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from sopal.client import DiscoveryClient, LocalServerHandle
 from sopal.graph import SocialGraph
@@ -66,3 +73,36 @@ def v1_filter_blob(beta: int, gamma: int) -> bytes:
         + secrets.token_bytes(16 * gamma)
         + bytes((beta + 7) // 8)
     )
+
+
+def self_signed_cert(directory) -> tuple[str, str]:
+    """Write a self-signed certificate for 127.0.0.1 and its key under
+    ``directory``; returns (certificate path, key path)."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+            critical=False,
+        )
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = directory / "cert.pem", directory / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(
+        key.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+    )
+    return str(cert_path), str(key_path)

@@ -2,8 +2,10 @@
 
 import json
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -94,6 +96,25 @@ class TestEnroll:
         members.write_text("A\n")
         code = main(["enroll", "--members", str(members), "--addr", "127.0.0.1:9"])
         assert code == 4
+
+    def test_non_http_server_exit_code(self, tmp_path, capsys):
+        members = tmp_path / "members.txt"
+        members.write_text("A\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_garbage():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(4096)
+                    conn.sendall(b"not http\r\n\r\n")
+
+            peer = threading.Thread(target=answer_garbage)
+            peer.start()
+            addr = "127.0.0.1:%d" % listener.getsockname()[1]
+            assert main(["enroll", "--members", str(members), "--addr", addr]) == 4
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+        assert "unreachable" in capsys.readouterr().err
 
     def test_unknown_user_exit_code(self, tmp_path, live_server, capsys):
         _, addr = live_server

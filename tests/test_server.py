@@ -1,23 +1,33 @@
-"""HTTP endpoints, authentication, and the load probe."""
+"""HTTP endpoints, persistent connections, authentication, and the load
+probe."""
 
+import http.client
 import json
+import socket
+import ssl
+import statistics
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from sopal.client import HttpServerHandle
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import (
+    MAX_BODY_BYTES,
     AuthError,
     ConnectorError,
     MockOsnConnector,
     SopalHttpServer,
+    _Handler,
     load_probe,
 )
-from sopal.store import CapabilityStore
+from sopal.store import CapabilityStore, NotEnrolledError
 
-from helpers import adjacency_from_edges
+from helpers import adjacency_from_edges, self_signed_cert
 
 
 GROUND = adjacency_from_edges(
@@ -47,6 +57,39 @@ def request(server, method, path, token=None, body=None):
             return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+@pytest.fixture
+def fresh_server():
+    """A started plaintext server of its own, with A enrolled."""
+    connector = MockOsnConnector(GROUND)
+    store = CapabilityStore(SocialGraph(), connector)
+    store.upload_capability("A", new_capability())
+    server = SopalHttpServer(store, connector, d_max=2, insecure_plaintext=True)
+    server.start()
+    yield server
+    server.stop()
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every HTTP(S) client connection that connected, in order."""
+    calls = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return calls
+
+
+def exchange(conn, method, path, token=None, body=None):
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    conn.request(method, path, body=body, headers=headers)
+    resp = conn.getresponse()
+    return resp.status, resp.read()
 
 
 class TestConnector:
@@ -193,6 +236,122 @@ class TestEndpoints:
         assert store.record_of("A").cap != cap
 
 
+class TestPersistentConnections:
+    def test_one_connection_per_calling_thread(self, fresh_server, connects):
+        handle = HttpServerHandle(fresh_server.url)
+        for _ in range(5):
+            assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+        handle.upload("mock:A", new_capability())
+        assert len(connects) == 1
+
+        def work():
+            for _ in range(3):
+                handle.download("mock:A", 1)
+            handle.close()
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        handle.close()
+        assert len(connects) == 3
+
+    def test_kept_open_replies_do_not_wait_for_delayed_acks(self, fresh_server, connects):
+        # Headers and body in two segments with Nagle on stall each reply
+        # on a kept-open connection until the client's delayed ACK (~40 ms).
+        conn = http.client.HTTPConnection(*fresh_server.address, timeout=10)
+        times = []
+        for _ in range(20):
+            start = time.perf_counter()
+            status, _ = exchange(conn, "GET", "/v1/capabilities?dmax=1", "mock:A")
+            times.append(time.perf_counter() - start)
+            assert status == 200
+        conn.close()
+        assert len(connects) == 1
+        assert statistics.median(times) < 0.02
+
+    def test_idle_closed_connection_is_retried_once(self, fresh_server, connects, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        handle = HttpServerHandle(fresh_server.url)
+        handle.download("mock:A", 1)
+        time.sleep(0.6)
+        assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+        handle.close()
+        assert len(connects) == 2
+
+    def test_stop_closes_open_connections(self, fresh_server):
+        handle = HttpServerHandle(fresh_server.url)
+        handle.download("mock:A", 1)
+        start = time.perf_counter()
+        fresh_server.stop()
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ConnectionError):
+            handle.download("mock:A", 1)
+
+    def test_error_statuses_on_a_reused_connection(self, fresh_server, connects):
+        handle = HttpServerHandle(fresh_server.url)
+        handle.download("mock:A", 1)
+        with pytest.raises(PermissionError, match="authentication failed"):
+            handle.download("mock:nobody", 1)
+        with pytest.raises(NotEnrolledError):
+            handle.download("mock:E", 1)
+        with pytest.raises(RuntimeError, match="404"):
+            handle._request("GET", "/v1/nothing", "mock:A")
+        assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+        handle.close()
+        assert len(connects) == 1
+
+    @pytest.mark.parametrize(
+        "path, token, code",
+        [("/v1/capability", "mock:nobody", 401), ("/v1/nothing", "mock:A", 404)],
+    )
+    def test_refused_post_body_is_not_read_as_a_request(self, fresh_server, path, token, code):
+        conn = http.client.HTTPConnection(*fresh_server.address, timeout=10)
+        body = new_capability().hex().encode()
+        assert exchange(conn, "POST", path, token, body)[0] == code
+        assert exchange(conn, "GET", "/v1/health")[0] == 200
+        conn.close()
+
+    @pytest.mark.parametrize(
+        "length_header, code",
+        [(f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", 413), ("", 400)],
+    )
+    def test_unread_post_body_closes_the_connection(self, fresh_server, length_header, code):
+        with socket.create_connection(fresh_server.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/capability HTTP/1.1\r\nHost: sopal\r\n"
+                b"Authorization: Bearer mock:A\r\n" + length_header.encode() + b"\r\n"
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            resp.read()
+            assert resp.status == code
+            assert resp.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
+
+    def test_https_url_gets_verified_tls(self, tmp_path, connects, monkeypatch):
+        cert, key = self_signed_cert(tmp_path)
+        connector = MockOsnConnector(GROUND)
+        store = CapabilityStore(SocialGraph(), connector)
+        store.upload_capability("A", new_capability())
+        with SopalHttpServer(store, connector, tls_cert=cert, tls_key=key) as server:
+            assert server.url.startswith("https://")
+            with pytest.raises(ssl.SSLCertVerificationError):
+                HttpServerHandle(server.url).download("mock:A", 1)
+            monkeypatch.setattr(
+                ssl,
+                "_create_default_https_context",
+                lambda: ssl.create_default_context(cafile=cert),
+            )
+            handle = HttpServerHandle(server.url)
+            for _ in range(3):
+                assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+            handle.close()
+        assert len(connects) == 2
+
+
 class TestServerConfig:
     def test_refuses_plaintext_without_flag(self):
         connector = MockOsnConnector(GROUND)
@@ -207,6 +366,14 @@ class TestServerConfig:
             server = SopalHttpServer(store, connector, insecure_plaintext=True)
         server._httpd.server_close()
         assert any("PLAINTEXT" in rec.message for rec in caplog.records)
+
+    def test_refuses_capabilities_beyond_the_body_limit(self):
+        connector = MockOsnConnector(GROUND)
+        store = CapabilityStore(
+            SocialGraph(), connector, capability_bits=MAX_BODY_BYTES * 4 + 8
+        )
+        with pytest.raises(ValueError, match="body limit"):
+            SopalHttpServer(store, connector, insecure_plaintext=True)
 
 
 class TestLoadProbe:

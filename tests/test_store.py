@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
 from sopal.crypto import hash_chain, new_capability
@@ -142,6 +144,35 @@ class TestDistribute:
         store.upload_capability("A", new_capability())
         store.upload_capability("B", new_capability())
         result = store.distribute("A", 1)
+        assert DistributionResult.from_json(result.to_json()) == result
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers()
+                | st.floats()
+                | st.text()
+                | st.sampled_from(["", "00", "ab" * 16, "zz"]),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(
+                    st.sampled_from(["r_u", "r_h", "id", "cap", "degree", "digest"])
+                    | st.text(),
+                    inner,
+                    max_size=4,
+                ),
+                max_leaves=20,
+            ).map(json.dumps),
+        )
+    )
+    def test_from_json_raises_only_value_error(self, text):
+        try:
+            result = DistributionResult.from_json(text)
+        except ValueError:
+            return
         assert DistributionResult.from_json(result.to_json()) == result
 
     def test_ersatz_off_attests_only_member_edges(self):
