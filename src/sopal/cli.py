@@ -258,12 +258,14 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ConnectionError, http.client.HTTPException, socket.gaierror, TimeoutError) as exc:
-        print(f"error: server unreachable: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
     except (AuthError, NotEnrolledError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENIED
+    # Must follow the two clauses above, since FileNotFoundError and
+    # PermissionError are OSErrors; so is urllib's URLError from load_probe.
+    except (OSError, http.client.HTTPException) as exc:
+        print(f"error: server unreachable: {exc}", file=sys.stderr)
+        return EXIT_UNREACHABLE
     except ValueError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

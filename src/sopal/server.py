@@ -34,6 +34,7 @@ import secrets
 import socket
 import ssl
 import statistics
+import sys
 import threading
 import time
 import urllib.request
@@ -129,8 +130,9 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "sopal/0.1"
     protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT_S
-    # With Nagle on, a reply on a kept-open connection waits for the
-    # client's delayed ACK, about 40 ms per request.
+    # A reply goes out as a header write and a body write.  With Nagle
+    # on, the body then waits for the client's delayed ACK on a kept-open
+    # connection, about 40 ms per request.
     disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
@@ -145,15 +147,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(code, data, close=close)
 
     def _send(self, code: int, data: bytes, *, close: bool = False) -> None:
-        """Send one response, headers and body in a single write."""
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         if close:
             self.send_header("Connection", "close")
-        self._headers_buffer.append(b"\r\n")
-        self.wfile.write(b"".join(self._headers_buffer) + data)
-        self._headers_buffer = []
+        self.end_headers()
+        self.wfile.write(data)
 
     def _authenticate(self) -> str | None:
         header = self.headers.get("Authorization", "")
@@ -267,6 +267,13 @@ class _ThreadingServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A client that drops a kept-open connection is routine, not a fault.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            logger.debug("connection from %s dropped", client_address[0])
+            return
+        super().handle_error(request, client_address)
 
     def close_connections(self) -> None:
         """Shut down every open connection; a handler thread blocked on

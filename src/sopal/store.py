@@ -78,7 +78,7 @@ class DistributionResult:
             body = json.loads(text)
             r_u = tuple((e["id"], bytes.fromhex(e["cap"])) for e in body["r_u"])
             r_h = tuple((e["degree"], bytes.fromhex(e["digest"])) for e in body["r_h"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed distribution: {exc!r}") from None
         if not all(isinstance(uid, str) for uid, _ in r_u):
             raise ValueError("malformed distribution: ids must be strings")

@@ -97,6 +97,11 @@ class TestEnroll:
         code = main(["enroll", "--members", str(members), "--addr", "127.0.0.1:9"])
         assert code == 4
 
+    def test_loadprobe_unreachable_server_exit_code(self, capsys):
+        args = ["loadprobe", "--uid", "A", "--rates", "1", "--duration", "1"]
+        assert main(args + ["--addr", "127.0.0.1:9"]) == 4
+        assert "unreachable" in capsys.readouterr().err
+
     def test_non_http_server_exit_code(self, tmp_path, capsys):
         members = tmp_path / "members.txt"
         members.write_text("A\n")

@@ -175,6 +175,10 @@ class TestDistribute:
             return
         assert DistributionResult.from_json(result.to_json()) == result
 
+    def test_from_json_refuses_deep_nesting(self):
+        with pytest.raises(ValueError, match="malformed distribution"):
+            DistributionResult.from_json("[" * 100_000)
+
     def test_ersatz_off_attests_only_member_edges(self):
         # A - e - B where e never enrolls, plus A - M - B all members
         ground = adjacency_from_edges([("A", "e"), ("e", "B"), ("A", "M"), ("M", "B")])
