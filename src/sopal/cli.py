@@ -4,8 +4,8 @@ Subcommands: ``serve`` (run the capability server), ``enroll`` (upload
 capabilities for listed users), ``discover`` (two local clients over a
 socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
 report).  Error classes map to distinct exit codes: 3 for missing files,
-4 for an unreachable server, 5 for malformed configuration, 6 for
-authentication or enrollment failures.
+4 for an unreachable server, 5 for malformed configuration or an address
+``serve`` cannot listen on, 6 for authentication or enrollment failures.
 """
 
 from __future__ import annotations
@@ -108,16 +108,24 @@ def cmd_serve(args) -> int:
         for uid in load_membership(args.members):
             store.upload_capability(uid, new_capability())
     host, port = _parse_addr(args.addr)
-    server = SopalHttpServer(
-        store,
-        connector,
-        host,
-        port,
-        d_max=args.dmax,
-        tls_cert=args.tls_cert,
-        tls_key=args.tls_key,
-        insecure_plaintext=args.insecure_plaintext,
-    )
+    try:
+        server = SopalHttpServer(
+            store,
+            connector,
+            host,
+            port,
+            d_max=args.dmax,
+            tls_cert=args.tls_cert,
+            tls_key=args.tls_key,
+            insecure_plaintext=args.insecure_plaintext,
+        )
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        # a busy or forbidden address, or an unusable certificate: no
+        # server is involved, so this is not "unreachable"
+        print(f"error: cannot listen on {host}:{port}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     server.start()
     print(f"serving on {server.url} (dmax={args.dmax}, records={store.record_count()})", flush=True)
     stop = threading.Event()

@@ -269,8 +269,9 @@ class _ThreadingServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def handle_error(self, request, client_address):
-        # A client that drops a kept-open connection is routine, not a fault.
-        if isinstance(sys.exc_info()[1], ConnectionError):
+        # A client that drops a kept-open connection or fails the TLS
+        # handshake is routine, not a fault.
+        if isinstance(sys.exc_info()[1], (ConnectionError, ssl.SSLError)):
             logger.debug("connection from %s dropped", client_address[0])
             return
         super().handle_error(request, client_address)
@@ -333,7 +334,12 @@ class SopalHttpServer:
         if tls_cert:
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.load_cert_chain(tls_cert, tls_key)
-            self._httpd.socket = ctx.wrap_socket(self._httpd.socket, server_side=True)
+            # The handshake runs on the connection's handler thread, at its
+            # first read, under the idle timeout; done at accept it would
+            # let one silent client stall every other connection.
+            self._httpd.socket = ctx.wrap_socket(
+                self._httpd.socket, server_side=True, do_handshake_on_connect=False
+            )
             self._scheme = "https"
         else:
             logger.warning(

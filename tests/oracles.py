@@ -1,9 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately written from the public algorithm descriptions
-(FIPS 180-4 for SHA-256, RFC 7748 for X25519) and share no code with the
-package, so they can vouch for the production primitives.
+(FIPS 180-4 for SHA-256, RFC 7748 for X25519, the coverage procedure of
+``sopal.sim.run_coverage`` computed the direct way) and share no code
+with the package, so they can vouch for the production code.
 """
+
+import random
+import statistics
 
 # -- SHA-256 (FIPS 180-4) ----------------------------------------------------
 
@@ -119,3 +123,101 @@ def pure_x25519(k: bytes, u: bytes) -> bytes:
 def brute_intersection(xs, ys) -> set:
     """Exact set intersection, the oracle for the interactive protocol."""
     return set(xs) & set(ys)
+
+
+# -- coverage simulation -----------------------------------------------------
+
+_SKIP_WARNING = "skipping cell (fraction=%.2f, length=%d, rep=%d): only %d qualifying pairs"
+
+
+def _bfs(adjacency, start, depth):
+    dist = {start: 0}
+    frontier = [start]
+    for d in range(1, depth + 1):
+        nxt = []
+        for node in frontier:
+            for nbr in adjacency.get(node, ()):
+                if nbr not in dist:
+                    dist[nbr] = d
+                    nxt.append(nbr)
+        frontier = nxt
+    return dist
+
+
+def _attested(ground, members, ersatz_on):
+    """Edges listed under their lower endpoint, kept when they touch a
+    member (ersatz on) or join two members (ersatz off); undirected."""
+    known = {}
+    for u, nbrs in ground.items():
+        for v in nbrs:
+            if ersatz_on:
+                keep = u in members or v in members
+            else:
+                keep = u in members and v in members
+            if u < v and keep:
+                known.setdefault(u, set()).add(v)
+                known.setdefault(v, set()).add(u)
+    return known
+
+
+def reference_run_coverage(config, adjacency):
+    """The coverage procedure of a ``SimConfig`` on ``adjacency``, computed
+    the direct way: a BFS from every member, a scan of every member pair
+    into per-distance lists, and for each sampled pair a search for a
+    third node within ``d_max + 1`` attested hops of both.
+
+    Returns the CSV text, the skip warnings as the simulator logs them,
+    and the size of every pair list drawn from.
+    """
+    nodes = sorted(adjacency)
+    values, seen, warnings, pool_sizes = {}, {}, [], []
+    for rep in range(config.repetitions):
+        for fraction in config.member_fractions:
+            rng = random.Random(f"{config.seed}/cov/{rep}/{fraction}")
+            size = max(2, round(fraction * len(nodes)))
+            members = sorted(rng.sample(nodes, min(size, len(nodes))))
+            dist = {m: _bfs(adjacency, m, max(config.path_lengths)) for m in members}
+            buckets = {n: [] for n in config.path_lengths}
+            for i, u in enumerate(members):
+                for v in members[i + 1 :]:
+                    d = dist[u].get(v)
+                    if d in buckets:
+                        buckets[d].append((u, v))
+            samples = {}
+            for n in config.path_lengths:
+                pool = buckets[n]
+                pool_sizes.append(len(pool))
+                if len(pool) < config.min_pairs:
+                    warnings.append(_SKIP_WARNING % (fraction, n, rep, len(pool)))
+                    continue
+                if len(pool) > config.pairs_per_cell:
+                    samples[n] = rng.sample(pool, config.pairs_per_cell)
+                else:
+                    samples[n] = pool
+            for ersatz_on in config.ersatz_modes:
+                known = _attested(adjacency, set(members), ersatz_on)
+                near = {}
+                for n, pairs in samples.items():
+                    found = 0
+                    for u, v in pairs:
+                        for x in (u, v):
+                            if x not in near:
+                                near[x] = set(_bfs(known, x, config.d_max + 1))
+                        if v in adjacency.get(u, ()) or (near[u] & near[v]) - {u, v}:
+                            found += 1
+                    key = (fraction, n, ersatz_on)
+                    values.setdefault(key, []).append(found / len(pairs))
+                    seen[key] = seen.get(key, 0) + len(pairs)
+
+    lines = ["fraction,length,ersatz,mean_coverage,std,pairs_sampled,seed"]
+    for fraction in config.member_fractions:
+        for n in config.path_lengths:
+            for ersatz_on in config.ersatz_modes:
+                got = values.get((fraction, n, ersatz_on))
+                if got:
+                    lines.append(
+                        f"{fraction:.2f},{n},{'on' if ersatz_on else 'off'},"
+                        f"{statistics.fmean(got):.6f},{statistics.pstdev(got):.6f},"
+                        f"{seen[fraction, n, ersatz_on]},{config.seed}"
+                    )
+    return "\n".join(lines) + "\n", warnings, pool_sizes

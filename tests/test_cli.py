@@ -190,6 +190,21 @@ class TestServeParser:
         assert code == 5
         assert "TLS" in capsys.readouterr().err
 
+    def test_busy_port_exit_code(self, graph_file, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            addr = f"127.0.0.1:{holder.getsockname()[1]}"
+            argv = ["serve", "--graph", str(graph_file), "--addr", addr]
+            code = main(argv + ["--insecure-plaintext"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"cannot listen on {addr}:" in err
+        assert "unreachable" not in err
+
+    def test_missing_certificate_exit_code(self, graph_file, tmp_path, capsys):
+        missing = str(tmp_path / "absent.pem")
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        assert main(argv + ["--tls-cert", missing, "--tls-key", missing]) == 3
+
 
 class TestServeProcess:
     def test_serves_preenrolls_and_snapshots_on_sigterm(self, tmp_path, graph_file):

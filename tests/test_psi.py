@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from sopal.crypto import BloomFilter, KeyPair, bf_optimal_size
 from sopal.psi import (
     MSG_BF,
+    MSG_CHAL,
     MSG_HELLO,
+    MSG_REJECT,
+    MSG_RESP,
     PHASE_DONE,
     PHASE_FAILED,
     PHASE_REJECTED,
     ProtocolError,
     PsiSession,
+    _pack_hello,
+    _pack_tags,
+    _unpack_hello,
+    _unpack_tags,
     build_frame,
     make_reject,
     parse_frame,
@@ -271,3 +278,68 @@ class TestTranscriptPrivacy:
         plaintexts = [p for _, _, p in init.transcript_plaintexts]
         for frame in post_hello:
             assert frame[22:] not in plaintexts
+
+
+class TestParsersOnArbitraryBytes:
+    """The frame and payload parsers reject anything malformed with
+    ProtocolError alone, and invert their builders."""
+
+    # byte strings laid out like a v1 frame or a hello, with arbitrary
+    # fields, so that the checks past the length tests run too
+    near_frame = st.builds(
+        lambda msg_type, payload, slack: bytes([1, msg_type]) + bytes(16)
+        + (len(payload) + slack).to_bytes(4, "big") + payload,
+        st.integers(0, 255),
+        st.binary(max_size=40),
+        st.integers(0, 1),
+    )
+    near_hello = st.builds(
+        lambda ident, tail: bytes(33) + len(ident).to_bytes(2, "big") + ident + tail,
+        st.binary(max_size=20),
+        st.binary(max_size=6),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=200) | near_frame | near_hello)
+    def test_parsers_raise_only_protocol_error(self, data):
+        for parse in (parse_frame, _unpack_hello, _unpack_tags):
+            try:
+                parse(data)
+            except ProtocolError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        msg_type=st.sampled_from([MSG_HELLO, MSG_BF, MSG_CHAL, MSG_RESP, MSG_REJECT]),
+        session_id=st.binary(min_size=16, max_size=16),
+        payload=st.binary(max_size=300),
+    )
+    def test_frame_round_trip(self, msg_type, session_id, payload):
+        frame = build_frame(msg_type, session_id, payload)
+        assert parse_frame(frame) == (msg_type, session_id, payload)
+        for cut in (frame[:-1], frame + b"\x00"):
+            with pytest.raises(ProtocolError):
+                parse_frame(cut)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        role=st.integers(0, 255),
+        public=st.binary(min_size=32, max_size=32),
+        claimed_id=st.text(max_size=40),
+        beta=st.integers(0, 2**32 - 1),
+        gamma=st.integers(0, 255),
+    )
+    def test_hello_round_trip(self, role, public, claimed_id, beta, gamma):
+        payload = _pack_hello(role, public, claimed_id, beta, gamma)
+        assert _unpack_hello(payload) == (role, public, claimed_id, beta, gamma)
+        for cut in (payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                _unpack_hello(cut)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tags=st.lists(st.binary(min_size=32, max_size=32), max_size=20))
+    def test_tags_round_trip(self, tags):
+        payload = _pack_tags(tags)
+        assert _unpack_tags(payload) == set(tags)
+        with pytest.raises(ProtocolError):
+            _unpack_tags(payload + b"\x00")

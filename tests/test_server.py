@@ -351,6 +351,23 @@ class TestPersistentConnections:
             handle.close()
         assert len(connects) == 2
 
+    def test_silent_client_does_not_stall_the_tls_handshake(self, tmp_path, monkeypatch):
+        cert, key = self_signed_cert(tmp_path)
+        connector = MockOsnConnector(GROUND)
+        store = CapabilityStore(SocialGraph(), connector)
+        store.upload_capability("A", new_capability())
+        monkeypatch.setattr(
+            ssl,
+            "_create_default_https_context",
+            lambda: ssl.create_default_context(cafile=cert),
+        )
+        with SopalHttpServer(store, connector, tls_cert=cert, tls_key=key) as server:
+            # accepted first, and never sends its ClientHello
+            with socket.create_connection(server.address):
+                handle = HttpServerHandle(server.url, timeout_s=3)
+                assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+                handle.close()
+
 
 class TestServerConfig:
     def test_refuses_plaintext_without_flag(self):

@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sopal.graph import true_shortest_distance
 from sopal.sim import (
     SimConfig,
+    _PairPool,
     discoverable,
     forest_fire_graph,
     gnp_graph,
@@ -22,6 +25,7 @@ from sopal.sim import (
 )
 
 from helpers import adjacency_from_edges, path_adjacency, random_member_subset
+from oracles import reference_run_coverage
 
 
 class TestDiscoverable:
@@ -175,6 +179,124 @@ class TestRunCoverage:
             SimConfig(repetitions=0)
         with pytest.raises(ValueError):
             run_coverage(SimConfig())
+
+
+def _with_unlisted_neighbours(adjacency, seed):
+    """``adjacency`` plus ten ids that some nodes name as neighbours but
+    that have no entry of their own."""
+    rng = random.Random(f"{seed}/unlisted")
+    out = {u: set(nbrs) for u, nbrs in adjacency.items()}
+    for u in rng.sample(sorted(out), 60):
+        out[u].add(f"x{rng.randrange(10)}")
+    return out
+
+
+def _one_way(adjacency, seed):
+    """``adjacency`` with about a third of the edges listed at one end only."""
+    rng = random.Random(f"{seed}/oneway")
+    out = {u: set(nbrs) for u, nbrs in adjacency.items()}
+    for u in sorted(out):
+        for v in sorted(out[u]):
+            if u < v and rng.random() < 0.33:
+                a, b = (u, v) if rng.random() < 0.5 else (v, u)
+                out[a].discard(b)
+    return out
+
+
+class TestCoverageMatchesReference:
+    """``run_coverage`` gives the CSV and the warnings of the direct
+    algorithm in ``oracles.reference_run_coverage``."""
+
+    # random.sample copies a pool of at most this many items to a list
+    # when it draws 200, and indexes a larger one
+    SAMPLE_LIST_LIMIT = 21 + 4**5
+
+    CASES = {
+        "pa": (lambda: preferential_attachment_graph(400, 3, seed=1), {}),
+        "pa-dmax2": (lambda: preferential_attachment_graph(250, 2, seed=4), {"d_max": 2}),
+        "ff": (lambda: forest_fire_graph(300, 0.35, seed=2), {"d_max": 2}),
+        "gnp-on": (lambda: gnp_graph(150, 0.03, seed=3), {"ersatz_modes": (True,)}),
+        "gnp-off": (
+            lambda: gnp_graph(150, 0.03, seed=3),
+            {"d_max": 2, "ersatz_modes": (False,)},
+        ),
+        "sparse-skips": (
+            lambda: gnp_graph(120, 0.02, seed=6),
+            {"min_pairs": 40, "pairs_per_cell": 30},
+        ),
+        "unlisted-neighbours": (
+            lambda: _with_unlisted_neighbours(gnp_graph(200, 0.02, seed=7), 7),
+            {},
+        ),
+        "one-way-edges": (lambda: _one_way(gnp_graph(200, 0.03, seed=8), 8), {}),
+    }
+
+    def config_for(self, overrides):
+        d_max = overrides.get("d_max", 1)
+        defaults = dict(
+            member_fractions=(0.2, 0.5, 0.8),
+            path_lengths=tuple(range(1, 2 * d_max + 3)),
+            repetitions=2,
+            seed=13,
+        )
+        return SimConfig(**{**defaults, **overrides})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_and_warnings_match(self, case, caplog):
+        make_graph, overrides = self.CASES[case]
+        adjacency = make_graph()
+        config = self.config_for(overrides)
+        want_csv, want_warnings, _ = reference_run_coverage(config, adjacency)
+        with caplog.at_level("WARNING", logger="sopal.sim"):
+            got_csv = run_coverage(config, adjacency).to_csv()
+        assert got_csv == want_csv
+        assert [r.getMessage() for r in caplog.records] == want_warnings
+        assert want_csv.count("\n") > 1
+
+    def test_cases_reach_every_sampling_path(self):
+        sizes = []
+        skipped = []
+        for make_graph, overrides in self.CASES.values():
+            config = self.config_for(overrides)
+            _, warnings, pool_sizes = reference_run_coverage(config, make_graph())
+            sizes += [(n, config.min_pairs, config.pairs_per_cell) for n in pool_sizes]
+            skipped += warnings
+        assert skipped
+        assert any(least <= n <= k for n, least, k in sizes)
+        assert any(200 < n <= self.SAMPLE_LIST_LIMIT for n, _, k in sizes if k == 200)
+        assert any(n > self.SAMPLE_LIST_LIMIT for n, _, k in sizes if k == 200)
+
+    def test_unlisted_neighbours_and_one_way_edges_matter(self):
+        """The two odd adjacencies change the answer, so matching the
+        reference on them is not matching it on the plain graph."""
+        for case, base in (
+            ("unlisted-neighbours", gnp_graph(200, 0.02, seed=7)),
+            ("one-way-edges", gnp_graph(200, 0.03, seed=8)),
+        ):
+            make_graph, overrides = self.CASES[case]
+            config = self.config_for(overrides)
+            assert run_coverage(config, make_graph()).to_csv() != (
+                run_coverage(config, base).to_csv()
+            )
+
+
+rows_strategy = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 2**300)), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rows_strategy, seed=st.integers(0, 2**32))
+def test_pair_pool_matches_materialized_list(rows, seed):
+    pool = _PairPool(rows)
+    flat = [(i, j) for i, mask in rows for j in range(mask.bit_length()) if mask >> j & 1]
+    assert len(pool) == len(flat)
+    assert [pool[k] for k in range(len(flat))] == flat
+    assert list(pool) == flat
+    with pytest.raises(IndexError):
+        pool[len(flat)]
+    k = random.Random(seed).randrange(len(flat) + 1)
+    assert random.Random(seed).sample(pool, k) == random.Random(seed).sample(flat, k)
 
 
 class TestMonotonicity:
