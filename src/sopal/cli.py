@@ -33,6 +33,8 @@ EXIT_BAD_CONFIG = 5
 EXIT_DENIED = 6
 
 DEFAULT_ADDR = "127.0.0.1:7468"
+# Seconds between two TTL sweeps of a running server's store.
+EXPIRY_SWEEP_S = 60.0
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
@@ -131,7 +133,8 @@ def cmd_serve(args) -> int:
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     try:
-        stop.wait()
+        while not stop.wait(EXPIRY_SWEEP_S):
+            store.expire_and_refresh()
     except KeyboardInterrupt:
         pass
     finally:

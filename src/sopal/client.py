@@ -27,7 +27,7 @@ import json
 import threading
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from sopal.crypto import (
     DEFAULT_CAPABILITY_BITS,
@@ -50,8 +50,15 @@ class SessionError(Exception):
     """A discovery session is missing, unfinished, or ended abnormally."""
 
 
-@dataclass(frozen=True)
-class AnnotatedItem:
+class _ItemFields(NamedTuple):
+    value: bytes
+    received_degree: int
+    item_degree: int
+    friend_id: str | None = None
+    is_self: bool = False
+
+
+class AnnotatedItem(_ItemFields):
     """One entry of the discovery input set.
 
     ``value`` is the capability value at degree ``item_degree`` (m),
@@ -59,21 +66,23 @@ class AnnotatedItem:
     hashing ``m - i`` times.  ``friend_id`` is set only for degree-0
     entries that arrived with an id; the self item is the client's own
     capability and is never derived.
+
+    Construction by keyword or position checks these invariants;
+    ``AnnotatedItem._make`` skips the checks, for callers that have
+    already validated the degrees.
     """
 
-    value: bytes
-    received_degree: int
-    item_degree: int
-    friend_id: str | None = None
-    is_self: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.item_degree < self.received_degree:
+    def __new__(cls, *args, **kwargs):
+        item = super().__new__(cls, *args, **kwargs)
+        if item.item_degree < item.received_degree:
             raise ValueError("item degree cannot be below the received degree")
-        if self.is_self and (self.received_degree or self.item_degree):
+        if item.is_self and (item.received_degree or item.item_degree):
             raise ValueError("the self item is never derived")
-        if self.friend_id is not None and self.received_degree != 0:
+        if item.friend_id is not None and item.received_degree != 0:
             raise ValueError("ids only accompany degree-0 entries")
+        return item
 
 
 @dataclass(frozen=True)
@@ -98,30 +107,21 @@ def build_input_set(
     plus one self item at degree 0; the result has exactly
     ``1 + sum(len(entries at degree i) * (d_max - i + 1))`` items.
     """
-    items = [
-        AnnotatedItem(value=own_cap, received_degree=0, item_degree=0, is_self=True)
-    ]
-    for friend_id, cap in distribution.r_u:
-        for m in range(0, d_max + 1):
-            items.append(
-                AnnotatedItem(
-                    value=hash_chain(cap, m),
-                    received_degree=0,
-                    item_degree=m,
-                    friend_id=friend_id,
-                )
-            )
+    make = AnnotatedItem._make
+    items = [make((own_cap, 0, 0, None, True))]
+    append = items.append
+    for friend_id, value in distribution.r_u:
+        append(make((value, 0, 0, friend_id, False)))
+        for m in range(1, d_max + 1):
+            value = hash_chain(value, 1)
+            append(make((value, 0, m, friend_id, False)))
     for degree, value in distribution.r_h:
         if not 1 <= degree <= d_max:
             raise ValueError(f"received degree {degree} outside [1, {d_max}]")
-        for m in range(degree, d_max + 1):
-            items.append(
-                AnnotatedItem(
-                    value=hash_chain(value, m - degree),
-                    received_degree=degree,
-                    item_degree=m,
-                )
-            )
+        append(make((value, degree, degree, None, False)))
+        for m in range(degree + 1, d_max + 1):
+            value = hash_chain(value, 1)
+            append(make((value, degree, m, None, False)))
     return items
 
 

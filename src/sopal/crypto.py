@@ -6,14 +6,13 @@ possession proves an authentic friendship.  Higher-order values are
 derived from it with a SHA-256 hash chain, so holding the k-fold hash
 proves a social path without revealing the base value.  Bloom filters
 carry capability sets compactly during discovery; each filter has one
-fresh salt, and every item is hashed once under it, all of its bit
-positions coming from that single digest.  X25519 key agreement
-produces the per-session symmetric key that protects the discovery
-transcript and binds set items to the session.
+fresh salt, and every item is hashed once with BLAKE2b keyed by it, all
+of its bit positions coming from that single digest.  X25519 key
+agreement produces the per-session symmetric key that protects the
+discovery transcript and binds set items to the session.
 
 Every use of SHA-256 here is domain-separated with a one-byte context
-label so chain values, filter indexes and derived keys live in disjoint
-input spaces.
+label so chain values and derived keys live in disjoint input spaces.
 """
 
 from __future__ import annotations
@@ -33,17 +32,15 @@ DEFAULT_CAPABILITY_BITS = 256
 PUBLIC_KEY_BYTES = 32
 DIGEST_BYTES = 32
 BF_SALT_BYTES = 16
-BF_WIRE_VERSION = 2
+BF_WIRE_VERSION = 3
+# One BLAKE2b digest is at most 64 bytes: 16 positions of 32 bits each.
+BF_MAX_GAMMA = 16
 
-_MAX_GAMMA = 255
 # Filter wire header: version, beta, gamma, salt.
-_BF_HEADER_BYTES = 1 + 4 + 1 + BF_SALT_BYTES
-# Digest bytes 0..7 and 8..15 as two big-endian integers.
-_unpack_hash_pair = struct.Struct(">QQ").unpack_from
+BF_HEADER_BYTES = 1 + 4 + 1 + BF_SALT_BYTES
 
 # One-byte domain separation labels.
 _CHAIN_LABEL = b"\x01"
-_BF_LABEL = b"\x02"
 _KDF_LABEL = b"\x03"
 
 _LN2 = math.log(2)
@@ -86,11 +83,12 @@ def bf_hash_count(alpha: int, beta: int) -> int:
     """Index-function count that roughly minimises false positives.
 
     Uses the classic ``(beta / alpha) * ln 2`` rule, clamped to the
-    one-byte range the wire format allows.
+    :data:`BF_MAX_GAMMA` positions one filter digest supplies (the rule
+    exceeds it only for false-positive targets below about 1.6e-5).
     """
     if alpha <= 0 or beta <= 0:
         return 1
-    return min(_MAX_GAMMA, max(1, round(beta / alpha * _LN2)))
+    return min(BF_MAX_GAMMA, max(1, round(beta / alpha * _LN2)))
 
 
 def bf_false_positive_estimate(alpha: int, beta: int, gamma: int) -> float:
@@ -108,17 +106,21 @@ def bf_false_positive_estimate(alpha: int, beta: int, gamma: int) -> float:
 
 
 class BloomFilter:
-    """Bit-array set sketch with salted SHA-256 index functions.
+    """Bit-array set sketch with salted BLAKE2b index functions.
 
     Each filter carries one fresh random 16-byte salt, so bit positions
     are not comparable across filters and a transferred filter is only
     meaningful inside its own session.  An item is hashed once, as
-    ``d = SHA-256(0x02 || salt || item)``; with ``h1 = d[0:8]`` and
-    ``h2 = d[8:16] | 1`` read big-endian, its ``gamma`` positions are
-    ``(h1 + i * h2) mod beta`` for ``i = 0 .. gamma - 1`` (double hashing
-    after Kirsch and Mitzenmacher, ESA 2006).  The filter never produces
-    false negatives; false positives occur at roughly the rate
-    :func:`bf_false_positive_estimate` predicts.
+    ``d = BLAKE2b(item, key=salt, digest_size=4 * gamma)`` (keyed BLAKE2b,
+    RFC 7693); its ``gamma`` positions are the big-endian 32-bit words
+    of ``d``, each taken ``mod beta``.  The positions are independent,
+    so even small filters stay close to the false-positive rate that
+    :func:`bf_false_positive_estimate` predicts; the modulo bias of a
+    32-bit word is at most ``beta / 2**32`` per position, which is
+    2**-8 at the largest size a peer accepts (``DEFAULT_BETA_CAP``,
+    2**24 bits).  One digest supplies at most 16 words, so a ``gamma``
+    above :data:`BF_MAX_GAMMA` is refused.  The filter never produces
+    false negatives.
 
     A single instance is not safe for concurrent mutation.
     """
@@ -126,8 +128,8 @@ class BloomFilter:
     def __init__(self, beta: int, gamma: int, salt: bytes | None = None):
         if beta < 0:
             raise ValueError("filter size must be non-negative")
-        if not 1 <= gamma <= _MAX_GAMMA:
-            raise ValueError(f"index-function count must lie in [1, {_MAX_GAMMA}]")
+        if not 1 <= gamma <= BF_MAX_GAMMA:
+            raise ValueError(f"index-function count must lie in [1, {BF_MAX_GAMMA}]")
         if salt is None:
             salt = secrets.token_bytes(BF_SALT_BYTES)
         if len(salt) != BF_SALT_BYTES:
@@ -137,7 +139,9 @@ class BloomFilter:
         self.salt = bytes(salt)
         self.bits = bytearray((beta + 7) // 8)
         self.inserted_count = 0
-        self._hasher = hashlib.sha256(_BF_LABEL + self.salt)
+        # Copying a keyed state costs about half of building one per item.
+        self._hasher = hashlib.blake2b(key=self.salt, digest_size=4 * gamma)
+        self._words = struct.Struct(f">{gamma}I").unpack
 
     @classmethod
     def sized_for(cls, alpha: int, p: float) -> "BloomFilter":
@@ -145,21 +149,15 @@ class BloomFilter:
         beta = bf_optimal_size(alpha, p)
         return cls(beta, bf_hash_count(alpha, beta))
 
-    def _hashes(self, item: bytes) -> tuple[int, int]:
-        """``(h1, h2)`` for ``item``: the start and the odd stride of its positions."""
-        hasher = self._hasher.copy()
-        hasher.update(item)
-        h1, h2 = _unpack_hash_pair(hasher.digest())
-        return h1, h2 | 1
-
     def insert(self, item: bytes) -> None:
         beta = self.beta
         if beta == 0:
             raise ValueError("cannot insert into a zero-size filter")
-        h1, h2 = self._hashes(item)
+        hasher = self._hasher.copy()
+        hasher.update(item)
         bits = self.bits
-        for i in range(self.gamma):
-            pos = (h1 + i * h2) % beta
+        for word in self._words(hasher.digest()):
+            pos = word % beta
             bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
@@ -167,10 +165,11 @@ class BloomFilter:
         beta = self.beta
         if beta == 0:
             return False
-        h1, h2 = self._hashes(item)
+        hasher = self._hasher.copy()
+        hasher.update(item)
         bits = self.bits
-        for i in range(self.gamma):
-            pos = (h1 + i * h2) % beta
+        for word in self._words(hasher.digest()):
+            pos = word % beta
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
         return True
@@ -191,7 +190,7 @@ class BloomFilter:
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         """Parse :meth:`to_bytes` output; raises ValueError for anything else,
         including filters of another wire version."""
-        if len(data) < _BF_HEADER_BYTES:
+        if len(data) < BF_HEADER_BYTES:
             raise ValueError("truncated filter")
         if data[0] != BF_WIRE_VERSION:
             raise ValueError(f"unsupported filter version {data[0]}")
@@ -199,10 +198,10 @@ class BloomFilter:
         gamma = data[5]
         if gamma < 1:
             raise ValueError("index-function count must be at least one")
-        if len(data) != _BF_HEADER_BYTES + (beta + 7) // 8:
+        if len(data) != BF_HEADER_BYTES + (beta + 7) // 8:
             raise ValueError("filter length does not match declared parameters")
-        bf = cls(beta, gamma, data[6:_BF_HEADER_BYTES])
-        bf.bits = bytearray(data[_BF_HEADER_BYTES:])
+        bf = cls(beta, gamma, data[6:BF_HEADER_BYTES])
+        bf.bits = bytearray(data[BF_HEADER_BYTES:])
         return bf
 
 

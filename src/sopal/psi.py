@@ -34,6 +34,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from sopal.crypto import (
+    BF_HEADER_BYTES,
+    BF_MAX_GAMMA,
     BloomFilter,
     KeyPair,
     SessionKeys,
@@ -62,6 +64,19 @@ DEFAULT_FP_TARGET = 0.001
 DEFAULT_BETA_CAP = 2**24
 _MAX_PAYLOAD = 2**26
 _MAX_ID_BYTES = 65535
+# AEAD tag appended to every encrypted payload.
+_AEAD_TAG_BYTES = 16
+# The largest payload each message type's format allows, checked against
+# the declared length before anything is read or authenticated.  The BF
+# limit fits a filter of DEFAULT_BETA_CAP bits, so a session's beta_cap
+# can lower the accepted filter size but not raise it.
+_MAX_PAYLOAD_BY_TYPE = {
+    MSG_HELLO: 1 + 32 + 2 + _MAX_ID_BYTES + 5,
+    MSG_BF: _AEAD_TAG_BYTES + BF_HEADER_BYTES + DEFAULT_BETA_CAP // 8,
+    MSG_CHAL: _MAX_PAYLOAD,
+    MSG_RESP: _MAX_PAYLOAD,
+    MSG_REJECT: 0,
+}
 
 _HEADER = struct.Struct(">BB16sI")
 
@@ -104,13 +119,21 @@ def parse_frame(data: bytes) -> tuple[int, bytes, bytes]:
     version, msg_type, session_id, length = _HEADER.unpack_from(data)
     if version != WIRE_VERSION:
         raise ProtocolError(f"unsupported wire version {version}")
-    if msg_type not in (MSG_HELLO, MSG_BF, MSG_CHAL, MSG_RESP, MSG_REJECT):
-        raise ProtocolError(f"unknown message type {msg_type}")
-    if length > _MAX_PAYLOAD:
-        raise ProtocolError("declared payload length exceeds limit")
+    _check_declared_length(msg_type, length)
     if len(data) != HEADER_LEN + length:
         raise ProtocolError("frame length does not match declared payload length")
     return msg_type, session_id, data[HEADER_LEN:]
+
+
+def _check_declared_length(msg_type: int, length: int) -> None:
+    limit = _MAX_PAYLOAD_BY_TYPE.get(msg_type)
+    if limit is None:
+        raise ProtocolError(f"unknown message type {msg_type}")
+    if length > limit:
+        raise ProtocolError(
+            f"declared payload length {length} exceeds the {limit}-byte limit "
+            f"for message type {msg_type}"
+        )
 
 
 def make_reject(session_id: bytes | None = None) -> bytes:
@@ -215,6 +238,8 @@ class PsiSession:
             if gamma_override is not None
             else bf_hash_count(alpha, self.declared_beta)
         )
+        if not 1 <= self.declared_gamma <= BF_MAX_GAMMA:
+            raise ValueError(f"index-function count must lie in [1, {BF_MAX_GAMMA}]")
         self.peer_beta: int | None = None
         self.peer_gamma: int | None = None
 
@@ -335,8 +360,8 @@ class PsiSession:
             raise ProtocolError(
                 f"peer declared an oversized filter ({beta} bits > cap {self._beta_cap})"
             )
-        if gamma < 1:
-            raise ProtocolError("peer declared zero index functions")
+        if not 1 <= gamma <= BF_MAX_GAMMA:
+            raise ProtocolError(f"peer declared {gamma} index functions, not 1 to {BF_MAX_GAMMA}")
         self.peer_public = public
         self.peer_claimed_id = claimed_id
         self.peer_beta = beta
@@ -441,8 +466,7 @@ def recv_frame(sock) -> bytes:
     """Read exactly one frame from a stream socket."""
     header = _recv_exact(sock, HEADER_LEN)
     length = int.from_bytes(header[18:22], "big")
-    if length > _MAX_PAYLOAD:
-        raise ProtocolError("declared payload length exceeds limit")
+    _check_declared_length(header[1], length)
     return header + _recv_exact(sock, length)
 
 

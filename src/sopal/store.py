@@ -5,8 +5,10 @@ member upload attests the uploader's friend list to the social graph and
 creates fresh ersatz records for every friend the store has never seen,
 which is what lets two enrolled users discover a non-enrolled common
 friend.  Distribution returns the friends' capabilities with ids, plus
-anonymous higher-order values for nodes further out; the higher-order
-values are derived on request and never persisted.
+anonymous higher-order values for nodes further out.  A higher-order
+value is derived the first time a download asks for it and memoised on
+the record (every write makes a new record, so the memo never outlives
+its capability); memoised values are never persisted.
 
 Degree convention: with maximum degree ``d_max``, collection spans hop
 layers 1 through ``d_max + 1``; layer ``i`` contributes values at degree
@@ -23,7 +25,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from sopal.crypto import DEFAULT_CAPABILITY_BITS, hash_chain, new_capability
@@ -39,7 +41,11 @@ class NotEnrolledError(LookupError):
 
 @dataclass(frozen=True)
 class CapRecord:
-    """One stored (id, capability) pair."""
+    """One stored (id, capability) pair.
+
+    ``chain`` memoises ``hash_chain(cap, k)`` at index ``k - 1``; only
+    :meth:`CapabilityStore.distribute` extends it, under the store lock.
+    """
 
     uid: str
     cap: bytes
@@ -47,6 +53,7 @@ class CapRecord:
     created_at: float
     ttl_s: float
     stale: bool = False
+    chain: list = field(default_factory=list, compare=False, repr=False)
 
     def expired(self, now: float) -> bool:
         return now - self.created_at > self.ttl_s
@@ -64,11 +71,16 @@ class DistributionResult:
         return len(self.r_u) + len(self.r_h)
 
     def to_json(self) -> str:
-        body = {
-            "r_u": [{"id": uid, "cap": cap.hex()} for uid, cap in self.r_u],
-            "r_h": [{"degree": deg, "digest": val.hex()} for deg, val in self.r_h],
-        }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        """The download body: compact JSON with sorted keys, so ``r_h``
+        comes before ``r_u`` and ``cap`` before ``id``."""
+        r_h = ",".join(
+            '{"degree":%d,"digest":"%s"}' % (deg, val.hex()) for deg, val in self.r_h
+        )
+        dumps = json.dumps
+        r_u = ",".join(
+            '{"cap":"%s","id":%s}' % (cap.hex(), dumps(uid)) for uid, cap in self.r_u
+        )
+        return '{"r_h":[%s],"r_u":[%s]}' % (r_h, r_u)
 
     @classmethod
     def from_json(cls, text: str) -> "DistributionResult":
@@ -187,9 +199,11 @@ class CapabilityStore:
     def distribute(self, uid: str, d_max: int) -> DistributionResult:
         """Compute the download for ``uid``: layer-1 pairs with ids, then
         degree ``i - 1`` values for each layer ``i`` up to ``d_max + 1``
-        with ids removed.  Higher-order values are derived here and never
-        stored.  Deterministic: results are sorted, so repeated calls
-        without intervening writes are identical.
+        with ids removed.  Higher-order values are memoised on each record
+        one chain step at a time, so a value is hashed once per record
+        however many downloads carry it; they are never persisted.
+        Deterministic: results are sorted, so repeated calls without
+        intervening writes are identical.
         """
         if d_max < 0:
             raise ValueError("maximum degree must be non-negative")
@@ -198,26 +212,25 @@ class CapabilityStore:
             if rec is None or rec.kind != MEMBER:
                 raise NotEnrolledError(f"{uid!r} has no member record")
             layers = self.graph.layer_friend_sets(uid, d_max + 1)
+            records = self._records
             r_u = []
             for fid in sorted(layers.layer(1)):
-                fcap = self._live_cap(fid)
-                if fcap is not None:
-                    r_u.append((fid, fcap))
+                frec = records.get(fid)
+                if frec is not None and not frec.stale:
+                    r_u.append((fid, frec.cap))
             r_h = []
             for i in range(2, d_max + 2):
                 degree = i - 1
-                for fid in sorted(layers.layer(i)):
-                    fcap = self._live_cap(fid)
-                    if fcap is not None:
-                        r_h.append((degree, hash_chain(fcap, degree)))
+                for fid in layers.layer(i):
+                    frec = records.get(fid)
+                    if frec is None or frec.stale:
+                        continue
+                    chain = frec.chain
+                    while len(chain) < degree:
+                        chain.append(hash_chain(chain[-1] if chain else frec.cap, 1))
+                    r_h.append((degree, chain[degree - 1]))
             r_h.sort()
         return DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
-
-    def _live_cap(self, uid: str) -> bytes | None:
-        rec = self._records.get(uid)
-        if rec is None or rec.stale:
-            return None
-        return rec.cap
 
     def record_of(self, uid: str) -> CapRecord | None:
         with self._lock:

@@ -125,6 +125,33 @@ def brute_intersection(xs, ys) -> set:
     return set(xs) & set(ys)
 
 
+# -- capability distribution -------------------------------------------------
+
+
+def reference_distribute(adjacency, live_caps, uid, d_max):
+    """``CapabilityStore.distribute`` computed the direct way: a BFS over
+    the attested ``adjacency`` out to ``d_max + 1`` hops, the layer-1
+    nodes with their ids and capabilities, and each node ``i`` hops out
+    as its capability hashed ``i - 1`` times with ``pure_sha256``.
+    ``live_caps`` maps every node with a live (not stale) record to its
+    capability; other nodes are left out.  Returns ``(r_u, r_h)``, both
+    sorted.
+    """
+    r_u, r_h = [], []
+    for node, hops in _bfs(adjacency, uid, d_max + 1).items():
+        cap = live_caps.get(node)
+        if hops == 0 or cap is None:
+            continue
+        if hops == 1:
+            r_u.append((node, cap))
+            continue
+        value = cap
+        for _ in range(hops - 1):
+            value = pure_sha256(b"\x01" + value)
+        r_h.append((hops - 1, value))
+    return tuple(sorted(r_u)), tuple(sorted(r_h))
+
+
 # -- coverage simulation -----------------------------------------------------
 
 _SKIP_WARNING = "skipping cell (fraction=%.2f, length=%d, rep=%d): only %d qualifying pairs"

@@ -11,7 +11,9 @@ import urllib.request
 
 import pytest
 
+import sopal.cli
 from sopal.cli import main
+from sopal.client import HttpServerHandle
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector, SopalHttpServer
@@ -204,6 +206,53 @@ class TestServeParser:
         missing = str(tmp_path / "absent.pem")
         argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
         assert main(argv + ["--tls-cert", missing, "--tls-key", missing]) == 3
+
+
+class TestServeExpiry:
+    def test_sweep_drops_stale_friends_and_rotates_ersatz(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("A B\nA E\n")
+        handlers = {}
+        monkeypatch.setattr(
+            sopal.cli.signal, "signal", lambda signum, handler: handlers.update({signum: handler})
+        )
+        monkeypatch.setattr(sopal.cli, "EXPIRY_SWEEP_S", 0.05)
+        codes = []
+        argv = [
+            "serve", "--graph", str(graph), "--addr", "127.0.0.1:0",
+            "--insecure-plaintext", "--ttl-hours", str(1.0 / 3600),
+        ]
+        server = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        server.start()
+        try:
+            deadline = time.time() + 10
+            out = ""
+            while not (handlers and "serving on " in out) and time.time() < deadline:
+                time.sleep(0.01)
+                out += capsys.readouterr().out
+            url = out.split("serving on ")[1].split()[0]
+            handle = HttpServerHandle(url)
+            handle.upload("mock:B", new_capability())
+            handle.upload("mock:A", new_capability())
+            first = dict(handle.download("mock:A", 1).r_u)
+            assert set(first) == {"B", "E"}
+            # both records live one second; a sweep marks B stale, which
+            # drops it from A's view, and gives ersatz E a fresh value
+            view = first
+            while time.time() < deadline and ("B" in view or view["E"] == first["E"]):
+                time.sleep(0.05)
+                view = dict(handle.download("mock:A", 1).r_u)
+            handle.close()
+            assert set(view) == {"E"}
+            assert view["E"] != first["E"]
+        finally:
+            if signal.SIGTERM in handlers:
+                handlers[signal.SIGTERM](signal.SIGTERM, None)
+            server.join(timeout=10)
+        assert not server.is_alive()
+        assert codes == [0]
 
 
 class TestServeProcess:

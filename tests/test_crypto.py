@@ -1,6 +1,7 @@
 """Primitives: hash chains, Bloom filter math, key agreement."""
 
 import hashlib
+import math
 import secrets
 
 import mpmath
@@ -181,17 +182,17 @@ class TestBloomFilter:
         bf = BloomFilter(beta, gamma, salt)
         item = b"layout-check-0"
         bf.insert(item)
-        # independently recompute the positions from one digest with the
-        # filter domain label 0x02: h1 and h2 are digest bytes 0..7 and
-        # 8..15, big-endian, h2 forced odd; position i is h1 + i * h2 mod beta
-        digest = hashlib.sha256(b"\x02" + salt + item).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        raw_h2 = int.from_bytes(digest[8:16], "big")
-        assert raw_h2 % 2 == 0  # so the test also pins the "| 1"
-        positions = {(h1 + i * (raw_h2 | 1)) % beta for i in range(gamma)}
+        # independently recompute the positions from one keyed BLAKE2b
+        # digest of 4 * gamma bytes: word i is bytes 4i..4i+3, big-endian,
+        # and position i is word i mod beta
+        digest = hashlib.blake2b(item, key=salt, digest_size=4 * gamma).digest()
+        words = [digest[4 * i : 4 * i + 4] for i in range(gamma)]
+        positions = {int.from_bytes(w, "big") % beta for w in words}
         assert len(positions) == gamma
+        # so the test also pins the byte order
+        assert positions != {int.from_bytes(w, "little") % beta for w in words}
         blob = bf.to_bytes()
-        assert blob[0] == 2
+        assert blob[0] == 3
         assert int.from_bytes(blob[1:5], "big") == beta
         assert blob[5] == gamma
         assert blob[6:22] == salt
@@ -199,6 +200,25 @@ class TestBloomFilter:
         assert len(bits) == (beta + 7) // 8
         set_bits = {j for j in range(len(bits) * 8) if bits[j // 8] & (1 << (j % 8))}
         assert set_bits == positions
+
+    def test_small_filter_rate_tracks_estimate(self, rng):
+        # 6 items in 90 bits with 10 positions each, the filter of the
+        # session-binding replay test: positions that repeat or cluster
+        # at small beta lift the rate far above the estimate
+        alpha, beta, gamma = 6, 90, 10
+        filters, probes = 10_000, 10
+        hits = 0
+        for _ in range(filters):
+            bf = BloomFilter(beta, gamma, rng.randbytes(16))
+            for _ in range(alpha):
+                bf.insert(rng.randbytes(32))
+            hits += sum(rng.randbytes(32) in bf for _ in range(probes))
+        expected = filters * probes * bf_false_positive_estimate(alpha, beta, gamma)
+        # five binomial standard deviations around the estimate, which
+        # at this size runs about 20% low (it treats the bits as filled
+        # independently), so the band is widened by 1.5x either side
+        slack = 5 * math.sqrt(expected)
+        assert expected / 1.5 - slack <= hits <= expected * 1.5 + slack, (hits, expected)
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -212,6 +232,19 @@ class TestBloomFilter:
     def test_from_bytes_refuses_version_one(self):
         with pytest.raises(ValueError, match="version 1"):
             BloomFilter.from_bytes(v1_filter_blob(64, 3))
+
+    def test_from_bytes_refuses_version_two(self):
+        # version 2 had this layout but double-hashed positions
+        blob = bytearray(BloomFilter(64, 3).to_bytes())
+        blob[0] = 2
+        with pytest.raises(ValueError, match="version 2"):
+            BloomFilter.from_bytes(bytes(blob))
+
+    def test_at_most_sixteen_index_functions(self):
+        assert BloomFilter(8, 16).gamma == 16
+        with pytest.raises(ValueError, match="16"):
+            BloomFilter(8, 17)
+        assert bf_hash_count(1, 10**9) == 16
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(

@@ -1,6 +1,7 @@
 """The interactive intersection protocol: flows, failures, privacy."""
 
 import secrets
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sopal.crypto import BloomFilter, KeyPair, bf_optimal_size
 from sopal.psi import (
+    DEFAULT_BETA_CAP,
     MSG_BF,
     MSG_CHAL,
     MSG_HELLO,
@@ -25,6 +27,7 @@ from sopal.psi import (
     build_frame,
     make_reject,
     parse_frame,
+    recv_frame,
 )
 
 from helpers import v1_filter_blob
@@ -123,6 +126,17 @@ class TestHello:
         _, _, payload = parse_frame(frame)
         beta = int.from_bytes(payload[35 + 1 : 39 + 1], "big")
         assert beta == bf_optimal_size(3, 0.01) == init.declared_beta
+
+    def test_index_function_count_is_bounded(self):
+        with pytest.raises(ValueError, match="16"):
+            PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u", gamma_override=17)
+        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
+        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        hello_b, _ = resp.step(hello)
+        forged = bytearray(hello_b)
+        forged[-1] = 17  # the responder's declared gamma
+        with pytest.raises(ProtocolError, match="17 index functions"):
+            init.step(bytes(forged))
 
     def test_fresh_keys_give_fresh_payloads(self):
         values = fresh_values(4)
@@ -223,6 +237,45 @@ class TestReject:
         assert resp.phase == PHASE_REJECTED
 
 
+class TestFrameLimits:
+    """Each message type has its own payload cap, enforced on the declared
+    length before any of the payload is read."""
+
+    LIMITS = {
+        MSG_HELLO: 1 + 32 + 2 + 65535 + 5,
+        MSG_BF: 16 + 22 + DEFAULT_BETA_CAP // 8,
+        MSG_CHAL: 2**26,
+        MSG_RESP: 2**26,
+        MSG_REJECT: 0,
+    }
+
+    @pytest.mark.parametrize("msg_type", sorted(LIMITS))
+    def test_declared_length_is_capped_per_type(self, msg_type):
+        limit = self.LIMITS[msg_type]
+        header = bytes([1, msg_type]) + bytes(16)
+        with pytest.raises(ProtocolError, match="limit"):
+            parse_frame(header + (limit + 1).to_bytes(4, "big"))
+        with pytest.raises(ProtocolError, match="does not match"):
+            parse_frame(header + limit.to_bytes(4, "big") + b"\x00")
+
+    def test_largest_filter_fits_its_frame(self):
+        init, hello = PsiSession.start_initiator(fresh_values(1), KeyPair.generate(), "u")
+        resp = PsiSession.start_responder(fresh_values(1), KeyPair.generate(), "v")
+        init.step(resp.step(hello)[0])
+        frame = init._seal(MSG_BF, BloomFilter(DEFAULT_BETA_CAP, 1).to_bytes())
+        assert parse_frame(frame)[0] == MSG_BF
+
+    def test_oversized_hello_refused_before_its_body_is_read(self):
+        sock_a, sock_b = socket.socketpair()
+        with sock_a, sock_b:
+            sock_b.settimeout(5)
+            header = bytes([1, MSG_HELLO]) + bytes(16) + (2**20).to_bytes(4, "big")
+            sock_a.sendall(header + b"body")
+            with pytest.raises(ProtocolError, match="limit"):
+                recv_frame(sock_b)
+            assert sock_b.recv(16) == b"body"
+
+
 class TestSessionBinding:
     def test_replayed_filter_matches_nothing(self):
         values = fresh_values(6)
@@ -316,6 +369,10 @@ class TestParsersOnArbitraryBytes:
     )
     def test_frame_round_trip(self, msg_type, session_id, payload):
         frame = build_frame(msg_type, session_id, payload)
+        if msg_type == MSG_REJECT and payload:
+            with pytest.raises(ProtocolError, match="limit"):
+                parse_frame(frame)
+            return
         assert parse_frame(frame) == (msg_type, session_id, payload)
         for cut in (frame[:-1], frame + b"\x00"):
             with pytest.raises(ProtocolError):

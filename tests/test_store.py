@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
@@ -16,6 +16,7 @@ from sopal.sim import gnp_graph
 from sopal.store import CapabilityStore, DistributionResult, NotEnrolledError
 
 from helpers import adjacency_from_edges, path_adjacency
+from oracles import reference_distribute
 
 
 class FakeClock:
@@ -175,6 +176,26 @@ class TestDistribute:
             return
         assert DistributionResult.from_json(result.to_json()) == result
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r_u=st.lists(
+            st.tuples(
+                st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\x80é€\u2028\U0001f600\ud800'),
+                st.binary(max_size=40),
+            ),
+            max_size=5,
+        ),
+        r_h=st.lists(st.tuples(st.integers(), st.binary(max_size=40)), max_size=5),
+    )
+    @example(r_u=[], r_h=[])
+    def test_to_json_is_byte_identical_to_json_dumps(self, r_u, r_h):
+        result = DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
+        body = {
+            "r_u": [{"id": uid, "cap": cap.hex()} for uid, cap in r_u],
+            "r_h": [{"degree": deg, "digest": val.hex()} for deg, val in r_h],
+        }
+        assert result.to_json() == json.dumps(body, sort_keys=True, separators=(",", ":"))
+
     def test_from_json_refuses_deep_nesting(self):
         with pytest.raises(ValueError, match="malformed distribution"):
             DistributionResult.from_json("[" * 100_000)
@@ -199,6 +220,91 @@ class TestDistribute:
         after = dict(store.distribute("A", 1).r_u)
         assert set(before) == set(after) == {"C"}
         assert after["C"] == cap_c and before["C"] != cap_c
+
+
+class TestDistributeMatchesReference:
+    """Random interleavings of uploads, re-uploads, ersatz-to-member
+    upgrades, expiry sweeps and downloads, checked against a model of the
+    records and ``oracles.reference_distribute``.  The memoised chain
+    values must follow every write."""
+
+    # each write names a member (by rank) whose view is checked right
+    # after it, so a value read before a write is read again after it
+    ops = st.lists(
+        st.one_of(
+            st.tuples(st.just("upload"), st.integers(0, 6), st.integers(0, 6)),
+            st.tuples(st.just("expire"), st.sampled_from([0, 30, 49]), st.integers(0, 6)),
+            st.tuples(st.just("distribute"), st.integers(0, 6), st.integers(0, 3)),
+        ),
+        max_size=20,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edges=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=14),
+        ops=ops,
+    )
+    def test_interleavings(self, edges, ops):
+        ground = {str(n): set() for n in range(7)}
+        for u, v in edges:
+            if u != v:
+                ground[str(u)].add(str(v))
+                ground[str(v)].add(str(u))
+        clock = FakeClock()
+        store, _ = make_store(ground, clock=clock)
+        ttl = store.default_ttl_s
+        model = {}  # uid -> [cap, kind, created_at, stale]
+        for op in ops:
+            if op[0] == "distribute":
+                uid, d_max = str(op[1]), op[2]
+                if model.get(uid, [None, ERSATZ])[1] == MEMBER:
+                    self.check(store, ground, model, uid, d_max)
+                else:
+                    with pytest.raises(NotEnrolledError):
+                        store.distribute(uid, d_max)
+                continue
+            if op[0] == "upload":
+                uid, cap = str(op[1]), new_capability()
+                store.upload_capability(uid, cap)
+                for friend in ground[uid]:
+                    if friend not in model:
+                        model[friend] = [store.record_of(friend).cap, ERSATZ, clock(), False]
+                model[uid] = [cap, MEMBER, clock(), False]
+            else:
+                clock.advance(op[1] * 3600)
+                store.expire_and_refresh()
+                for uid, rec in model.items():
+                    if clock() - rec[2] <= ttl:
+                        continue
+                    if rec[1] == MEMBER:
+                        rec[3] = True
+                    else:
+                        fresh = store.record_of(uid).cap
+                        assert fresh != rec[0]
+                        rec[0], rec[2] = fresh, clock()
+            members = sorted(u for u, rec in model.items() if rec[1] == MEMBER)
+            if members:
+                self.check(store, ground, model, members[op[2] % len(members)], 3)
+
+    @staticmethod
+    def check(store, ground, model, uid, d_max):
+        result = store.distribute(uid, d_max)
+        members = {u for u, rec in model.items() if rec[1] == MEMBER}
+        live = {u: rec[0] for u, rec in model.items() if not rec[3]}
+        attested = {u: set(ground[u]) for u in members}
+        for u in members:
+            for v in ground[u]:
+                attested.setdefault(v, set()).add(u)
+        assert (result.r_u, result.r_h) == reference_distribute(attested, live, uid, d_max)
+        layers = store.graph.layer_friend_sets(uid, d_max + 1)
+        # c06: one entry per node in layers 1..d_max+1 with a live record
+        assert result.total() == sum(
+            node in live for i in range(1, d_max + 2) for node in layers.layer(i)
+        )
+        # ids only on layer 1
+        assert {fid for fid, _ in result.r_u} <= layers.layer(1)
+        body = json.loads(result.to_json())
+        assert all(set(entry) == {"degree", "digest"} for entry in body["r_h"])
 
 
 class TestExpiry:
