@@ -233,8 +233,11 @@ class DiscoveryClient:
     """One user's discovery endpoint.
 
     The capability cache (the input set) is shared by all sessions and
-    refreshed under a lock; each discovery session snapshots it at
-    creation, and many sessions may run concurrently.
+    refreshed under a lock.  Its value→item map is built by the first
+    session after each refresh and reused until the next one; a session
+    keeps the map it started with, and many sessions may run
+    concurrently.  The same lock makes opening a session atomic, so one
+    device id never gets two.
     """
 
     def __init__(
@@ -257,7 +260,8 @@ class DiscoveryClient:
         self._beta_cap = beta_cap
         self._own_cap: bytes | None = None
         self._items: list[AnnotatedItem] = []
-        self._cache_lock = threading.Lock()
+        self._items_by_value: dict[bytes, AnnotatedItem] | None = None
+        self._lock = threading.Lock()
         self._sessions: dict[str, _ClientSession] = {}
 
     # -- capability refresh ---------------------------------------------
@@ -269,8 +273,9 @@ class DiscoveryClient:
         """
         cap = new_capability(self._capability_bits)
         self._server.upload(self._token, cap)
-        with self._cache_lock:
+        with self._lock:
             self._own_cap = cap
+            self._items_by_value = None
             self._items = [it for it in self._items if not it.is_self]
             self._items.insert(
                 0, AnnotatedItem(value=cap, received_degree=0, item_degree=0, is_self=True)
@@ -282,28 +287,30 @@ class DiscoveryClient:
             raise RuntimeError("renew_capability must run before update_capabilities")
         distribution = self._server.download(self._token, self.d_max)
         items = build_input_set(distribution, self._own_cap, self.d_max)
-        with self._cache_lock:
+        with self._lock:
             self._items = items
+            self._items_by_value = None
 
     def input_items(self) -> list[AnnotatedItem]:
-        with self._cache_lock:
+        with self._lock:
             return list(self._items)
 
     # -- session API -------------------------------------------------------
 
     def start_session(self, device_id: str) -> bytes:
         """Open a discovery session toward ``device_id``; returns the first frame."""
-        if device_id in self._sessions:
-            raise SessionError(f"session with {device_id!r} already open")
         items_by_value = self._snapshot_items()
         psi, hello = PsiSession.start_initiator(
-            list(items_by_value),
+            items_by_value,
             KeyPair.generate(),
             self.uid,
             fp_target=self._fp_target,
             beta_cap=self._beta_cap,
         )
-        self._sessions[device_id] = _ClientSession(psi, items_by_value)
+        session = _ClientSession(psi, items_by_value)
+        with self._lock:
+            if self._sessions.setdefault(device_id, session) is not session:
+                raise SessionError(f"session with {device_id!r} already open")
         return hello
 
     def handle_message(self, device_id: str, data: bytes) -> tuple[bytes | None, bool]:
@@ -312,14 +319,17 @@ class DiscoveryClient:
         if session is None:
             items_by_value = self._snapshot_items()
             psi = PsiSession.start_responder(
-                list(items_by_value),
+                items_by_value,
                 KeyPair.generate(),
                 self.uid,
                 fp_target=self._fp_target,
                 beta_cap=self._beta_cap,
             )
-            session = _ClientSession(psi, items_by_value)
-            self._sessions[device_id] = session
+            with self._lock:
+                # Another thread may have opened one meanwhile; use it.
+                session = self._sessions.setdefault(
+                    device_id, _ClientSession(psi, items_by_value)
+                )
         try:
             reply, finished = session.psi.step(data)
         except ProtocolError:
@@ -364,14 +374,17 @@ class DiscoveryClient:
     # -- internals -----------------------------------------------------------
 
     def _snapshot_items(self) -> dict[bytes, AnnotatedItem]:
-        with self._cache_lock:
-            items = list(self._items)
-        by_value: dict[bytes, AnnotatedItem] = {}
-        for item in items:
-            other = by_value.get(item.value)
-            if other is None or self._prefer(item, other):
-                by_value[item.value] = item
-        return by_value
+        """The value→item map of the current input set, built at most once
+        per refresh; callers must not mutate it."""
+        with self._lock:
+            if self._items_by_value is None:
+                by_value: dict[bytes, AnnotatedItem] = {}
+                for item in self._items:
+                    other = by_value.get(item.value)
+                    if other is None or self._prefer(item, other):
+                        by_value[item.value] = item
+                self._items_by_value = by_value
+            return self._items_by_value
 
     @staticmethod
     def _prefer(item: AnnotatedItem, other: AnnotatedItem) -> bool:

@@ -22,6 +22,7 @@ import math
 import secrets
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -44,6 +45,12 @@ _CHAIN_LABEL = b"\x01"
 _KDF_LABEL = b"\x03"
 
 _LN2 = math.log(2)
+
+# Filter cells (one byte, 0 or 1, per bit) to binary digits, and each
+# packed byte to its eight cells, least significant bit first.
+_CELLS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BYTE_TO_CELLS = [bytes((byte >> i) & 1 for i in range(8)) for byte in range(256)]
+_UNPACK_CHUNK = 4096
 
 
 def new_capability(bits: int = DEFAULT_CAPABILITY_BITS) -> bytes:
@@ -122,6 +129,10 @@ class BloomFilter:
     above :data:`BF_MAX_GAMMA` is refused.  The filter never produces
     false negatives.
 
+    In memory the filter keeps one byte per bit (``cells``, each 0 or
+    1), which lets an insert or probe index a position directly; the
+    packed bits exist only in :meth:`to_bytes` and :attr:`bits`.
+
     A single instance is not safe for concurrent mutation.
     """
 
@@ -137,7 +148,7 @@ class BloomFilter:
         self.beta = beta
         self.gamma = gamma
         self.salt = bytes(salt)
-        self.bits = bytearray((beta + 7) // 8)
+        self.cells = bytearray(beta)
         self.inserted_count = 0
         # Copying a keyed state costs about half of building one per item.
         self._hasher = hashlib.blake2b(key=self.salt, digest_size=4 * gamma)
@@ -150,16 +161,25 @@ class BloomFilter:
         return cls(beta, bf_hash_count(alpha, beta))
 
     def insert(self, item: bytes) -> None:
+        self.insert_all((item,))
+
+    def insert_all(self, items: Iterable[bytes]) -> None:
+        """Insert every item: hash each one, then set all their positions."""
+        copy = self._hasher.copy
+        digests = []
+        for item in items:
+            hasher = copy()
+            hasher.update(item)
+            digests.append(hasher.digest())
+        if not digests:
+            return
         beta = self.beta
         if beta == 0:
             raise ValueError("cannot insert into a zero-size filter")
-        hasher = self._hasher.copy()
-        hasher.update(item)
-        bits = self.bits
-        for word in self._words(hasher.digest()):
-            pos = word % beta
-            bits[pos >> 3] |= 1 << (pos & 7)
-        self.inserted_count += 1
+        cells = self.cells
+        for word in struct.unpack(f">{len(digests) * self.gamma}I", b"".join(digests)):
+            cells[word % beta] = 1
+        self.inserted_count += len(digests)
 
     def __contains__(self, item: bytes) -> bool:
         beta = self.beta
@@ -167,29 +187,39 @@ class BloomFilter:
             return False
         hasher = self._hasher.copy()
         hasher.update(item)
-        bits = self.bits
+        cells = self.cells
         for word in self._words(hasher.digest()):
-            pos = word % beta
-            if not bits[pos >> 3] & (1 << (pos & 7)):
+            if not cells[word % beta]:
                 return False
         return True
 
+    @property
+    def bits(self) -> bytes:
+        """The packed bits: bit j in byte j // 8 under mask 1 << (j % 8),
+        and the padding bits past beta zero."""
+        if not self.beta:
+            return b""
+        # Reversed, the cells read as the binary digits of a little-endian
+        # integer, most significant first.
+        as_digits = self.cells[::-1].translate(_CELLS_TO_DIGITS)
+        return int(as_digits, 2).to_bytes((self.beta + 7) // 8, "little")
+
     def to_bytes(self) -> bytes:
         """Serialize: version byte, beta (4-byte big-endian), gamma (1 byte),
-        the 16-byte salt, then ceil(beta / 8) bytes of bits where bit j
-        lives in byte j // 8 under mask 1 << (j % 8)."""
+        the 16-byte salt, then :attr:`bits`."""
         return (
             bytes([BF_WIRE_VERSION])
             + self.beta.to_bytes(4, "big")
             + bytes([self.gamma])
             + self.salt
-            + bytes(self.bits)
+            + self.bits
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         """Parse :meth:`to_bytes` output; raises ValueError for anything else,
-        including filters of another wire version."""
+        including filters of another wire version and filters with a
+        padding bit set, so ``from_bytes(x).to_bytes() == x``."""
         if len(data) < BF_HEADER_BYTES:
             raise ValueError("truncated filter")
         if data[0] != BF_WIRE_VERSION:
@@ -200,8 +230,22 @@ class BloomFilter:
             raise ValueError("index-function count must be at least one")
         if len(data) != BF_HEADER_BYTES + (beta + 7) // 8:
             raise ValueError("filter length does not match declared parameters")
-        bf = cls(beta, gamma, data[6:BF_HEADER_BYTES])
-        bf.bits = bytearray(data[BF_HEADER_BYTES:])
+        if beta % 8 and data[-1] >> (beta % 8):
+            raise ValueError("filter padding bits are set")
+        # Built empty, so no zeroed buffer of beta cells is allocated
+        # only to be replaced.
+        bf = cls(0, gamma, data[6:BF_HEADER_BYTES])
+        packed = memoryview(data)[BF_HEADER_BYTES:]
+        cells = bytearray(8 * len(packed))
+        # A join keeps an 80-byte buffer record per part, so a whole
+        # 2**24-bit filter in one join would need 160 MiB of them.
+        for start in range(0, len(packed), _UNPACK_CHUNK):
+            part = packed[start : start + _UNPACK_CHUNK]
+            cells[8 * start : 8 * (start + len(part))] = b"".join(
+                map(_BYTE_TO_CELLS.__getitem__, part)
+            )
+        del cells[beta:]
+        bf.beta, bf.cells = beta, cells
         return bf
 
 

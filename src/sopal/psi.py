@@ -10,10 +10,13 @@ The protocol runs between an initiator and a responder:
 2. The initiator inserts its bound items into a salted Bloom filter and
    sends it, encrypted.
 3. The responder answers with challenge tags for its items that hit the
-   filter, in random order.
-4. The initiator returns response tags for the challenges it can
-   reproduce from its own items.  This removes Bloom filter false
-   positives, and both sides finish holding the exact intersection.
+   filter, sorted by byte value.  The order is a function of the tag set
+   alone, so it hides the order of the input set and reveals nothing
+   the receiver does not already see.
+4. The initiator returns response tags, sorted the same way, for the
+   challenges it can reproduce from its own items.  This removes Bloom
+   filter false positives, and both sides finish holding the exact
+   intersection.
 
 Wire envelope (bit-exact): 1 version byte, 1 message-type byte, a
 16-byte session id, a 4-byte big-endian payload length, then the
@@ -248,7 +251,6 @@ class PsiSession:
         )
         self._send_counter = 0
         self._recv_counter = 0
-        self._rng = secrets.SystemRandom()
         # Testing hook: decrypted payloads of every encrypted message, as
         # (direction, message type, plaintext) triples.
         self.transcript_plaintexts: list[tuple[str, int, bytes]] | None = (
@@ -390,8 +392,7 @@ class PsiSession:
     def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_RESPONDER)
         bf = BloomFilter(self.declared_beta, self.declared_gamma)
-        for item in self._payloads:
-            bf.insert(item)
+        bf.insert_all(self._payloads)
         self.phase = PHASE_BF_SENT
         return self._seal(MSG_BF, bf.to_bytes()), False
 
@@ -405,17 +406,14 @@ class PsiSession:
             raise ProtocolError("filter does not match the declared parameters")
         candidates = [p for p in self._payloads if p in bf]
         self._candidates = {_tag0(p): p for p in candidates}
-        tags = list(self._candidates)
-        self._rng.shuffle(tags)
         self.phase = PHASE_CHALLENGED
-        return self._seal(MSG_CHAL, _pack_tags(tags)), False
+        return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
         received = _unpack_tags(self._open(MSG_CHAL, ciphertext))
         matched = [p for p in self._payloads if _tag0(p) in received]
         self._intersection = set(matched)
-        proof = [_tag1(p) for p in matched]
-        self._rng.shuffle(proof)
+        proof = sorted(_tag1(p) for p in matched)
         self.phase = PHASE_DONE
         return self._seal(MSG_RESP, _pack_tags(proof)), True
 

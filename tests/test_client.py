@@ -207,6 +207,50 @@ class TestRefresh:
         value = dict(store.distribute("A", 1).r_u)["C"]
         assert value == store.record_of("C").cap
 
+    def test_sessions_follow_updates_and_keep_their_snapshot(self):
+        # without ersatz records A and B share nothing until C enrolls
+        ground = path_adjacency("A", "C", "B")
+        _, _, handle, clients = enrolled_world(ground, ["A", "B"], ersatz=False)
+        a, b = clients["A"], clients["B"]
+        ra, _ = run_discovery_pair(a, b)
+        assert ra.dist is None
+        a.end_session("B")
+        b.end_session("A")
+        # a session opened before the update keeps the input set it
+        # started with, and that set knows nothing of C
+        open_frame = a.start_session("B")
+        DiscoveryClient("C", handle).renew_capability()
+        a.update_capabilities()
+        b.update_capabilities()
+        frame = open_frame
+        while frame is not None:
+            frame, _ = b.handle_message("A", frame)
+            if frame is not None:
+                frame, _ = a.handle_message("B", frame)
+        assert a.get_result("B").dist is None
+        a.end_session("B")
+        b.end_session("A")
+        # sessions started after the update see C
+        ra, rb = run_discovery_pair(a, b)
+        assert ra.dist == rb.dist == 2
+        assert ra.common_friend_ids == frozenset({"C"})
+
+    def test_session_after_renew_matches_the_new_capability(self):
+        ground = adjacency_from_edges([("A", "B")])
+        _, _, _, clients = enrolled_world(ground, ["A", "B"])
+        a, b = clients["A"], clients["B"]
+        # two matches: A's capability and B's, each against a self item
+        ra, _ = run_discovery_pair(a, b)
+        assert ra.match_count == 2
+        a.end_session("B")
+        b.end_session("A")
+        a.renew_capability()
+        b.update_capabilities()
+        # A's self item is its new capability, which B now holds
+        ra, rb = run_discovery_pair(a, b)
+        assert ra.dist == rb.dist == 1
+        assert ra.match_count == rb.match_count == 2
+
     def test_update_is_deterministic_without_server_change(self):
         ground = path_adjacency("A", "C", "B")
         _, _, _, clients = enrolled_world(ground, ["A", "B"])
@@ -269,6 +313,70 @@ class TestSessionApi:
         a.start_session("peer")
         with pytest.raises(SessionError, match="already open"):
             a.start_session("peer")
+
+    @staticmethod
+    def run_together(*calls):
+        """Run each call on its own thread; returns results or exceptions."""
+        outcomes = [None] * len(calls)
+
+        def run(i):
+            try:
+                outcomes[i] = calls[i]()
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                outcomes[i] = exc
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return outcomes
+
+    class StubPsi:
+        def __init__(self):
+            self.frames = []
+
+        def step(self, data):
+            self.frames.append(data)
+            return b"reply", False
+
+    def test_racing_first_frames_share_one_responder(self, monkeypatch):
+        a, _ = self.make_pair()
+        # both threads are inside session creation before either inserts
+        barrier = threading.Barrier(2, timeout=5)
+
+        def start_responder(*args, **kwargs):
+            barrier.wait()
+            return self.StubPsi()
+
+        monkeypatch.setattr(PsiSession, "start_responder", start_responder)
+        outcomes = self.run_together(
+            lambda: a.handle_message("dev", b"one"),
+            lambda: a.handle_message("dev", b"two"),
+        )
+        assert outcomes == [(b"reply", False)] * 2
+        assert sorted(a._sessions["dev"].psi.frames) == [b"one", b"two"]
+
+    def test_racing_starts_open_one_session(self, monkeypatch):
+        a, _ = self.make_pair()
+        barrier = threading.Barrier(2, timeout=5)
+        started = []
+
+        def start_initiator(*args, **kwargs):
+            barrier.wait()
+            psi = self.StubPsi()
+            started.append(psi)
+            return psi, b"hello"
+
+        monkeypatch.setattr(PsiSession, "start_initiator", start_initiator)
+        outcomes = self.run_together(
+            lambda: a.start_session("dev"), lambda: a.start_session("dev")
+        )
+        refused = [o for o in outcomes if isinstance(o, SessionError)]
+        assert len(refused) == 1 and "already open" in str(refused[0])
+        assert outcomes.count(b"hello") == 1
+        assert a._sessions["dev"].psi in started
 
     def test_reject_flow(self):
         a, b = self.make_pair()

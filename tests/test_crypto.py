@@ -269,6 +269,41 @@ class TestBloomFilter:
             return
         assert bf.to_bytes() == data
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.integers(1, 300),
+        gamma=st.integers(1, 16),
+        salt=st.binary(min_size=16, max_size=16),
+        items=st.lists(st.binary(max_size=40), max_size=30),
+    )
+    def test_batch_insert_equals_single_inserts(self, beta, gamma, salt, items):
+        batch = BloomFilter(beta, gamma, salt)
+        batch.insert_all(items)
+        single = BloomFilter(beta, gamma, salt)
+        for item in items:
+            single.insert(item)
+        assert batch.to_bytes() == single.to_bytes()
+        assert batch.inserted_count == single.inserted_count == len(items)
+        # the packed form round-trips exactly through the parser
+        blob = batch.to_bytes()
+        assert BloomFilter.from_bytes(blob).to_bytes() == blob
+
+    def test_batch_insert_into_zero_size_filter(self):
+        bf = BloomFilter(0, 3)
+        bf.insert_all([])
+        assert bf.inserted_count == 0
+        assert bf.to_bytes() == BloomFilter(0, 3, bf.salt).to_bytes()
+        with pytest.raises(ValueError):
+            bf.insert_all([b"x"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(beta=st.integers(1, 300).filter(lambda beta: beta % 8), data=st.data())
+    def test_set_padding_bit_is_refused(self, beta, data):
+        blob = bytearray(BloomFilter(beta, 2).to_bytes())
+        blob[-1] |= 1 << data.draw(st.integers(beta % 8, 7))
+        with pytest.raises(ValueError, match="padding"):
+            BloomFilter.from_bytes(bytes(blob))
+
     def test_salt_validation(self):
         with pytest.raises(ValueError):
             BloomFilter(8, 2, b"\x00" * 32)

@@ -333,6 +333,28 @@ class TestTranscriptPrivacy:
             assert frame[22:] not in plaintexts
 
 
+class TestTagOrder:
+    def test_challenge_and_response_tags_are_sorted(self):
+        # the tags travel in ascending byte order, a function of the tag
+        # set alone, whatever the order of the input values
+        shared = fresh_values(12)
+        init, resp, _ = run_session(
+            shared + fresh_values(5), fresh_values(5) + shared[::-1], transcript=True
+        )
+        assert len(init.matched_values) == 12
+        sent = {
+            msg_type: plaintext
+            for session in (init, resp)
+            for direction, msg_type, plaintext in session.transcript_plaintexts
+            if direction == "sent"
+        }
+        for msg_type in (MSG_CHAL, MSG_RESP):
+            payload = sent[msg_type]
+            tags = [payload[i : i + 32] for i in range(4, len(payload), 32)]
+            assert len(tags) >= 12
+            assert tags == sorted(tags)
+
+
 class TestParsersOnArbitraryBytes:
     """The frame and payload parsers reject anything malformed with
     ProtocolError alone, and invert their builders."""
