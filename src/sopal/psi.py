@@ -224,7 +224,9 @@ class PsiSession:
         self.peer_public: bytes | None = None
         self.keys: SessionKeys | None = None
 
-        self._values = [bytes(v) for v in values]
+        self._values = list(values)
+        if not set(map(type, self._values)) <= {bytes}:
+            raise TypeError("PSI input values must be bytes")
         self._payloads: list[bytes] = []
         self._value_by_payload: dict[bytes, bytes] = {}
         self._candidates: dict[bytes, bytes] = {}

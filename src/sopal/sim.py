@@ -9,11 +9,15 @@ stores and clients on small instances.
 
 :func:`run_coverage` applies the same model to many pairs at once on
 per-node reach bitmasks: one Python int per node and hop count whose bit
-``j`` says that node ``j`` is within that many hops.  A member pair's
-ground distance and a common node within ``d_max + 1`` attested hops are
-then a few big-int ANDs, and the pairs at one distance form a lazy
-sequence that ``random.sample`` draws from exactly as from the full
-list, so the sampling is exact, not an approximation.
+``j`` says that the ``j``-th node in string order is within that many
+hops.  The attested graph never leaves that index space: an edge is
+attestable, both ways, when it is listed under its lower endpoint, and a
+member set keeps the attestable edges that touch a member (ersatz on) or
+join two (ersatz off).  A member pair's ground distance and a common node
+within ``d_max + 1`` attested hops are then a few big-int ANDs, and the
+pairs at one distance form a lazy sequence that ``random.sample`` draws
+from exactly as from the full list, so the sampling is exact, not an
+approximation.
 
 The original evaluation graphs are not redistributable, so the module
 ships synthetic generators (forest-fire style, preferential attachment,
@@ -30,17 +34,15 @@ import itertools
 import logging
 import random
 import statistics
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
-from sopal.graph import SocialGraph, hop_layers, load_edge_list
+from sopal.graph import Adjacency, SocialGraph, hop_layers, load_edge_list
 from sopal.server import MockOsnConnector
 from sopal.store import CapabilityStore
 
 logger = logging.getLogger(__name__)
-
-Adjacency = Mapping[str, set[str]]
 
 
 @dataclass
@@ -135,25 +137,6 @@ def known_adjacency(ground: Adjacency, members: set[str], ersatz_on: bool) -> di
     return known
 
 
-def _min_via_common(
-    layers_a: Mapping[str, int], layers_b: Mapping[str, int], a: str, b: str
-) -> int | None:
-    small, large = (
-        (layers_a, layers_b) if len(layers_a) <= len(layers_b) else (layers_b, layers_a)
-    )
-    best = None
-    for node, da in small.items():
-        if node == a or node == b:
-            continue
-        db = large.get(node)
-        if db is None:
-            continue
-        total = da + db
-        if best is None or total < best:
-            best = total
-    return best
-
-
 def discoverable(
     ground: Adjacency,
     members: set[str],
@@ -177,10 +160,10 @@ def discoverable(
     known = known_adjacency(ground, members, ersatz_on)
     layers_a = hop_layers(known, a, d_max + 1)
     layers_b = hop_layers(known, b, d_max + 1)
-    best = _min_via_common(layers_a, layers_b, a, b)
-    if best is None:
+    common = layers_a.keys() & layers_b.keys() - {a, b}
+    if not common:
         return False, None
-    return True, best
+    return True, min(layers_a[node] + layers_b[node] for node in common)
 
 
 class _PairPool(Sequence):
@@ -206,15 +189,16 @@ class _PairPool(Sequence):
             raise IndexError("pair index out of range")
         row = bisect.bisect_right(self._ends, k)
         i, mask = self._rows[row]
-        rank = k - (self._ends[row - 1] if row else 0)
-        # the bit at which ``rank`` set bits lie below: bisect on the count
+        # the highest bit with ``above`` set bits at or above it: bisect on
+        # the count, one shift per step
+        above = self._ends[row] - k
         lo, hi = 0, mask.bit_length()
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if (mask & ((1 << mid) - 1)).bit_count() > rank:
-                hi = mid
-            else:
+            if (mask >> mid).bit_count() >= above:
                 lo = mid
+            else:
+                hi = mid
         return i, lo
 
     def __iter__(self):
@@ -225,31 +209,59 @@ class _PairPool(Sequence):
                 mask ^= low
 
 
-def _reach_masks(adjacency: Adjacency, index: Mapping[str, int], depth: int) -> list[list[int]]:
+def _reach_masks(nbrs: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
     """``masks[k][i]`` is the bitmask of the nodes within ``k`` hops of node
-    ``i``, for ``k`` from 0 to ``depth``; bit ``j`` is the node ``index``
-    maps to ``j``.
+    ``i``, for ``k`` from 0 to ``depth``, where a hop from node ``i`` goes
+    to each node in ``nbrs[i]``.
 
-    Walks follow ``adjacency`` as :func:`hop_layers` does, so a node that
-    is not a key has no way out.  Every node named in ``adjacency`` must
-    have an index.  Level ``k`` ORs each node's level ``k - 1`` mask with
-    those of its neighbours: ``depth`` times 2E big-int ORs in all.
+    Level ``k`` ORs each node's level ``k - 1`` mask with those of its
+    neighbours: ``depth`` big-int ORs per listed neighbour in all.
     """
-    nbrs: list[list[int]] = [[] for _ in index]
-    for u, vs in adjacency.items():
-        nbrs[index[u]] = [index[v] for v in vs]
-    level = [1 << i for i in range(len(index))]
+    level = [1 << i for i in range(len(nbrs))]
     masks = [level]
     for _ in range(depth):
         prev = level
         level = []
-        for i, js in enumerate(nbrs):
-            reach = prev[i]
+        for reach, js in zip(prev, nbrs):
             for j in js:
                 reach |= prev[j]
             level.append(reach)
         masks.append(level)
     return masks
+
+
+def _attested_reach(
+    attestable: list[list[int]],
+    reach1: list[int],
+    flags: bytearray,
+    member_bits: int,
+    ersatz_on: bool,
+    depth: int,
+) -> list[int]:
+    """Level ``depth`` of the reach masks of the members flagged 1 in
+    ``flags`` on the graph the server attests (see :func:`run_coverage`),
+    from each node's attestable neighbours and their level-1 mask
+    ``reach1``.  Only the members' masks are exact, and only they are read.
+    """
+    # With ersatz records a member keeps all its attestable edges and any
+    # other node those to members; without them a member keeps those to
+    # members.  A node's own bit comes back in a kept neighbour's mask.
+    level = [
+        reach if flag and ersatz_on else reach & member_bits for reach, flag in zip(reach1, flags)
+    ]
+    for _ in range(depth - 1):
+        prev = level
+        kept = [reach if flag else 0 for reach, flag in zip(prev, flags)]
+        level = []
+        for reach, js, flag in zip(prev, attestable, flags):
+            if flag != ersatz_on:
+                for j in js:
+                    reach |= kept[j]
+            elif flag:
+                for j in js:
+                    reach |= prev[j]
+            level.append(reach)
+    return level
 
 
 def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> CoverageReport:
@@ -263,22 +275,37 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
     The sampling is exact: each cell draws uniformly, without
     replacement, from every member pair at exactly that ground distance.
     Per-node reach bitmasks (:func:`_reach_masks`) stand in for a BFS per
-    member and a scan of all member pairs.  The ground masks are built
-    once per call, to the longest path length; each repetition, fraction
-    and ersatz mode builds masks on the attested graph to ``d_max + 1``
-    hops.  Masks cost about N²·(depth + 1)/8 bytes for N nodes, 2.5 MB on
-    ``pa:2000:3`` at depth 4 and 250 MB on a 20000-node graph.
+    member and a scan of all member pairs.  Once per call, the ground masks
+    are built to the longest path length and the attestable edges become
+    index lists; each repetition, fraction and ersatz mode builds the
+    attested masks to ``d_max + 1`` hops from those lists and a flag per
+    member (:func:`_attested_reach`), with no name-keyed graph.  Masks
+    cost at most N²/8 bytes per level for N nodes; one repetition on
+    ``pa:2000:3`` peaks at about 6 MB of Python objects.
     """
     if adjacency is None:
         if config.graph_source is None:
             raise ValueError("config needs a graph source when no adjacency is given")
         adjacency = load_graph_source(config.graph_source, config.seed)
     nodes = sorted(adjacency)
-    # Neighbours that are not keys come last: they are never members, but
-    # an attested graph can route through them.
-    named = {v for nbrs in adjacency.values() for v in nbrs}
-    index = {node: i for i, node in enumerate(nodes + sorted(named - adjacency.keys()))}
-    ground = _reach_masks(adjacency, index, max(config.path_lengths))
+    named = adjacency.keys() | {v for nbrs in adjacency.values() for v in nbrs}
+    index = {node: i for i, node in enumerate(sorted(named))}
+    # Ground walks follow the arcs as listed, so a node that is not a key
+    # has no way out; index order is string order, so an arc i -> j with
+    # i < j is listed under its lower endpoint and attestable both ways.
+    arcs = [[index[v] for v in adjacency.get(node, ())] for node in index]
+    attestable: list[list[int]] = [[] for _ in index]
+    for i, js in enumerate(arcs):
+        for j in js:
+            if i < j:
+                attestable[i].append(j)
+                attestable[j].append(i)
+    ground = _reach_masks(arcs, max(config.path_lengths))
+    # rings[n][i]: the nodes exactly n ground hops from node i, all that
+    # is read of the ground masks
+    rings = {n: [a ^ b for a, b in zip(ground[n], ground[n - 1])] for n in config.path_lengths}
+    del ground
+    reach1 = _reach_masks(attestable, 1)[1]
     per_cell: dict[tuple[float, int, bool], list[float]] = {}
     pairs_seen: dict[tuple[float, int, bool], int] = {}
 
@@ -286,17 +313,16 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
         for fraction in config.member_fractions:
             rng = random.Random(f"{config.seed}/cov/{rep}/{fraction}")
             size = max(2, round(fraction * len(nodes)))
-            members = set(rng.sample(nodes, min(size, len(nodes))))
-            member_idx = sorted(index[m] for m in members)
+            member_idx = sorted(index[m] for m in rng.sample(nodes, min(size, len(nodes))))
             member_bits = sum(1 << i for i in member_idx)
+            flags = bytearray(len(index))
+            for i in member_idx:
+                flags[i] = 1
             samples: dict[int, Sequence[tuple[int, int]]] = {}
+            later = [member_bits >> (i + 1) << (i + 1) for i in member_idx]
             for n in config.path_lengths:
-                near, far = ground[n - 1], ground[n]
-                rows = []
-                for i in member_idx:
-                    mask = (far[i] ^ near[i]) & member_bits & ~((2 << i) - 1)
-                    if mask:
-                        rows.append((i, mask))
+                ring = rings[n]
+                rows = [(i, mask) for i, bits in zip(member_idx, later) if (mask := ring[i] & bits)]
                 pool = _PairPool(rows)
                 if len(pool) < config.min_pairs:
                     logger.warning(
@@ -313,8 +339,9 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
                 else:
                     samples[n] = pool
             for ersatz_on in config.ersatz_modes:
-                known = known_adjacency(adjacency, members, ersatz_on)
-                within = _reach_masks(known, index, config.d_max + 1)[-1]
+                within = _attested_reach(
+                    attestable, reach1, flags, member_bits, ersatz_on, config.d_max + 1
+                )
                 for n, pairs in samples.items():
                     # A pair at ground distance 1 is adjacent and always
                     # found; any other pair needs a third node within

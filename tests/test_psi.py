@@ -81,6 +81,18 @@ class TestBasicFlows:
         init, resp, _ = run_session([], [])
         assert init.matched_values == resp.matched_values == frozenset()
 
+    def test_values_must_be_bytes(self):
+        """Values are kept as given, so a bytearray (unhashable once bound
+        to the session keys) or a str is refused when the session starts."""
+        values = fresh_values(3)
+        for bad in (bytearray(values[0]), values[0].hex()):
+            with pytest.raises(TypeError):
+                PsiSession.start_initiator([*values, bad], KeyPair.generate(), "u")
+            with pytest.raises(TypeError):
+                PsiSession.start_responder([bad], KeyPair.generate(), "v")
+        init, resp, _ = run_session(dict.fromkeys(values), values)
+        assert init.matched_values == frozenset(values)
+
     def test_overlap_with_forced_false_positives(self):
         # a deliberately tiny filter makes responder-side candidate hits
         # near-certain for non-common items; the challenge round must

@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sopal import sim
 from sopal.graph import true_shortest_distance
 from sopal.sim import (
     SimConfig,
@@ -279,9 +280,69 @@ class TestCoverageMatchesReference:
                 run_coverage(config, base).to_csv()
             )
 
+    def test_run_coverage_stays_in_index_space(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_coverage built a name-keyed attested graph")
 
+        monkeypatch.setattr(sim, "known_adjacency", refuse)
+        make_graph, overrides = self.CASES["one-way-edges"]
+        adjacency = make_graph()
+        config = self.config_for(overrides)
+        want_csv, _, _ = reference_run_coverage(config, adjacency)
+        assert run_coverage(config, adjacency).to_csv() == want_csv
+
+
+@st.composite
+def odd_gnp_graphs(draw):
+    """Small G(n, p) graphs with some edges listed at one end only and some
+    neighbours with no entry of their own, named to sort among the ids."""
+    n = draw(st.integers(4, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adjacency = gnp_graph(n, draw(st.floats(0.05, 0.4)), seed=rng.random())
+    nodes = sorted(adjacency)
+    one_way = draw(st.floats(0.0, 0.5))
+    for u in nodes:
+        for v in sorted(adjacency[u]):
+            if rng.random() < one_way:
+                adjacency[u].discard(v)
+    for _ in range(draw(st.integers(0, 12))):
+        adjacency[rng.choice(nodes)].add(f"{rng.randrange(4)}x")
+    return adjacency
+
+
+@st.composite
+def small_configs(draw):
+    d_max = draw(st.sampled_from((1, 2)))
+    return SimConfig(
+        member_fractions=tuple(
+            draw(st.lists(st.sampled_from((0.2, 0.5, 1.0)), min_size=1, max_size=3, unique=True))
+        ),
+        path_lengths=tuple(range(1, 2 * d_max + 3)),
+        pairs_per_cell=draw(st.integers(1, 20)),
+        repetitions=draw(st.integers(1, 2)),
+        d_max=d_max,
+        ersatz_modes=draw(st.sampled_from(((True, False), (True,), (False,)))),
+        seed=draw(st.integers(0, 1000)),
+        min_pairs=draw(st.integers(1, 5)),
+    )
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(adjacency=odd_gnp_graphs(), config=small_configs())
+def test_run_coverage_matches_reference_on_odd_graphs(adjacency, config, caplog):
+    caplog.clear()
+    want_csv, want_warnings, _ = reference_run_coverage(config, adjacency)
+    with caplog.at_level("WARNING", logger="sopal.sim"):
+        got_csv = run_coverage(config, adjacency).to_csv()
+    assert got_csv == want_csv
+    assert [r.getMessage() for r in caplog.records] == want_warnings
+
+
+# masks as wide as a pa:2000:3 row
 rows_strategy = st.lists(
-    st.tuples(st.integers(0, 300), st.integers(0, 2**300)), max_size=12
+    st.tuples(st.integers(0, 2100), st.integers(0, 2**2100)), max_size=12
 )
 
 
@@ -289,13 +350,15 @@ rows_strategy = st.lists(
 @given(rows=rows_strategy, seed=st.integers(0, 2**32))
 def test_pair_pool_matches_materialized_list(rows, seed):
     pool = _PairPool(rows)
-    flat = [(i, j) for i, mask in rows for j in range(mask.bit_length()) if mask >> j & 1]
+    flat = [(i, j) for i, mask in rows for j, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
     assert len(pool) == len(flat)
-    assert [pool[k] for k in range(len(flat))] == flat
+    # every item of a small pool, a sample of a wide one
+    ks = random.Random(seed).sample(range(len(flat)), min(len(flat), 1000))
+    assert [pool[k] for k in ks] == [flat[k] for k in ks]
     assert list(pool) == flat
     with pytest.raises(IndexError):
         pool[len(flat)]
-    k = random.Random(seed).randrange(len(flat) + 1)
+    k = random.Random(seed).randrange(min(len(flat), 1000) + 1)
     assert random.Random(seed).sample(pool, k) == random.Random(seed).sample(flat, k)
 
 
