@@ -230,40 +230,6 @@ def _reach_masks(nbrs: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
     return masks
 
 
-def _attested_reach(
-    attestable: list[list[int]],
-    reach1: list[int],
-    flags: bytearray,
-    member_bits: int,
-    ersatz_on: bool,
-    depth: int,
-) -> list[int]:
-    """Level ``depth`` of the reach masks of the members flagged 1 in
-    ``flags`` on the graph the server attests (see :func:`run_coverage`),
-    from each node's attestable neighbours and their level-1 mask
-    ``reach1``.  Only the members' masks are exact, and only they are read.
-    """
-    # With ersatz records a member keeps all its attestable edges and any
-    # other node those to members; without them a member keeps those to
-    # members.  A node's own bit comes back in a kept neighbour's mask.
-    level = [
-        reach if flag and ersatz_on else reach & member_bits for reach, flag in zip(reach1, flags)
-    ]
-    for _ in range(depth - 1):
-        prev = level
-        kept = [reach if flag else 0 for reach, flag in zip(prev, flags)]
-        level = []
-        for reach, js, flag in zip(prev, attestable, flags):
-            if flag != ersatz_on:
-                for j in js:
-                    reach |= kept[j]
-            elif flag:
-                for j in js:
-                    reach |= prev[j]
-            level.append(reach)
-    return level
-
-
 def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> CoverageReport:
     """Run the full sampling procedure of :class:`SimConfig`.
 
@@ -277,11 +243,12 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
     Per-node reach bitmasks (:func:`_reach_masks`) stand in for a BFS per
     member and a scan of all member pairs.  Once per call, the ground masks
     are built to the longest path length and the attestable edges become
-    index lists; each repetition, fraction and ersatz mode builds the
-    attested masks to ``d_max + 1`` hops from those lists and a flag per
-    member (:func:`_attested_reach`), with no name-keyed graph.  Masks
-    cost at most N²/8 bytes per level for N nodes; one repetition on
-    ``pa:2000:3`` peaks at about 6 MB of Python objects.
+    index lists; each repetition, fraction and ersatz mode keeps the
+    attestable edges its members let the server attest, by a flag per
+    node, and builds the attested masks to ``d_max + 1`` hops from them,
+    with no name-keyed graph.  Masks cost at most N²/8 bytes per level
+    for N nodes; one repetition on ``pa:2000:3`` peaks at about 6 MB of
+    Python objects.
     """
     if adjacency is None:
         if config.graph_source is None:
@@ -305,7 +272,6 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
     # is read of the ground masks
     rings = {n: [a ^ b for a, b in zip(ground[n], ground[n - 1])] for n in config.path_lengths}
     del ground
-    reach1 = _reach_masks(attestable, 1)[1]
     per_cell: dict[tuple[float, int, bool], list[float]] = {}
     pairs_seen: dict[tuple[float, int, bool], int] = {}
 
@@ -339,9 +305,17 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
                 else:
                     samples[n] = pool
             for ersatz_on in config.ersatz_modes:
-                within = _attested_reach(
-                    attestable, reach1, flags, member_bits, ersatz_on, config.d_max + 1
-                )
+                # Ersatz records let the server attest an edge with a
+                # member at either end; without them both must be members.
+                kept = [
+                    js
+                    if flag and ersatz_on
+                    else [j for j in js if flags[j]]
+                    if flag or ersatz_on
+                    else []
+                    for js, flag in zip(attestable, flags)
+                ]
+                within = _reach_masks(kept, config.d_max + 1)[-1]
                 for n, pairs in samples.items():
                     # A pair at ground distance 1 is adjacent and always
                     # found; any other pair needs a third node within

@@ -1,5 +1,6 @@
 """Coverage model, sampling procedure, generators, and equivalence."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -340,9 +341,8 @@ def test_run_coverage_matches_reference_on_odd_graphs(adjacency, config, caplog)
     assert [r.getMessage() for r in caplog.records] == want_warnings
 
 
-# masks as wide as a pa:2000:3 row
 rows_strategy = st.lists(
-    st.tuples(st.integers(0, 2100), st.integers(0, 2**2100)), max_size=12
+    st.tuples(st.integers(0, 300), st.integers(0, 2**300)), max_size=12
 )
 
 
@@ -350,15 +350,41 @@ rows_strategy = st.lists(
 @given(rows=rows_strategy, seed=st.integers(0, 2**32))
 def test_pair_pool_matches_materialized_list(rows, seed):
     pool = _PairPool(rows)
-    flat = [(i, j) for i, mask in rows for j, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
+    flat = [(i, j) for i, mask in rows for j in range(mask.bit_length()) if mask >> j & 1]
     assert len(pool) == len(flat)
-    # every item of a small pool, a sample of a wide one
-    ks = random.Random(seed).sample(range(len(flat)), min(len(flat), 1000))
-    assert [pool[k] for k in ks] == [flat[k] for k in ks]
+    assert [pool[k] for k in range(len(flat))] == flat
     assert list(pool) == flat
     with pytest.raises(IndexError):
         pool[len(flat)]
-    k = random.Random(seed).randrange(min(len(flat), 1000) + 1)
+    k = random.Random(seed).randrange(len(flat) + 1)
+    assert random.Random(seed).sample(pool, k) == random.Random(seed).sample(flat, k)
+
+
+# rows as wide as those of pa:2000:3, dense or with a few scattered bits
+wide_masks = st.one_of(
+    st.integers(0, 2**2100),
+    st.sets(st.integers(0, 2100), max_size=40).map(lambda bits: sum(1 << b for b in bits)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2100), wide_masks), max_size=12),
+    seed=st.integers(0, 2**32),
+)
+def test_pair_pool_matches_materialized_list_at_bench_width(rows, seed):
+    pool = _PairPool(rows)
+    flat = [(i, j) for i, mask in rows for j, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
+    assert len(pool) == len(flat)
+    assert list(pool) == flat
+    # each row's first and last item, and a sample of the rest
+    ends = list(itertools.accumulate(mask.bit_count() for _, mask in rows))
+    edges = {k for start, end in zip([0] + ends, ends) if end > start for k in (start, end - 1)}
+    ks = sorted(edges | set(random.Random(seed).sample(range(len(flat)), min(len(flat), 500))))
+    assert [pool[k] for k in ks] == [flat[k] for k in ks]
+    with pytest.raises(IndexError):
+        pool[len(flat)]
+    k = random.Random(seed).randrange(min(len(flat), 500) + 1)
     assert random.Random(seed).sample(pool, k) == random.Random(seed).sample(flat, k)
 
 
