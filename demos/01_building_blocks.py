@@ -57,7 +57,7 @@ print("=" * 64)
 alice, bob = KeyPair.generate(), KeyPair.generate()
 k_alice = establish_session(alice, bob.public, initiator_public=alice.public)
 k_bob = establish_session(bob, alice.public, initiator_public=alice.public)
-print(f"alice derives {k_alice.shared.hex()[:32]}...")
-print(f"bob   derives {k_bob.shared.hex()[:32]}...")
-assert k_alice.shared == k_bob.shared
+print(f"alice derives {k_alice.hex()[:32]}...")
+print(f"bob   derives {k_bob.hex()[:32]}...")
+assert k_alice == k_bob
 print("both sides hold the same session key")

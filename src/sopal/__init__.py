@@ -27,7 +27,6 @@ from sopal.client import (
 from sopal.crypto import (
     BloomFilter,
     KeyPair,
-    SessionKeys,
     bf_false_positive_estimate,
     bf_hash_count,
     bf_optimal_size,
@@ -36,8 +35,6 @@ from sopal.crypto import (
     new_capability,
 )
 from sopal.graph import (
-    ERSATZ,
-    MEMBER,
     FriendLayers,
     SocialGraph,
     load_edge_list,
@@ -63,6 +60,8 @@ from sopal.sim import (
     run_coverage,
 )
 from sopal.store import (
+    ERSATZ,
+    MEMBER,
     CapabilityStore,
     CapRecord,
     DistributionResult,
@@ -93,7 +92,6 @@ __all__ = [
     "ProtocolError",
     "PsiSession",
     "SessionError",
-    "SessionKeys",
     "SimConfig",
     "SocialGraph",
     "SopalHttpServer",

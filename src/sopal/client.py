@@ -29,16 +29,12 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from sopal.crypto import (
-    DEFAULT_CAPABILITY_BITS,
-    KeyPair,
-    hash_chain,
-    new_capability,
-)
+from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.psi import (
-    DEFAULT_BETA_CAP,
     DEFAULT_FP_TARGET,
     PHASE_DONE,
+    PHASE_FAILED,
+    PHASE_REJECTED,
     ProtocolError,
     PsiSession,
     make_reject,
@@ -226,7 +222,6 @@ class _ClientSession:
         self.psi = psi
         self.items_by_value = items_by_value
         self.result: DistResult | None = None
-        self.status = "active"
 
 
 class DiscoveryClient:
@@ -248,16 +243,12 @@ class DiscoveryClient:
         token: str | None = None,
         d_max: int = 1,
         fp_target: float = DEFAULT_FP_TARGET,
-        capability_bits: int = DEFAULT_CAPABILITY_BITS,
-        beta_cap: int = DEFAULT_BETA_CAP,
     ):
         self.uid = uid
         self.d_max = d_max
         self._server = server
         self._token = token if token is not None else f"mock:{uid}"
         self._fp_target = fp_target
-        self._capability_bits = capability_bits
-        self._beta_cap = beta_cap
         self._own_cap: bytes | None = None
         self._items: list[AnnotatedItem] = []
         self._items_by_value: dict[bytes, AnnotatedItem] | None = None
@@ -271,7 +262,7 @@ class DiscoveryClient:
 
         A transport failure leaves the previous state intact.
         """
-        cap = new_capability(self._capability_bits)
+        cap = new_capability()
         self._server.upload(self._token, cap)
         with self._lock:
             self._own_cap = cap
@@ -301,11 +292,7 @@ class DiscoveryClient:
         """Open a discovery session toward ``device_id``; returns the first frame."""
         items_by_value = self._snapshot_items()
         psi, hello = PsiSession.start_initiator(
-            items_by_value,
-            KeyPair.generate(),
-            self.uid,
-            fp_target=self._fp_target,
-            beta_cap=self._beta_cap,
+            items_by_value, KeyPair.generate(), self.uid, fp_target=self._fp_target
         )
         session = _ClientSession(psi, items_by_value)
         with self._lock:
@@ -319,11 +306,7 @@ class DiscoveryClient:
         if session is None:
             items_by_value = self._snapshot_items()
             psi = PsiSession.start_responder(
-                items_by_value,
-                KeyPair.generate(),
-                self.uid,
-                fp_target=self._fp_target,
-                beta_cap=self._beta_cap,
+                items_by_value, KeyPair.generate(), self.uid, fp_target=self._fp_target
             )
             with self._lock:
                 # Another thread may have opened one meanwhile; use it.
@@ -333,15 +316,9 @@ class DiscoveryClient:
         try:
             reply, finished = session.psi.step(data)
         except ProtocolError:
-            if session.result is None:
-                session.status = "failed"
             return None, True
-        if finished:
-            if session.psi.phase == PHASE_DONE:
-                session.result = self._compute_result(session)
-                session.status = "done"
-            else:
-                session.status = "rejected"
+        if finished and session.psi.phase == PHASE_DONE:
+            session.result = self._compute_result(session)
         return reply, finished
 
     def get_result(self, device_id: str) -> DistResult:
@@ -349,9 +326,11 @@ class DiscoveryClient:
         if session is None:
             raise SessionError(f"no session with {device_id!r}")
         if session.result is None:
+            phase = session.psi.phase
+            state = phase if phase in (PHASE_FAILED, PHASE_REJECTED) else "active"
             reason = session.psi.failure_reason
             detail = f": {reason}" if reason else ""
-            raise SessionError(f"session with {device_id!r} is {session.status}{detail}")
+            raise SessionError(f"session with {device_id!r} is {state}{detail}")
         return session.result
 
     def end_session(self, device_id: str) -> bool:

@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-DEFAULT_CAPABILITY_BITS = 256
+CAPABILITY_BITS = 256
 PUBLIC_KEY_BYTES = 32
 DIGEST_BYTES = 32
 BF_SALT_BYTES = 16
@@ -53,11 +53,10 @@ _BYTE_TO_CELLS = [bytes((byte >> i) & 1 for i in range(8)) for byte in range(256
 _UNPACK_CHUNK = 4096
 
 
-def new_capability(bits: int = DEFAULT_CAPABILITY_BITS) -> bytes:
-    """Generate a fresh uniformly random bearer capability of ``bits`` length."""
-    if bits <= 0 or bits % 8:
-        raise ValueError("capability length must be a positive multiple of 8 bits")
-    return secrets.token_bytes(bits // 8)
+def new_capability() -> bytes:
+    """Generate a fresh uniformly random :data:`CAPABILITY_BITS`-bit bearer
+    capability."""
+    return secrets.token_bytes(CAPABILITY_BITS // 8)
 
 
 def hash_chain(x: bytes, i: int) -> bytes:
@@ -265,19 +264,10 @@ class KeyPair:
         )
 
 
-@dataclass(frozen=True)
-class SessionKeys:
-    """Result of a key agreement: both public keys and the derived shared key."""
-
-    own_keypair: KeyPair
-    peer_public: bytes
-    shared: bytes
-
-
 def establish_session(
     own_keypair: KeyPair, peer_public: bytes, initiator_public: bytes
-) -> SessionKeys:
-    """Run X25519 with the peer and derive the symmetric session key.
+) -> bytes:
+    """Run X25519 with the peer and derive the 32-byte symmetric session key.
 
     The shared key is the hash of the agreement output concatenated with
     both public keys in initiator-first order, so both endpoints derive
@@ -298,7 +288,4 @@ def establish_session(
     secret = private.exchange(X25519PublicKey.from_public_bytes(peer_public))
     if secret == bytes(len(secret)):
         raise ValueError("degenerate peer public key")
-    shared = hashlib.sha256(
-        _KDF_LABEL + secret + initiator_public + responder_public
-    ).digest()
-    return SessionKeys(own_keypair=own_keypair, peer_public=peer_public, shared=shared)
+    return hashlib.sha256(_KDF_LABEL + secret + initiator_public + responder_public).digest()

@@ -1,21 +1,19 @@
 """Server-side social graph bookkeeping and shortest-path oracles.
 
 The capability service never sees a whole OSN graph.  It accumulates the
-edges that enrolled members attest through their friend lists, tracks
-which nodes are enrolled members versus server-created ersatz stand-ins,
-and answers hop-layer queries against that partial view.  It does no
-locking; the capability store serializes every access.  :func:`hop_layers`
-is the one layer walk; :func:`true_shortest_distance` stays a separate
-BFS as the independent ground-truth oracle for tests.
+edges that enrolled members attest through their friend lists and
+answers hop-layer queries against that partial view; which nodes are
+members and which are ersatz stand-ins is kept in the capability store's
+records.  It does no locking; the capability store serializes every
+access.  :func:`hop_layers` is the one layer walk;
+:func:`true_shortest_distance` stays a separate BFS as the independent
+ground-truth oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-MEMBER = "member"
-ERSATZ = "ersatz"
 
 Adjacency = Mapping[str, set[str]]
 
@@ -36,12 +34,11 @@ class FriendLayers:
 
 
 class SocialGraph:
-    """The partial social graph the server can attest.
+    """The partial social graph the server can attest, as adjacency only.
 
     Every edge is added by :meth:`record_member` (or restored from a
     snapshot by :meth:`from_parts`), so every edge has at least one
-    member endpoint and every ersatz node has at least one member
-    neighbor.  Edges are never removed: a member re-registering
+    member endpoint.  Edges are never removed: a member re-registering
     with a different friend list unions the new edges with the ones
     already observed.
 
@@ -50,57 +47,40 @@ class SocialGraph:
     """
 
     def __init__(self):
-        self._kind: dict[str, str] = {}
         self._adj: dict[str, set[str]] = {}
 
     @classmethod
-    def from_parts(
-        cls, node_kinds: Mapping[str, str], edges: Iterable[tuple[str, str]]
-    ) -> "SocialGraph":
-        """Rebuild a graph from a snapshot's node kinds and edges; raises
-        ValueError for an unknown kind or an edge to an unlisted node."""
+    def from_parts(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SocialGraph":
+        """Rebuild a graph from its nodes and edges; raises ValueError for
+        an edge with an endpoint that is not among ``nodes``."""
         graph = cls()
-        for uid, kind in node_kinds.items():
-            if kind not in (MEMBER, ERSATZ):
-                raise ValueError(f"node {uid!r} has unknown kind {kind!r}")
-            graph._kind[uid] = kind
-            graph._adj[uid] = set()
+        adj = graph._adj = {uid: set() for uid in nodes}
         for u, v in edges:
-            if u not in graph._kind or v not in graph._kind:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge {u!r}-{v!r} has an endpoint that is not a node")
-            graph._adj[u].add(v)
-            graph._adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         return graph
 
     def record_member(self, uid: str, friend_list: Iterable[str]) -> None:
-        """Enroll ``uid`` as a member and attest its complete friend list.
+        """Attest ``uid``'s complete friend list.
 
-        Friends not yet in the graph become ersatz nodes.  A node that
-        was ersatz keeps its accumulated edges and simply flips kind when
-        it enrolls itself later.
+        Friends not yet in the graph become nodes; a node keeps its
+        accumulated edges when it enrolls itself later.
         """
-        self._kind[uid] = MEMBER
         self._adj.setdefault(uid, set())
         for friend in friend_list:
             if friend == uid:
                 continue
-            if friend not in self._kind:
-                self._kind[friend] = ERSATZ
             self._adj.setdefault(friend, set())
             self._adj[uid].add(friend)
             self._adj[friend].add(uid)
 
-    def kind_of(self, uid: str) -> str | None:
-        return self._kind.get(uid)
-
-    def is_member(self, uid: str) -> bool:
-        return self._kind.get(uid) == MEMBER
-
     def neighbors(self, uid: str) -> set[str]:
         return set(self._adj.get(uid, ()))
 
-    def node_kinds(self) -> dict[str, str]:
-        return dict(self._kind)
+    def nodes(self) -> set[str]:
+        return set(self._adj)
 
     def edges(self) -> list[tuple[str, str]]:
         """All known edges as sorted (low, high) pairs."""
@@ -111,18 +91,16 @@ class SocialGraph:
         return sorted(seen)
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return len(self._adj)
 
     def layer_friend_sets(self, uid: str, n: int) -> FriendLayers:
-        """Breadth-first hop layers around a member, out to depth ``n``.
+        """Breadth-first hop layers around ``uid``, out to depth ``n``.
 
         Each node lands in the layer of its first discovery, the center is
         in no layer, and layers are pairwise disjoint.
         """
         if n < 1:
             raise ValueError("layer depth must be at least 1")
-        if not self.is_member(uid):
-            raise ValueError(f"hop layers are only defined for members, not {uid!r}")
         layers: list[set[str]] = [set() for _ in range(n + 1)]
         for node, depth in hop_layers(self._adj, uid, n).items():
             layers[depth].add(node)

@@ -41,7 +41,6 @@ from sopal.crypto import (
     BF_MAX_GAMMA,
     BloomFilter,
     KeyPair,
-    SessionKeys,
     bf_hash_count,
     bf_optimal_size,
     establish_session,
@@ -71,8 +70,8 @@ _MAX_ID_BYTES = 65535
 _AEAD_TAG_BYTES = 16
 # The largest payload each message type's format allows, checked against
 # the declared length before anything is read or authenticated.  The BF
-# limit fits a filter of DEFAULT_BETA_CAP bits, so a session's beta_cap
-# can lower the accepted filter size but not raise it.
+# limit fits a filter of DEFAULT_BETA_CAP bits, the largest a peer's hello
+# may declare.
 _MAX_PAYLOAD_BY_TYPE = {
     MSG_HELLO: 1 + 32 + 2 + _MAX_ID_BYTES + 5,
     MSG_BF: _AEAD_TAG_BYTES + BF_HEADER_BYTES + DEFAULT_BETA_CAP // 8,
@@ -210,7 +209,6 @@ class PsiSession:
         claimed_id: str,
         *,
         fp_target: float = DEFAULT_FP_TARGET,
-        beta_cap: int = DEFAULT_BETA_CAP,
         beta_override: int | None = None,
         gamma_override: int | None = None,
         record_transcript: bool = False,
@@ -222,7 +220,7 @@ class PsiSession:
         self.failure_reason: str | None = None
         self.peer_claimed_id: str | None = None
         self.peer_public: bytes | None = None
-        self.keys: SessionKeys | None = None
+        self._aead: ChaCha20Poly1305 | None = None
 
         self._values = list(values)
         if not set(map(type, self._values)) <= {bytes}:
@@ -232,8 +230,6 @@ class PsiSession:
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
 
-        self._fp_target = fp_target
-        self._beta_cap = beta_cap
         alpha = len(self._values)
         self.declared_beta = (
             beta_override if beta_override is not None else bf_optimal_size(alpha, fp_target)
@@ -287,10 +283,6 @@ class PsiSession:
         )
 
     # -- results ----------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self.phase in (PHASE_DONE, PHASE_REJECTED)
 
     @property
     def intersection(self) -> frozenset[bytes]:
@@ -360,9 +352,9 @@ class PsiSession:
         role, public, claimed_id, beta, gamma = _unpack_hello(payload)
         if role != expected_role:
             raise ProtocolError(f"unexpected role byte {role} in hello")
-        if beta > self._beta_cap:
+        if beta > DEFAULT_BETA_CAP:
             raise ProtocolError(
-                f"peer declared an oversized filter ({beta} bits > cap {self._beta_cap})"
+                f"peer declared an oversized filter ({beta} bits > cap {DEFAULT_BETA_CAP})"
             )
         if not 1 <= gamma <= BF_MAX_GAMMA:
             raise ProtocolError(f"peer declared {gamma} index functions, not 1 to {BF_MAX_GAMMA}")
@@ -372,9 +364,10 @@ class PsiSession:
         self.peer_gamma = gamma
         initiator_public = public if self.role == ROLE_RESPONDER else self.own_keypair.public
         try:
-            self.keys = establish_session(self.own_keypair, public, initiator_public)
+            key = establish_session(self.own_keypair, public, initiator_public)
         except ValueError as exc:
             raise ProtocolError(f"key agreement failed: {exc}") from exc
+        self._aead = ChaCha20Poly1305(key)
         self._bind_items(initiator_public)
 
     def _bind_items(self, initiator_public: bytes) -> None:
@@ -436,24 +429,20 @@ class PsiSession:
         return bytes([WIRE_VERSION, msg_type]) + self.session_id
 
     def _seal(self, msg_type: int, plaintext: bytes) -> bytes:
-        assert self.keys is not None
+        assert self._aead is not None
         nonce = self._nonce(self.role, self._send_counter)
         self._send_counter += 1
-        ciphertext = ChaCha20Poly1305(self.keys.shared).encrypt(
-            nonce, plaintext, self._aad(msg_type)
-        )
+        ciphertext = self._aead.encrypt(nonce, plaintext, self._aad(msg_type))
         if self.transcript_plaintexts is not None:
             self.transcript_plaintexts.append(("sent", msg_type, plaintext))
         return build_frame(msg_type, self.session_id, ciphertext)
 
     def _open(self, msg_type: int, ciphertext: bytes) -> bytes:
-        assert self.keys is not None
+        assert self._aead is not None
         peer_role = ROLE_RESPONDER if self.role == ROLE_INITIATOR else ROLE_INITIATOR
         nonce = self._nonce(peer_role, self._recv_counter)
         try:
-            plaintext = ChaCha20Poly1305(self.keys.shared).decrypt(
-                nonce, ciphertext, self._aad(msg_type)
-            )
+            plaintext = self._aead.decrypt(nonce, ciphertext, self._aad(msg_type))
         except InvalidTag as exc:
             raise ProtocolError("message failed to authenticate") from exc
         self._recv_counter += 1

@@ -52,7 +52,7 @@ MOCK_TOKEN_PREFIX = "mock:"
 # A kept-open connection with no request for this long is closed, so its
 # handler thread does not outlive an idle client.
 IDLE_TIMEOUT_S = 5.0
-# Largest POST body read: the hex of a capability of up to 16384 bits.
+# Largest POST body read, well above the 64 hex digits of a capability.
 # A longer body is refused with 413.
 MAX_BODY_BYTES = 4096
 # How often serve_forever checks for a shutdown request; stop() waits
@@ -315,11 +315,6 @@ class SopalHttpServer:
         if not tls_cert and not insecure_plaintext:
             raise ValueError(
                 "refusing to start without TLS; pass insecure_plaintext=True for test use"
-            )
-        if store.capability_bits // 4 > MAX_BODY_BYTES:
-            raise ValueError(
-                f"{store.capability_bits}-bit capabilities exceed the "
-                f"{MAX_BODY_BYTES}-byte body limit"
             )
         self.store = store
         self.connector = connector

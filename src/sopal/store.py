@@ -28,11 +28,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from sopal.crypto import DEFAULT_CAPABILITY_BITS, hash_chain, new_capability
-from sopal.graph import ERSATZ, MEMBER, SocialGraph
+from sopal.crypto import CAPABILITY_BITS, hash_chain, new_capability
+from sopal.graph import SocialGraph
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 DEFAULT_TTL_S = 48 * 3600.0
+
+MEMBER = "member"
+ERSATZ = "ersatz"
 
 
 class NotEnrolledError(LookupError):
@@ -118,14 +121,12 @@ class CapabilityStore:
         graph: SocialGraph | None = None,
         connector=None,
         *,
-        capability_bits: int = DEFAULT_CAPABILITY_BITS,
         default_ttl_s: float = DEFAULT_TTL_S,
         ersatz_enabled: bool = True,
         clock: Callable[[], float] = time.time,
     ):
         self.graph = graph if graph is not None else SocialGraph()
         self.connector = connector
-        self.capability_bits = capability_bits
         self.default_ttl_s = default_ttl_s
         self.ersatz_enabled = ersatz_enabled
         self._clock = clock
@@ -153,10 +154,11 @@ class CapabilityStore:
                     if friend not in self._records:
                         self._records[friend] = self._new_ersatz(friend, now)
             else:
-                # Each member-member edge is recorded when its second
-                # endpoint enrolls; this relies on friend lists being
-                # symmetric, as the graph assumes by storing edges both ways.
-                friends = [f for f in friends if self.graph.is_member(f)]
+                # Every record is a member's here.  Each member-member edge
+                # is recorded when its second endpoint enrolls; this relies
+                # on friend lists being symmetric, as the graph assumes by
+                # storing edges both ways.
+                friends = [f for f in friends if f in self._records]
             self.graph.record_member(uid, friends)
             self._records[uid] = CapRecord(uid, cap, MEMBER, now, self.default_ttl_s)
 
@@ -185,14 +187,12 @@ class CapabilityStore:
 
     def _new_ersatz(self, uid: str, now: float) -> CapRecord:
         """A stand-in record with a fresh random value."""
-        cap = new_capability(self.capability_bits)
-        return CapRecord(uid, cap, ERSATZ, now, self.default_ttl_s)
+        return CapRecord(uid, new_capability(), ERSATZ, now, self.default_ttl_s)
 
-    def _check_length(self, cap: bytes) -> None:
-        if len(cap) != self.capability_bits // 8:
-            raise ValueError(
-                f"capability must be {self.capability_bits} bits, got {len(cap) * 8}"
-            )
+    @staticmethod
+    def _check_length(cap: bytes) -> None:
+        if len(cap) != CAPABILITY_BITS // 8:
+            raise ValueError(f"capability must be {CAPABILITY_BITS} bits, got {len(cap) * 8}")
 
     # -- reads -----------------------------------------------------------
 
@@ -245,16 +245,15 @@ class CapabilityStore:
     def save_snapshot(self, path) -> None:
         """Write a versioned JSON snapshot atomically (temp file + rename).
 
-        Fields: ``format_version``; store config (``capability_bits``,
-        ``default_ttl_s``, ``ersatz_enabled``); ``records`` as objects
-        with ``id``, ``cap`` (lowercase hex), ``kind``, ``created_at``,
-        ``ttl_s``, ``stale``; graph ``nodes`` as ``{id, kind}`` and
-        ``edges`` as ``[low, high]`` pairs.
+        Fields: ``format_version``; store config (``default_ttl_s``,
+        ``ersatz_enabled``); ``records`` as objects with ``id``, ``cap``
+        (lowercase hex), ``kind``, ``created_at``, ``ttl_s``, ``stale``;
+        graph ``edges`` as ``[low, high]`` pairs.  The graph's nodes are
+        the record ids.
         """
         with self._lock:
             body = {
                 "format_version": SNAPSHOT_VERSION,
-                "capability_bits": self.capability_bits,
                 "default_ttl_s": self.default_ttl_s,
                 "ersatz_enabled": self.ersatz_enabled,
                 "records": [
@@ -267,10 +266,6 @@ class CapabilityStore:
                         "stale": rec.stale,
                     }
                     for rec in sorted(self._records.values(), key=lambda r: r.uid)
-                ],
-                "nodes": [
-                    {"id": uid, "kind": kind}
-                    for uid, kind in sorted(self.graph.node_kinds().items())
                 ],
                 "edges": [[u, v] for u, v in self.graph.edges()],
             }
@@ -290,35 +285,49 @@ class CapabilityStore:
     def load_snapshot(
         cls, path, connector=None, *, clock: Callable[[], float] = time.time
     ) -> "CapabilityStore":
+        """Read a :meth:`save_snapshot` file; raises only ``ValueError``
+        when it is malformed or inconsistent."""
         with open(path, "r", encoding="utf-8") as fh:
-            body = json.load(fh)
-        if body.get("format_version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {body.get('format_version')}")
-        graph = SocialGraph.from_parts(
-            {node["id"]: node["kind"] for node in body["nodes"]}, body["edges"]
-        )
-        kinds = graph.node_kinds()
-        if not body["ersatz_enabled"] and ERSATZ in kinds.values():
-            raise ValueError("snapshot lists ersatz nodes but has ersatz records disabled")
-        store = cls(
-            graph,
-            connector,
-            capability_bits=body["capability_bits"],
-            default_ttl_s=body["default_ttl_s"],
-            ersatz_enabled=body["ersatz_enabled"],
-            clock=clock,
-        )
-        for entry in body["records"]:
-            rec = CapRecord(
-                uid=entry["id"],
-                cap=bytes.fromhex(entry["cap"]),
-                kind=entry["kind"],
-                created_at=entry["created_at"],
-                ttl_s=entry["ttl_s"],
-                stale=entry["stale"],
+            try:
+                body = json.load(fh)
+                version = body.get("format_version")
+            except (AttributeError, RecursionError) as exc:
+                raise ValueError(f"malformed snapshot: {exc!r}") from None
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(f"unsupported snapshot version {version}")
+        try:
+            store = cls(
+                None,
+                connector,
+                default_ttl_s=_typed(body["default_ttl_s"], int, float),
+                ersatz_enabled=_typed(body["ersatz_enabled"], bool),
+                clock=clock,
             )
-            if kinds.get(rec.uid) != rec.kind:
-                raise ValueError(f"record {rec.uid!r} is not a {rec.kind!r} node of the graph")
-            store._check_length(rec.cap)
-            store._records[rec.uid] = rec
+            for entry in _typed(body["records"], list):
+                rec = CapRecord(
+                    uid=_typed(entry["id"], str),
+                    cap=bytes.fromhex(entry["cap"]),
+                    kind=entry["kind"],
+                    created_at=_typed(entry["created_at"], int, float),
+                    ttl_s=_typed(entry["ttl_s"], int, float),
+                    stale=_typed(entry["stale"], bool),
+                )
+                if rec.kind not in (MEMBER, ERSATZ):
+                    raise ValueError(f"record {rec.uid!r} has unknown kind {rec.kind!r}")
+                if rec.kind == ERSATZ and not store.ersatz_enabled:
+                    raise ValueError(f"ersatz record {rec.uid!r} with ersatz records disabled")
+                store._check_length(rec.cap)
+                store._records[rec.uid] = rec
+            edges = [_typed(edge, list) for edge in _typed(body["edges"], list)]
+            store.graph = SocialGraph.from_parts(store._records, edges)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed snapshot: {exc!r}") from None
         return store
+
+
+def _typed(value, *types: type):
+    """``value`` if its type is exactly one of ``types`` (so a boolean is
+    not a number); raises TypeError otherwise."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value

@@ -291,5 +291,5 @@ class TestServeProcess:
             proc.communicate(timeout=15)
         assert proc.returncode == 0
         body = json.loads(snapshot.read_text())
-        assert body["format_version"] == 1
+        assert body["format_version"] == 2
         assert {r["id"] for r in body["records"]} >= {"A", "B"}

@@ -31,12 +31,6 @@ CHAIN_STEP_ON_ZEROS = "1a7dfdeaffeedac489287e85be5e9c049a2ff6470f55cf30260f55395
 class TestCapability:
     def test_default_length_is_256_bits(self):
         assert len(new_capability()) == 32
-        assert len(new_capability(128)) == 16
-
-    def test_rejects_bad_lengths(self):
-        for bits in (0, -8, 12, 250):
-            with pytest.raises(ValueError):
-                new_capability(bits)
 
     def test_bit_balance_over_many_samples(self):
         total_bits = 0
@@ -319,14 +313,14 @@ class TestKeyAgreement:
         a, b = KeyPair.generate(), KeyPair.generate()
         ka = establish_session(a, b.public, initiator_public=a.public)
         kb = establish_session(b, a.public, initiator_public=a.public)
-        assert ka.shared == kb.shared
-        assert len(ka.shared) == 32
+        assert ka == kb
+        assert len(ka) == 32
 
     def test_initiator_ordering_matters(self):
         a, b = KeyPair.generate(), KeyPair.generate()
         as_initiator = establish_session(a, b.public, initiator_public=a.public)
         as_responder = establish_session(a, b.public, initiator_public=b.public)
-        assert as_initiator.shared != as_responder.shared
+        assert as_initiator != as_responder
 
     def test_degenerate_peer_key_rejected(self):
         a = KeyPair.generate()
@@ -356,5 +350,5 @@ class TestKeyAgreement:
         b = KeyPair(b_priv, pure_x25519(b_priv, base))
         agreement = pure_x25519(a_priv, b.public)
         expected = hashlib.sha256(b"\x03" + agreement + a.public + b.public).digest()
-        assert establish_session(a, b.public, initiator_public=a.public).shared == expected
-        assert establish_session(b, a.public, initiator_public=a.public).shared == expected
+        assert establish_session(a, b.public, initiator_public=a.public) == expected
+        assert establish_session(b, a.public, initiator_public=a.public) == expected

@@ -4,35 +4,42 @@ import random
 
 import pytest
 
+from sopal.crypto import new_capability
 from sopal.graph import (
-    ERSATZ,
-    MEMBER,
     SocialGraph,
     hop_layers,
     load_edge_list,
     load_membership,
     true_shortest_distance,
 )
+from sopal.server import MockOsnConnector
 from sopal.sim import gnp_graph
+from sopal.store import ERSATZ, MEMBER, CapabilityStore, NotEnrolledError
 
 from helpers import adjacency_from_edges, path_adjacency
 
 
+def enrolled_store(ground, members):
+    """A store whose graph holds the edges ``members`` attest; node kinds
+    live in its records."""
+    store = CapabilityStore(SocialGraph(), MockOsnConnector(ground))
+    for uid in members:
+        store.upload_capability(uid, new_capability())
+    return store
+
+
 class TestRecordMember:
     def test_first_member_creates_ersatz_friends(self):
+        # the friends become nodes; their ersatz records are the store's
         g = SocialGraph()
         g.record_member("A", ["B", "C"])
-        assert g.kind_of("A") == MEMBER
-        assert g.kind_of("B") == ERSATZ
-        assert g.kind_of("C") == ERSATZ
+        assert g.nodes() == {"A", "B", "C"}
         assert g.edges() == [("A", "B"), ("A", "C")]
 
     def test_ersatz_upgrade_keeps_edges(self):
         g = SocialGraph()
         g.record_member("A", ["B", "C"])
         g.record_member("B", ["A", "D"])
-        assert g.kind_of("B") == MEMBER
-        assert g.kind_of("D") == ERSATZ
         assert g.edges() == [("A", "B"), ("A", "C"), ("B", "D")]
 
     def test_reregistration_unions_edges(self):
@@ -42,7 +49,6 @@ class TestRecordMember:
         # A comes back with a different list; the edge B attested stays
         g.record_member("A", ["D"])
         assert g.neighbors("A") == {"B", "C", "D"}
-        assert g.kind_of("D") == ERSATZ
 
     def test_self_loop_ignored(self):
         g = SocialGraph()
@@ -50,19 +56,15 @@ class TestRecordMember:
         assert g.neighbors("A") == {"B"}
 
     def test_every_edge_has_a_member_endpoint(self):
-        g = SocialGraph()
-        g.record_member("A", ["B", "C"])
-        g.record_member("D", ["B"])
-        for u, v in g.edges():
-            assert g.kind_of(u) == MEMBER or g.kind_of(v) == MEMBER
+        store = enrolled_store(adjacency_from_edges([("A", "B"), ("A", "C"), ("D", "B")]), "AD")
+        for u, v in store.graph.edges():
+            assert MEMBER in (store.record_of(u).kind, store.record_of(v).kind)
 
     def test_every_ersatz_node_has_a_member_neighbor(self):
-        g = SocialGraph()
-        g.record_member("A", ["B"])
-        g.record_member("C", ["B", "D"])
-        for uid, kind in g.node_kinds().items():
-            if kind == ERSATZ:
-                assert any(g.is_member(n) for n in g.neighbors(uid))
+        store = enrolled_store(adjacency_from_edges([("A", "B"), ("C", "B"), ("C", "D")]), "AC")
+        for uid in store.graph.nodes():
+            if store.record_of(uid).kind == ERSATZ:
+                assert any(store.record_of(n).kind == MEMBER for n in store.graph.neighbors(uid))
 
 
 class TestLayering:
@@ -92,12 +94,12 @@ class TestLayering:
         assert all(not layers.layer(k) for k in range(2, 6))
 
     def test_non_member_center_rejected(self):
-        g = SocialGraph()
-        g.record_member("A", ["B"])
+        # membership lives in the store's records, which guard distribution
+        store = enrolled_store(path_adjacency("A", "B"), "A")
+        with pytest.raises(NotEnrolledError):
+            store.distribute("B", 1)
         with pytest.raises(ValueError):
-            g.layer_friend_sets("B", 2)
-        with pytest.raises(ValueError):
-            g.layer_friend_sets("A", 0)
+            store.graph.layer_friend_sets("A", 0)
 
     def test_layers_match_bfs_oracle_on_random_graphs(self):
         for seed in range(10):
@@ -133,7 +135,7 @@ class TestLayering:
         prev_reach: dict[int, set[str]] = {}
         for uid in uids[1:12]:
             g.record_member(uid, sorted(adjacency[uid]))
-            nodes = set(g.node_kinds())
+            nodes = g.nodes()
             assert prev_nodes <= nodes
             prev_nodes = nodes
             layers = g.layer_friend_sets(uids[0], 4)

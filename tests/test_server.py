@@ -384,14 +384,6 @@ class TestServerConfig:
         server._httpd.server_close()
         assert any("PLAINTEXT" in rec.message for rec in caplog.records)
 
-    def test_refuses_capabilities_beyond_the_body_limit(self):
-        connector = MockOsnConnector(GROUND)
-        store = CapabilityStore(
-            SocialGraph(), connector, capability_bits=MAX_BODY_BYTES * 4 + 8
-        )
-        with pytest.raises(ValueError, match="body limit"):
-            SopalHttpServer(store, connector, insecure_plaintext=True)
-
 
 class TestLoadProbe:
     def test_accounting_identity_and_baseline(self, world):

@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
 from sopal.crypto import hash_chain, new_capability
-from sopal.graph import ERSATZ, MEMBER, SocialGraph
+from sopal.graph import SocialGraph
 from sopal.server import ConnectorError, MockOsnConnector
 from sopal.sim import gnp_graph
-from sopal.store import CapabilityStore, DistributionResult, NotEnrolledError
+from sopal.store import (
+    ERSATZ,
+    MEMBER,
+    CapabilityStore,
+    DistributionResult,
+    NotEnrolledError,
+)
 
 from helpers import adjacency_from_edges, path_adjacency
 from oracles import reference_distribute
@@ -209,7 +215,7 @@ class TestDistribute:
         result = store.distribute("A", 1)
         assert [uid for uid, _ in result.r_u] == ["M"]
         assert result.r_h == ((1, hash_chain(store.record_of("B").cap, 1)),)
-        assert "e" not in store.graph.node_kinds()
+        assert "e" not in store.graph.nodes() and store.record_of("e") is None
 
     def test_upgrade_is_transparent_to_friends(self):
         store, _ = make_store(adjacency_from_edges([("A", "C"), ("B", "C")]))
@@ -243,15 +249,16 @@ class TestDistributeMatchesReference:
     @given(
         edges=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=14),
         ops=ops,
+        ersatz=st.booleans(),
     )
-    def test_interleavings(self, edges, ops):
+    def test_interleavings(self, edges, ops, ersatz):
         ground = {str(n): set() for n in range(7)}
         for u, v in edges:
             if u != v:
                 ground[str(u)].add(str(v))
                 ground[str(v)].add(str(u))
         clock = FakeClock()
-        store, _ = make_store(ground, clock=clock)
+        store, _ = make_store(ground, clock=clock, ersatz_enabled=ersatz)
         ttl = store.default_ttl_s
         model = {}  # uid -> [cap, kind, created_at, stale]
         for op in ops:
@@ -267,7 +274,7 @@ class TestDistributeMatchesReference:
                 uid, cap = str(op[1]), new_capability()
                 store.upload_capability(uid, cap)
                 for friend in ground[uid]:
-                    if friend not in model:
+                    if ersatz and friend not in model:
                         model[friend] = [store.record_of(friend).cap, ERSATZ, clock(), False]
                 model[uid] = [cap, MEMBER, clock(), False]
             else:
@@ -282,18 +289,38 @@ class TestDistributeMatchesReference:
                         fresh = store.record_of(uid).cap
                         assert fresh != rec[0]
                         rec[0], rec[2] = fresh, clock()
+            self.check_records(store, ersatz)
             members = sorted(u for u, rec in model.items() if rec[1] == MEMBER)
             if members:
                 self.check(store, ground, model, members[op[2] % len(members)], 3)
+
+    @staticmethod
+    def check_records(store, ersatz):
+        """Node kinds live in the records: every graph node has one, every
+        edge has a member end, every ersatz record a member neighbour, and
+        an ersatz-off store holds no ersatz record."""
+        graph = store.graph
+        kinds = {uid: store.record_of(uid).kind for uid in graph.nodes()}
+        assert store.record_count() == len(kinds)
+        for u, v in graph.edges():
+            assert MEMBER in (kinds[u], kinds[v])
+        for uid, kind in kinds.items():
+            if kind == ERSATZ:
+                assert ersatz
+                assert any(kinds[n] == MEMBER for n in graph.neighbors(uid))
 
     @staticmethod
     def check(store, ground, model, uid, d_max):
         result = store.distribute(uid, d_max)
         members = {u for u, rec in model.items() if rec[1] == MEMBER}
         live = {u: rec[0] for u, rec in model.items() if not rec[3]}
-        attested = {u: set(ground[u]) for u in members}
+        # with ersatz off the store attests member-member edges only
+        attested = {
+            u: set(ground[u]) if store.ersatz_enabled else ground[u] & members
+            for u in members
+        }
         for u in members:
-            for v in ground[u]:
+            for v in attested[u]:
                 attested.setdefault(v, set()).add(u)
         assert (result.r_u, result.r_h) == reference_distribute(attested, live, uid, d_max)
         layers = store.graph.layer_friend_sets(uid, d_max + 1)
@@ -365,6 +392,10 @@ class TestExpiry:
         assert ra.dist is None and rb.dist is None
 
 
+SNAPSHOT_KEYS = ("format_version", "default_ttl_s", "ersatz_enabled", "records", "edges")
+RECORD_FIELDS = ("id", "cap", "kind", "created_at", "ttl_s", "stale")
+
+
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         ground = gnp_graph(20, 0.15, seed=2)
@@ -375,7 +406,8 @@ class TestSnapshot:
         store.save_snapshot(path)
         loaded = CapabilityStore.load_snapshot(path, connector)
         assert loaded.record_count() == store.record_count()
-        assert loaded.graph.node_kinds() == store.graph.node_kinds()
+        assert loaded.graph.nodes() == store.graph.nodes()
+        assert all(loaded.record_of(u) == store.record_of(u) for u in store.graph.nodes())
         assert loaded.graph.edges() == store.graph.edges()
         for uid in sorted(ground)[:10]:
             assert loaded.distribute(uid, 1) == store.distribute(uid, 1)
@@ -386,9 +418,10 @@ class TestSnapshot:
         path = tmp_path / "snap.json"
         store.save_snapshot(path)
         body = json.loads(path.read_text())
-        assert body["format_version"] == 1
+        assert body["format_version"] == 2
+        assert set(body) == set(SNAPSHOT_KEYS)
         record = body["records"][0]
-        assert set(record) == {"id", "cap", "kind", "created_at", "ttl_s", "stale"}
+        assert set(record) == set(RECORD_FIELDS)
         assert record["cap"] == record["cap"].lower()
 
     def test_overwrite_is_atomic_no_temp_left(self, tmp_path):
@@ -403,7 +436,7 @@ class TestSnapshot:
         "corrupt, reason",
         [
             pytest.param(
-                lambda body: body["nodes"][0].update(kind="admin"),
+                lambda body: body["records"][0].update(kind="admin"),
                 "unknown kind",
                 id="unknown-kind",
             ),
@@ -411,16 +444,6 @@ class TestSnapshot:
                 lambda body: body["edges"].append(["A", "ghost"]),
                 "not a node",
                 id="edge-to-unlisted-node",
-            ),
-            pytest.param(
-                lambda body: body["records"].append({**body["records"][0], "id": "ghost"}),
-                "not a 'member' node",
-                id="record-without-node",
-            ),
-            pytest.param(
-                lambda body: body["records"][0].update(kind=ERSATZ),
-                "not a 'ersatz' node",
-                id="record-kind-differs-from-node",
             ),
             pytest.param(
                 lambda body: body["records"][0].update(cap="00" * 16),
@@ -440,7 +463,7 @@ class TestSnapshot:
         path = tmp_path / "snap.json"
         store.save_snapshot(path)
         body = json.loads(path.read_text())
-        assert body["nodes"][0]["id"] == body["records"][0]["id"] == "A"
+        assert body["records"][0]["id"] == "A"
         corrupt(body)
         path.write_text(json.dumps(body))
         with pytest.raises(ValueError, match=reason):
@@ -450,6 +473,69 @@ class TestSnapshot:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError, match="version"):
+            CapabilityStore.load_snapshot(path)
+        # version 1 also listed the graph's nodes with their kinds
+        store, _ = make_store(path_adjacency("A", "B"))
+        store.upload_capability("A", new_capability())
+        store.save_snapshot(path)
+        body = json.loads(path.read_text())
+        body.update(format_version=1, capability_bits=256, nodes=[{"id": "A", "kind": MEMBER}])
+        path.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match="version 1"):
+            CapabilityStore.load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [((key,), None) for key in SNAPSHOT_KEYS]
+        + [(("records", 0, field), None) for field in RECORD_FIELDS]
+        + [
+            ((), []),
+            (("records",), {}),
+            (("records",), "A"),
+            (("records", 0), ["A"]),
+            (("edges",), {}),
+            (("edges", 0), "AB"),
+            (("edges", 0), 5),
+            (("default_ttl_s",), "48h"),
+            (("ersatz_enabled",), "yes"),
+            (("records", 0, "id"), 5),
+            (("records", 0, "cap"), 5),
+            (("records", 0, "created_at"), "1000"),
+            (("records", 0, "ttl_s"), True),
+            (("records", 0, "stale"), 0),
+        ],
+        ids=lambda arg: (
+            "/".join(map(str, arg)) or "body"
+            if isinstance(arg, tuple)
+            else "drop" if arg is None else json.dumps(arg)
+        ),
+    )
+    def test_malformed_snapshot_raises_value_error(self, tmp_path, path, value):
+        """Drop the key at ``path`` (value None) or put ``value`` there."""
+        store, _ = make_store(path_adjacency("A", "B"))
+        store.upload_capability("A", new_capability())
+        snap = tmp_path / "snap.json"
+        store.save_snapshot(snap)
+        body = json.loads(snap.read_text())
+        if not path:
+            body = value
+        else:
+            *outer, last = path
+            container = body
+            for step in outer:
+                container = container[step]
+            if value is None:
+                del container[last]
+            else:
+                container[last] = value
+        snap.write_text(json.dumps(body))
+        with pytest.raises(ValueError):
+            CapabilityStore.load_snapshot(snap)
+
+    def test_deeply_nested_snapshot_raises_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError):
             CapabilityStore.load_snapshot(path)
 
 
