@@ -3,9 +3,14 @@
 Starts the server in-process (plaintext test mode), drives the client
 through the real HTTP routes, then sweeps request rates to show the
 response-rate plateau and latency growth past the saturation point.
+The store is wrapped so that each download carries a modelled backend
+cost, since the real one is too fast to saturate at these rates.
 
 Run:  python demos/04_server_and_load.py
 """
+
+import threading
+import time
 
 from sopal import (
     CapabilityStore,
@@ -23,15 +28,26 @@ ground = gnp_graph(60, 0.08, seed=7)
 connector = MockOsnConnector(ground)
 store = CapabilityStore(connector=connector)
 
-# a per-request backend cost and a bounded handler pool make the
-# saturation knee visible at desk scale
-server = SopalHttpServer(
-    store,
-    connector,
-    insecure_plaintext=True,
-    simulated_work_s=0.02,
-    max_concurrent=2,
-)
+
+class SlowStore:
+    """The store behind a backend that spends 0.02 s on each download and
+    runs two at a time, which makes the saturation knee visible at desk
+    scale; everything else goes straight to the real store."""
+
+    def __init__(self, store):
+        self._store = store
+        self._workers = threading.Semaphore(2)
+
+    def distribute(self, uid, d_max):
+        with self._workers:
+            time.sleep(0.02)
+            return self._store.distribute(uid, d_max)
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
+server = SopalHttpServer(SlowStore(store), connector, insecure_plaintext=True)
 server.start()
 print(f"server listening on {server.url}")
 

@@ -3,14 +3,16 @@ API, and path-length computation.
 
 A client downloads its capability view from the server, expands every
 received value along the hash chain up to the configured maximum degree,
-adds its own capability as a self item, and runs the set-intersection
-protocol against a peer.  Each matched item with received degree ``i``
-and item degree ``m`` witnesses a path of length ``i + m + 2`` through
-the item's owner; a match against the self item, or against an
-id-bearing degree-0 entry whose id equals the peer's claimed id, means
-the peers are direct friends (length 1).  The reported distance is the
-minimum over all matches.  Common-friend identifiers are revealed only
-for length-2 matches; anything longer stays anonymous.
+adds its own capability as a self item, and keeps the result as one
+value→item map.  Every session runs the set-intersection protocol
+against a peer on that map's values and looks its matches up in it.
+Each matched item with received degree ``i`` and item degree ``m``
+witnesses a path of length ``i + m + 2`` through the item's owner; a
+match against the self item, or against an id-bearing degree-0 entry
+whose id equals the peer's claimed id, means the peers are direct
+friends (length 1).  The reported distance is the minimum over all
+matches.  Common-friend identifiers are revealed only for length-2
+matches; anything longer stays anonymous.
 
 The session surface is the four basic calls (``startSoPaLSession``,
 ``handleSoPaLMessage``, ``getResult``, ``endSoPaLSession``) plus the
@@ -46,15 +48,7 @@ class SessionError(Exception):
     """A discovery session is missing, unfinished, or ended abnormally."""
 
 
-class _ItemFields(NamedTuple):
-    value: bytes
-    received_degree: int
-    item_degree: int
-    friend_id: str | None = None
-    is_self: bool = False
-
-
-class AnnotatedItem(_ItemFields):
+class AnnotatedItem(NamedTuple):
     """One entry of the discovery input set.
 
     ``value`` is the capability value at degree ``item_degree`` (m),
@@ -62,23 +56,13 @@ class AnnotatedItem(_ItemFields):
     hashing ``m - i`` times.  ``friend_id`` is set only for degree-0
     entries that arrived with an id; the self item is the client's own
     capability and is never derived.
-
-    Construction by keyword or position checks these invariants;
-    ``AnnotatedItem._make`` skips the checks, for callers that have
-    already validated the degrees.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        item = super().__new__(cls, *args, **kwargs)
-        if item.item_degree < item.received_degree:
-            raise ValueError("item degree cannot be below the received degree")
-        if item.is_self and (item.received_degree or item.item_degree):
-            raise ValueError("the self item is never derived")
-        if item.friend_id is not None and item.received_degree != 0:
-            raise ValueError("ids only accompany degree-0 entries")
-        return item
+    value: bytes
+    received_degree: int
+    item_degree: int
+    friend_id: str | None = None
+    is_self: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,12 +80,14 @@ class DistResult:
 
 def build_input_set(
     distribution: DistributionResult, own_cap: bytes, d_max: int
-) -> list[AnnotatedItem]:
-    """Expand a download into the full discovery input set.
+) -> dict[bytes, AnnotatedItem]:
+    """Expand a download into the full discovery input set, keyed by value.
 
     Every received entry of degree i yields items at degrees i..d_max,
-    plus one self item at degree 0; the result has exactly
-    ``1 + sum(len(entries at degree i) * (d_max - i + 1))`` items.
+    plus one self item at degree 0; a download without value collisions
+    gives exactly ``1 + sum(len(entries at degree i) * (d_max - i + 1))``
+    items.  Only a faulty server can make two items share a value; the
+    map then keeps the self item, else the one with the shorter path.
     """
     make = AnnotatedItem._make
     items = [make((own_cap, 0, 0, None, True))]
@@ -118,7 +104,15 @@ def build_input_set(
         for m in range(degree + 1, d_max + 1):
             value = hash_chain(value, 1)
             append(make((value, degree, m, None, False)))
-    return items
+    # The self item comes first and its path length 0 is never beaten.
+    by_value: dict[bytes, AnnotatedItem] = {}
+    for item in items:
+        kept = by_value.setdefault(item.value, item)
+        if kept is not item and (
+            item.received_degree + item.item_degree < kept.received_degree + kept.item_degree
+        ):
+            by_value[item.value] = item
+    return by_value
 
 
 class LocalServerHandle:
@@ -218,21 +212,20 @@ class HttpServerHandle:
 
 
 class _ClientSession:
-    def __init__(self, psi: PsiSession, items_by_value: dict[bytes, AnnotatedItem]):
+    def __init__(self, psi: PsiSession, items: dict[bytes, AnnotatedItem]):
         self.psi = psi
-        self.items_by_value = items_by_value
+        self.items = items
         self.result: DistResult | None = None
 
 
 class DiscoveryClient:
     """One user's discovery endpoint.
 
-    The capability cache (the input set) is shared by all sessions and
-    refreshed under a lock.  Its value→item map is built by the first
-    session after each refresh and reused until the next one; a session
-    keeps the map it started with, and many sessions may run
-    concurrently.  The same lock makes opening a session atomic, so one
-    device id never gets two.
+    The input set is one value→item map, shared by all sessions.  A
+    refresh or renewal replaces the map under a lock and never mutates
+    it, so a session keeps the map it started with, and many sessions
+    may run concurrently.  The same lock makes opening a session atomic,
+    so one device id never gets two.
     """
 
     def __init__(
@@ -250,8 +243,7 @@ class DiscoveryClient:
         self._token = token if token is not None else f"mock:{uid}"
         self._fp_target = fp_target
         self._own_cap: bytes | None = None
-        self._items: list[AnnotatedItem] = []
-        self._items_by_value: dict[bytes, AnnotatedItem] | None = None
+        self._items: dict[bytes, AnnotatedItem] = {}
         self._lock = threading.Lock()
         self._sessions: dict[str, _ClientSession] = {}
 
@@ -266,11 +258,9 @@ class DiscoveryClient:
         self._server.upload(self._token, cap)
         with self._lock:
             self._own_cap = cap
-            self._items_by_value = None
-            self._items = [it for it in self._items if not it.is_self]
-            self._items.insert(
-                0, AnnotatedItem(value=cap, received_degree=0, item_degree=0, is_self=True)
-            )
+            items = {v: it for v, it in self._items.items() if not it.is_self}
+            items[cap] = AnnotatedItem(cap, 0, 0, None, True)
+            self._items = items
 
     def update_capabilities(self) -> None:
         """Re-download the distribution and rebuild the input set."""
@@ -280,21 +270,19 @@ class DiscoveryClient:
         items = build_input_set(distribution, self._own_cap, self.d_max)
         with self._lock:
             self._items = items
-            self._items_by_value = None
 
     def input_items(self) -> list[AnnotatedItem]:
-        with self._lock:
-            return list(self._items)
+        return list(self._items.values())
 
     # -- session API -------------------------------------------------------
 
     def start_session(self, device_id: str) -> bytes:
         """Open a discovery session toward ``device_id``; returns the first frame."""
-        items_by_value = self._snapshot_items()
+        items = self._items
         psi, hello = PsiSession.start_initiator(
-            items_by_value, KeyPair.generate(), self.uid, fp_target=self._fp_target
+            items, KeyPair.generate(), self.uid, fp_target=self._fp_target
         )
-        session = _ClientSession(psi, items_by_value)
+        session = _ClientSession(psi, items)
         with self._lock:
             if self._sessions.setdefault(device_id, session) is not session:
                 raise SessionError(f"session with {device_id!r} already open")
@@ -304,15 +292,13 @@ class DiscoveryClient:
         """Feed one received frame; returns (reply or None, finished flag)."""
         session = self._sessions.get(device_id)
         if session is None:
-            items_by_value = self._snapshot_items()
+            items = self._items
             psi = PsiSession.start_responder(
-                items_by_value, KeyPair.generate(), self.uid, fp_target=self._fp_target
+                items, KeyPair.generate(), self.uid, fp_target=self._fp_target
             )
             with self._lock:
                 # Another thread may have opened one meanwhile; use it.
-                session = self._sessions.setdefault(
-                    device_id, _ClientSession(psi, items_by_value)
-                )
+                session = self._sessions.setdefault(device_id, _ClientSession(psi, items))
         try:
             reply, finished = session.psi.step(data)
         except ProtocolError:
@@ -352,35 +338,12 @@ class DiscoveryClient:
 
     # -- internals -----------------------------------------------------------
 
-    def _snapshot_items(self) -> dict[bytes, AnnotatedItem]:
-        """The value→item map of the current input set, built at most once
-        per refresh; callers must not mutate it."""
-        with self._lock:
-            if self._items_by_value is None:
-                by_value: dict[bytes, AnnotatedItem] = {}
-                for item in self._items:
-                    other = by_value.get(item.value)
-                    if other is None or self._prefer(item, other):
-                        by_value[item.value] = item
-                self._items_by_value = by_value
-            return self._items_by_value
-
-    @staticmethod
-    def _prefer(item: AnnotatedItem, other: AnnotatedItem) -> bool:
-        # Value collisions across distinct capabilities are vanishingly
-        # rare; if one happens, keep the shortest-path interpretation.
-        if item.is_self != other.is_self:
-            return item.is_self
-        return (item.received_degree + item.item_degree) < (
-            other.received_degree + other.item_degree
-        )
-
     def _compute_result(self, session: _ClientSession) -> DistResult:
         peer_id = session.psi.peer_claimed_id
         lengths = []
         common: set[str] = set()
         for value in session.psi.matched_values:
-            item = session.items_by_value[value]
+            item = session.items[value]
             direct = item.is_self or (
                 item.received_degree == 0
                 and item.item_degree == 0

@@ -39,6 +39,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from sopal.crypto import (
     BF_HEADER_BYTES,
     BF_MAX_GAMMA,
+    PUBLIC_KEY_BYTES,
     BloomFilter,
     KeyPair,
     bf_hash_count,
@@ -81,6 +82,9 @@ _MAX_PAYLOAD_BY_TYPE = {
 }
 
 _HEADER = struct.Struct(">BB16sI")
+
+# Every bound payload is its value followed by both public keys.
+_BINDING_BYTES = 2 * PUBLIC_KEY_BYTES
 
 _TAG0_LABEL = b"chal0"
 _TAG1_LABEL = b"chal1"
@@ -226,7 +230,6 @@ class PsiSession:
         if not set(map(type, self._values)) <= {bytes}:
             raise TypeError("PSI input values must be bytes")
         self._payloads: list[bytes] = []
-        self._value_by_payload: dict[bytes, bytes] = {}
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
 
@@ -294,7 +297,7 @@ class PsiSession:
     @property
     def matched_values(self) -> frozenset[bytes]:
         """Final intersection mapped back to the caller's input values."""
-        return frozenset(self._value_by_payload[p] for p in self.intersection)
+        return frozenset(p[:-_BINDING_BYTES] for p in self.intersection)
 
     @property
     def bound_payloads(self) -> tuple[bytes, ...]:
@@ -377,7 +380,6 @@ class PsiSession:
         assert self.peer_public is not None
         suffix = initiator_public + responder_public
         self._payloads = [v + suffix for v in self._values]
-        self._value_by_payload = dict(zip(self._payloads, self._values))
 
     def _on_initiator_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_INITIATOR)

@@ -22,7 +22,9 @@ error reply never leaves it to be parsed as the next request.
 :func:`load_probe` is the matching measurement client: it fires bursts
 of requests per second at a running server and reports per-second
 response counts, the latency distribution, and the first rate at which
-the server saturates.
+the server saturates.  The server adds no cost of its own to a request;
+to see saturation at desk scale, hand it a store whose ``distribute`` is
+slower, as demo 04 does.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ MAX_BODY_BYTES = 4096
 # How often serve_forever checks for a shutdown request; stop() waits
 # for at most one interval.
 POLL_INTERVAL_S = 0.05
+# How long the load probe waits for one response before counting it failed.
+PROBE_TIMEOUT_S = 30.0
 
 
 class AuthError(Exception):
@@ -166,20 +170,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(401, {"error": str(exc)})
             return None
 
-    def _with_work(self, fn) -> None:
-        ctx = self._ctx
-        with ctx.concurrency_gate or contextlib.nullcontext():
-            if ctx.simulated_work_s:
-                time.sleep(ctx.simulated_work_s)
-            fn()
-
     def do_GET(self):
-        self._with_work(self._get)
-
-    def do_POST(self):
-        self._with_work(self._post)
-
-    def _get(self):
         path, _, query = self.path.partition("?")
         if path == "/v1/health":
             self._send_json(200, {"status": "ok", "records": self._ctx.store.record_count()})
@@ -221,7 +212,7 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return self.rfile.read(length)
 
-    def _post(self):
+    def do_POST(self):
         body = self._read_body()
         if body is None:
             return
@@ -293,9 +284,6 @@ class SopalHttpServer:
     serializes their reads and writes.  Connections stay open between
     requests until the client closes them, ``IDLE_TIMEOUT_S`` passes
     without a request, or :meth:`stop` closes them all.
-    ``simulated_work_s`` and ``max_concurrent`` model a per-request
-    backend cost and a bounded handler pool, which makes saturation
-    behaviour observable at desk scale for the load probe.
     """
 
     def __init__(
@@ -309,8 +297,6 @@ class SopalHttpServer:
         tls_cert: str | None = None,
         tls_key: str | None = None,
         insecure_plaintext: bool = False,
-        simulated_work_s: float = 0.0,
-        max_concurrent: int | None = None,
     ):
         if not tls_cert and not insecure_plaintext:
             raise ValueError(
@@ -319,10 +305,6 @@ class SopalHttpServer:
         self.store = store
         self.connector = connector
         self.d_max = d_max
-        self.simulated_work_s = simulated_work_s
-        self.concurrency_gate = (
-            threading.Semaphore(max_concurrent) if max_concurrent else None
-        )
         self._httpd = _ThreadingServer((host, port), _Handler)
         self._httpd.sopal = self  # type: ignore[attr-defined]
         self._scheme = "http"
@@ -396,10 +378,6 @@ class RateSample:
         return statistics.median(self.latencies_s) if self.latencies_s else float("inf")
 
     @property
-    def responses_per_second(self) -> float:
-        return self.received / self.duration_s if self.duration_s else 0.0
-
-    @property
     def peak_responses_per_second(self) -> int:
         """Largest one-second completion count; the plateau indicator."""
         return max(self.per_second_received, default=0)
@@ -432,11 +410,11 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _timed_request(url: str, token: str, timeout_s: float) -> tuple[float, float]:
+def _timed_request(url: str, token: str) -> tuple[float, float]:
     """Issue one download; returns (latency, completion timestamp)."""
     req = urllib.request.Request(url, headers={"Authorization": f"Bearer {token}"})
     start = time.perf_counter()
-    with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+    with urllib.request.urlopen(req, timeout=PROBE_TIMEOUT_S) as resp:
         resp.read()
         if resp.status != 200:
             raise RuntimeError(f"status {resp.status}")
@@ -451,7 +429,6 @@ def load_probe(
     duration_s: float = 5.0,
     *,
     dmax: int = 1,
-    timeout_s: float = 30.0,
 ) -> LoadReport:
     """Measure a running server with bursts of ``rate`` download requests
     per second for each rate in ``rates``.
@@ -460,7 +437,7 @@ def load_probe(
     ``sent == received + failed`` per sample.
     """
     url = f"{base_url}/v1/capabilities?dmax={dmax}"
-    baseline_lats = [_timed_request(url, token, timeout_s)[0] for _ in range(5)]
+    baseline_lats = [_timed_request(url, token)[0] for _ in range(5)]
     baseline = statistics.median(baseline_lats)
 
     samples = []
@@ -475,7 +452,7 @@ def load_probe(
             start = time.perf_counter()
             for sec in range(seconds):
                 for _ in range(rate):
-                    futures.append(pool.submit(_timed_request, url, token, timeout_s))
+                    futures.append(pool.submit(_timed_request, url, token))
                 next_tick = start + sec + 1
                 pause = next_tick - time.perf_counter()
                 if pause > 0:

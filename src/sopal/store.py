@@ -108,12 +108,13 @@ class CapabilityStore:
     One lock serializes every read and write of the records and the
     graph, so each call sees a consistent state.  Under the GIL a
     reader/writer split would give pure-Python readers no parallelism.
-    Reading ``graph`` directly bypasses the lock.  ``connector`` supplies
-    authenticated friend lists; any object with a ``friends_of(uid)``
-    method works.  With ``ersatz_enabled`` off the store creates no
-    stand-in records and attests only member-member edges, so it
-    distributes over the member-induced subgraph, which models the
-    pre-ersatz behaviour for the simulator's comparison runs.
+    Reading ``graph`` directly bypasses the lock.  A ``graph`` passed in
+    must be empty, since each of its nodes must be a record.
+    ``connector`` supplies authenticated friend lists; any object with a
+    ``friends_of(uid)`` method works.  With ``ersatz_enabled`` off the
+    store creates no stand-in records and attests only member-member
+    edges, so it distributes over the member-induced subgraph, which
+    models the pre-ersatz behaviour for the simulator's comparison runs.
     """
 
     def __init__(
@@ -125,6 +126,8 @@ class CapabilityStore:
         ersatz_enabled: bool = True,
         clock: Callable[[], float] = time.time,
     ):
+        if graph is not None and len(graph):
+            raise ValueError("the store's graph must start empty")
         self.graph = graph if graph is not None else SocialGraph()
         self.connector = connector
         self.default_ttl_s = default_ttl_s

@@ -9,6 +9,7 @@ equivalence, and qualitative trends.
 
 import random
 import secrets
+import threading
 import time
 
 import mpmath
@@ -341,19 +342,30 @@ def test_c09_bulk_derivation_throughput():
     announce(9, f"one million degree-1 derivations completed in {elapsed:.2f}s")
 
 
+class SlowStore:
+    """A store whose every download costs 0.05 s of backend work on a
+    single worker, so the server saturates near 20 downloads/s."""
+
+    def __init__(self, store):
+        self._store = store
+        self._worker = threading.Semaphore(1)
+
+    def distribute(self, uid, d_max):
+        with self._worker:
+            time.sleep(0.05)
+            return self._store.distribute(uid, d_max)
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
 def test_c10_load_probe_saturation_shape():
     ground = gnp_graph(30, 0.15, seed=10_000)
     connector = MockOsnConnector(ground)
     store = CapabilityStore(SocialGraph(), connector)
     for uid in sorted(ground)[:10]:
         store.upload_capability(uid, new_capability())
-    server = SopalHttpServer(
-        store,
-        connector,
-        insecure_plaintext=True,
-        simulated_work_s=0.05,
-        max_concurrent=1,
-    )
+    server = SopalHttpServer(SlowStore(store), connector, insecure_plaintext=True)
     server.start()
     try:
         report = load_probe(server.url, "mock:0", rates=[2, 60], duration_s=2)

@@ -44,22 +44,22 @@ class TestBuildInputSet:
     def test_empty_distribution_gives_self_item_only(self):
         cap = new_capability()
         items = build_input_set(fake_distribution(), cap, d_max=1)
-        assert len(items) == 1
-        assert items[0].is_self and items[0].value == cap
+        assert list(items) == [cap]
+        assert items[cap].is_self and items[cap].value == cap
 
     def test_derived_values_follow_the_chain(self):
         dist = fake_distribution(1, 1)
         items = build_input_set(dist, new_capability(), d_max=2)
         base = dist.r_u[0][1]
         by_degree = {
-            it.item_degree: it for it in items if it.friend_id == "f0"
+            it.item_degree: it for it in items.values() if it.friend_id == "f0"
         }
         assert by_degree[0].value == base
         assert by_degree[1].value == hash_chain(base, 1)
         assert by_degree[2].value == hash_chain(base, 2)
         received = dist.r_h[0][1]
         anon = sorted(
-            (it for it in items if it.friend_id is None and not it.is_self),
+            (it for it in items.values() if it.friend_id is None and not it.is_self),
             key=lambda it: it.item_degree,
         )
         assert [it.item_degree for it in anon] == [1, 2]
@@ -72,13 +72,32 @@ class TestBuildInputSet:
         with pytest.raises(ValueError, match="degree"):
             build_input_set(fake_distribution(0, 1, rh_degree=0), new_capability(), d_max=1)
 
-    def test_item_invariants(self):
-        with pytest.raises(ValueError):
-            AnnotatedItem(value=b"x", received_degree=1, item_degree=0)
-        with pytest.raises(ValueError):
-            AnnotatedItem(value=b"x", received_degree=0, item_degree=1, is_self=True)
-        with pytest.raises(ValueError):
-            AnnotatedItem(value=b"x", received_degree=1, item_degree=1, friend_id="f")
+    def test_value_collisions_keep_the_shortest_path(self):
+        # Only a faulty server sends these: an id-bearing entry carrying
+        # the client's own capability, a degree-1 value that is also the
+        # first chain step of an id-bearing capability, a degree-2 value
+        # ahead of the degree-1 value it derives from, and a repeated
+        # degree-1 entry.
+        own, cap, other, repeated = (new_capability() for _ in range(4))
+        dist = DistributionResult(
+            r_u=(("mirror", own), ("f0", cap)),
+            r_h=(
+                (1, hash_chain(cap, 1)),
+                (2, hash_chain(other, 1)),
+                (1, other),
+                (1, repeated),
+                (1, repeated),
+            ),
+        )
+        items = build_input_set(dist, own, d_max=2)
+        assert items[own] == AnnotatedItem(own, 0, 0, None, True)
+        assert items[hash_chain(cap, 1)] == AnnotatedItem(hash_chain(cap, 1), 0, 1, "f0")
+        assert items[hash_chain(cap, 2)] == AnnotatedItem(hash_chain(cap, 2), 0, 2, "f0")
+        assert items[hash_chain(other, 1)] == AnnotatedItem(hash_chain(other, 1), 1, 2)
+        assert items[repeated] == AnnotatedItem(repeated, 1, 1)
+        # 16 expanded items, of which 6 repeat a value: one of the self
+        # item, two of f0's chain, one of other's, two of the repeated entry
+        assert len(items) == 10
 
 
 class TestDiscoveryOutcomes:

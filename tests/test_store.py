@@ -412,6 +412,14 @@ class TestSnapshot:
         for uid in sorted(ground)[:10]:
             assert loaded.distribute(uid, 1) == store.distribute(uid, 1)
 
+    def test_refuses_a_graph_that_is_not_empty(self):
+        # Its nodes X and Y would have no records, so after one upload its
+        # snapshot would name edge X-Y, which load_snapshot refuses.
+        graph = SocialGraph.from_parts(["X", "Y"], [("X", "Y")])
+        connector = MockOsnConnector(path_adjacency("A", "B"))
+        with pytest.raises(ValueError, match="empty"):
+            CapabilityStore(graph, connector)
+
     def test_snapshot_is_valid_documented_json(self, tmp_path):
         store, _ = make_store(path_adjacency("A", "B"))
         store.upload_capability("A", new_capability())
