@@ -7,9 +7,10 @@ derived from it with a SHA-256 hash chain, so holding the k-fold hash
 proves a social path without revealing the base value.  Bloom filters
 carry capability sets compactly during discovery; each filter has one
 fresh salt, and every item is hashed once with BLAKE2b keyed by it, all
-of its bit positions coming from that single digest.  X25519 key
-agreement produces the per-session symmetric key that protects the
-discovery transcript and binds set items to the session.
+of its bit positions and its discovery challenge tag coming from that
+single digest.  X25519 key agreement produces the per-session symmetric
+key that protects the discovery transcript and binds set items to the
+session.
 
 Every use of SHA-256 here is domain-separated with a one-byte context
 label so chain values and derived keys live in disjoint input spaces.
@@ -33,7 +34,7 @@ CAPABILITY_BITS = 256
 PUBLIC_KEY_BYTES = 32
 DIGEST_BYTES = 32
 BF_SALT_BYTES = 16
-BF_WIRE_VERSION = 3
+BF_WIRE_VERSION = 4
 # One BLAKE2b digest is at most 64 bytes: 16 positions of 32 bits each.
 BF_MAX_GAMMA = 16
 
@@ -117,10 +118,13 @@ class BloomFilter:
     Each filter carries one fresh random 16-byte salt, so bit positions
     are not comparable across filters and a transferred filter is only
     meaningful inside its own session.  An item is hashed once, as
-    ``d = BLAKE2b(item, key=salt, digest_size=4 * gamma)`` (keyed BLAKE2b,
-    RFC 7693); its ``gamma`` positions are the big-endian 32-bit words
-    of ``d``, each taken ``mod beta``.  The positions are independent,
-    so even small filters stay close to the false-positive rate that
+    ``d = BLAKE2b(item, key=salt, digest_size=max(32, 4 * gamma))``
+    (keyed BLAKE2b, RFC 7693); its ``gamma`` positions are the first
+    ``gamma`` big-endian 32-bit words of ``d``, each taken ``mod beta``,
+    and its first :data:`DIGEST_BYTES` bytes serve the PSI as the item's
+    challenge tag.  :meth:`insert_all` and :meth:`probe_all` hand these
+    digests back.  The positions are independent, so even small filters
+    stay close to the false-positive rate that
     :func:`bf_false_positive_estimate` predicts; the modulo bias of a
     32-bit word is at most ``beta / 2**32`` per position, which is
     2**-8 at the largest size a peer accepts (``DEFAULT_BETA_CAP``,
@@ -150,8 +154,10 @@ class BloomFilter:
         self.cells = bytearray(beta)
         self.inserted_count = 0
         # Copying a keyed state costs about half of building one per item.
-        self._hasher = hashlib.blake2b(key=self.salt, digest_size=4 * gamma)
-        self._words = struct.Struct(f">{gamma}I").unpack
+        digest_size = max(DIGEST_BYTES, 4 * gamma)
+        self._hasher = hashlib.blake2b(key=self.salt, digest_size=digest_size)
+        self._digest_words = digest_size // 4
+        self._positions = struct.Struct(f">{gamma}I").unpack_from
 
     @classmethod
     def sized_for(cls, alpha: int, p: float) -> "BloomFilter":
@@ -162,8 +168,9 @@ class BloomFilter:
     def insert(self, item: bytes) -> None:
         self.insert_all((item,))
 
-    def insert_all(self, items: Iterable[bytes]) -> None:
-        """Insert every item: hash each one, then set all their positions."""
+    def insert_all(self, items: Iterable[bytes]) -> list[bytes]:
+        """Insert every item: hash each one, then set all their positions.
+        Returns the items' digests in input order."""
         copy = self._hasher.copy
         digests = []
         for item in items:
@@ -171,26 +178,45 @@ class BloomFilter:
             hasher.update(item)
             digests.append(hasher.digest())
         if not digests:
-            return
+            return digests
         beta = self.beta
         if beta == 0:
             raise ValueError("cannot insert into a zero-size filter")
         cells = self.cells
-        for word in struct.unpack(f">{len(digests) * self.gamma}I", b"".join(digests)):
-            cells[word % beta] = 1
+        # One code for all the words: a format repeated per digest would
+        # leave struct's format cache a compiled copy, tens of kB, for
+        # each input-set size.  Word i of each digest is words[i::stride].
+        stride = self._digest_words
+        words = struct.unpack(f">{len(digests) * stride}I", b"".join(digests))
+        for i in range(self.gamma):
+            for word in words[i::stride]:
+                cells[word % beta] = 1
         self.inserted_count += len(digests)
+        return digests
 
-    def __contains__(self, item: bytes) -> bool:
+    def probe_all(self, items: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
+        """The ``(digest, item)`` pairs of the items that test positive,
+        in input order."""
         beta = self.beta
         if beta == 0:
-            return False
-        hasher = self._hasher.copy()
-        hasher.update(item)
+            return []
         cells = self.cells
-        for word in self._words(hasher.digest()):
-            if not cells[word % beta]:
-                return False
-        return True
+        copy = self._hasher.copy
+        positions = self._positions
+        hits = []
+        for item in items:
+            hasher = copy()
+            hasher.update(item)
+            digest = hasher.digest()
+            for word in positions(digest):
+                if not cells[word % beta]:
+                    break
+            else:
+                hits.append((digest, item))
+        return hits
+
+    def __contains__(self, item: bytes) -> bool:
+        return bool(self.probe_all((item,)))
 
     @property
     def bits(self) -> bytes:

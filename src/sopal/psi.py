@@ -10,13 +10,15 @@ The protocol runs between an initiator and a responder:
 2. The initiator inserts its bound items into a salted Bloom filter and
    sends it, encrypted.
 3. The responder answers with challenge tags for its items that hit the
-   filter, sorted by byte value.  The order is a function of the tag set
-   alone, so it hides the order of the input set and reveals nothing
-   the receiver does not already see.
-4. The initiator returns response tags, sorted the same way, for the
-   challenges it can reproduce from its own items.  This removes Bloom
-   filter false positives, and both sides finish holding the exact
-   intersection.
+   filter, sorted by byte value.  An item's challenge tag is the first
+   32 bytes of the keyed digest that sets or probes its filter bits, so
+   each side hashes each item once.  The order is a function of the tag
+   set alone, so it hides the order of the input set and reveals
+   nothing the receiver does not already see.
+4. The initiator returns response tags, ``SHA-256("chal1" || item)``
+   sorted the same way, for the challenges that match the digests of
+   its own items.  This removes Bloom filter false positives, and both
+   sides finish holding the exact intersection.
 
 Wire envelope (bit-exact): 1 version byte, 1 message-type byte, a
 16-byte session id, a 4-byte big-endian payload length, then the
@@ -39,6 +41,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from sopal.crypto import (
     BF_HEADER_BYTES,
     BF_MAX_GAMMA,
+    DIGEST_BYTES,
     PUBLIC_KEY_BYTES,
     BloomFilter,
     KeyPair,
@@ -47,7 +50,7 @@ from sopal.crypto import (
     establish_session,
 )
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 MSG_HELLO = 1
 MSG_BF = 2
@@ -60,7 +63,7 @@ ROLE_RESPONDER = 2
 
 SESSION_ID_BYTES = 16
 HEADER_LEN = 22
-TAG_BYTES = 32
+TAG_BYTES = DIGEST_BYTES
 
 DEFAULT_FP_TARGET = 0.001
 # Bound on the filter size a peer may declare, against hostile memory blowup.
@@ -86,7 +89,6 @@ _HEADER = struct.Struct(">BB16sI")
 # Every bound payload is its value followed by both public keys.
 _BINDING_BYTES = 2 * PUBLIC_KEY_BYTES
 
-_TAG0_LABEL = b"chal0"
 _TAG1_LABEL = b"chal1"
 
 PHASE_HELLO = "hello"
@@ -102,10 +104,6 @@ _TERMINAL = (PHASE_DONE, PHASE_FAILED, PHASE_REJECTED)
 
 class ProtocolError(Exception):
     """A frame could not be processed; the session has moved to failed."""
-
-
-def _tag0(payload: bytes) -> bytes:
-    return hashlib.sha256(_TAG0_LABEL + payload).digest()
 
 
 def _tag1(payload: bytes) -> bytes:
@@ -230,6 +228,7 @@ class PsiSession:
         if not set(map(type, self._values)) <= {bytes}:
             raise TypeError("PSI input values must be bytes")
         self._payloads: list[bytes] = []
+        self._digests: list[bytes] = []
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
 
@@ -389,7 +388,7 @@ class PsiSession:
     def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_RESPONDER)
         bf = BloomFilter(self.declared_beta, self.declared_gamma)
-        bf.insert_all(self._payloads)
+        self._digests = bf.insert_all(self._payloads)
         self.phase = PHASE_BF_SENT
         return self._seal(MSG_BF, bf.to_bytes()), False
 
@@ -401,14 +400,15 @@ class PsiSession:
             raise ProtocolError(f"malformed filter: {exc}") from exc
         if bf.beta != self.peer_beta or bf.gamma != self.peer_gamma:
             raise ProtocolError("filter does not match the declared parameters")
-        candidates = [p for p in self._payloads if p in bf]
-        self._candidates = {_tag0(p): p for p in candidates}
+        self._candidates = {d[:TAG_BYTES]: p for d, p in bf.probe_all(self._payloads)}
         self.phase = PHASE_CHALLENGED
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
         received = _unpack_tags(self._open(MSG_CHAL, ciphertext))
-        matched = [p for p in self._payloads if _tag0(p) in received]
+        matched = [
+            p for p, d in zip(self._payloads, self._digests) if d[:TAG_BYTES] in received
+        ]
         self._intersection = set(matched)
         proof = sorted(_tag1(p) for p in matched)
         self.phase = PHASE_DONE

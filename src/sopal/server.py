@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import secrets
 import socket
 import ssl
 import statistics
@@ -43,7 +42,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from sopal.store import CapabilityStore, NotEnrolledError
 
@@ -62,6 +61,10 @@ MAX_BODY_BYTES = 4096
 POLL_INTERVAL_S = 0.05
 # How long the load probe waits for one response before counting it failed.
 PROBE_TIMEOUT_S = 30.0
+# Connections the kernel queues for the accept loop.  A burst beyond it
+# is dropped and waits on the client's connect retries; 512 holds the
+# load probe's largest burst.
+LISTEN_BACKLOG = 512
 
 
 class AuthError(Exception):
@@ -72,56 +75,24 @@ class ConnectorError(Exception):
     """The OSN connector could not serve the request."""
 
 
-@dataclass(frozen=True)
-class AuthToken:
-    token: str
-    uid: str
-    expires_at: float
-
-
 class MockOsnConnector:
     """Stand-in for a real OSN: authentication plus friend-list queries.
 
     Backed by a ground-truth adjacency (typically loaded from an edge-list
-    file).  In test mode it accepts ``mock:<uid>`` bearer tokens for any
-    known OSN user; explicitly issued tokens carry an expiry.
+    file).  It accepts ``mock:<uid>`` bearer tokens for any known OSN user.
     """
 
-    def __init__(
-        self,
-        adjacency: Mapping[str, set[str]],
-        *,
-        accept_mock_tokens: bool = True,
-        clock: Callable[[], float] = time.time,
-    ):
+    def __init__(self, adjacency: Mapping[str, set[str]]):
         self._adjacency = adjacency
-        self._accept_mock = accept_mock_tokens
-        self._clock = clock
-        self._issued: dict[str, AuthToken] = {}
-        self._lock = threading.Lock()
-
-    def issue_token(self, uid: str, ttl_s: float = 3600.0) -> AuthToken:
-        if uid not in self._adjacency:
-            raise ConnectorError(f"unknown OSN user {uid!r}")
-        token = AuthToken(secrets.token_urlsafe(16), uid, self._clock() + ttl_s)
-        with self._lock:
-            self._issued[token.token] = token
-        return token
 
     def authenticate(self, token: str) -> str:
         """Resolve a bearer token to a uid, or raise :class:`AuthError`."""
-        if self._accept_mock and token.startswith(MOCK_TOKEN_PREFIX):
-            uid = token[len(MOCK_TOKEN_PREFIX) :]
-            if uid in self._adjacency:
-                return uid
-            raise AuthError(f"mock token names unknown user {uid!r}")
-        with self._lock:
-            issued = self._issued.get(token)
-        if issued is None:
+        if not token.startswith(MOCK_TOKEN_PREFIX):
             raise AuthError("unknown token")
-        if self._clock() > issued.expires_at:
-            raise AuthError("token expired")
-        return issued.uid
+        uid = token[len(MOCK_TOKEN_PREFIX) :]
+        if uid not in self._adjacency:
+            raise AuthError(f"mock token names unknown user {uid!r}")
+        return uid
 
     def friends_of(self, uid: str) -> list[str]:
         """The user's complete OSN adjacency, as the OSN would report it."""
@@ -243,6 +214,7 @@ class _ThreadingServer(ThreadingHTTPServer):
     they can be closed when the server stops."""
 
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, address, handler):
         super().__init__(address, handler)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopal.crypto import (
+    BF_WIRE_VERSION,
     BloomFilter,
     KeyPair,
     bf_false_positive_estimate,
@@ -171,22 +172,31 @@ class TestBloomFilter:
         assert all(item in parsed for item in items)
 
     def test_wire_layout_is_bit_exact(self):
+        # up to 8 positions the digest is the 32-byte challenge tag, and
+        # the positions are its first gamma words
+        self._check_wire_layout(beta=61, gamma=4, digest_size=32)
+
+    def test_wire_layout_is_bit_exact_with_a_longer_digest(self):
+        # past 8 positions the digest grows to 4 * gamma bytes
+        self._check_wire_layout(beta=1021, gamma=10, digest_size=40)
+
+    @staticmethod
+    def _check_wire_layout(beta, gamma, digest_size):
         salt = b"\x5a" * 16
-        beta, gamma = 61, 4
         bf = BloomFilter(beta, gamma, salt)
         item = b"layout-check-0"
-        bf.insert(item)
         # independently recompute the positions from one keyed BLAKE2b
-        # digest of 4 * gamma bytes: word i is bytes 4i..4i+3, big-endian,
-        # and position i is word i mod beta
-        digest = hashlib.blake2b(item, key=salt, digest_size=4 * gamma).digest()
+        # digest: word i is bytes 4i..4i+3, big-endian, and position i is
+        # word i mod beta
+        digest = hashlib.blake2b(item, key=salt, digest_size=digest_size).digest()
+        assert bf.insert_all([item]) == [digest]
         words = [digest[4 * i : 4 * i + 4] for i in range(gamma)]
         positions = {int.from_bytes(w, "big") % beta for w in words}
         assert len(positions) == gamma
         # so the test also pins the byte order
         assert positions != {int.from_bytes(w, "little") % beta for w in words}
         blob = bf.to_bytes()
-        assert blob[0] == 3
+        assert blob[0] == 4
         assert int.from_bytes(blob[1:5], "big") == beta
         assert blob[5] == gamma
         assert blob[6:22] == salt
@@ -234,6 +244,14 @@ class TestBloomFilter:
         with pytest.raises(ValueError, match="version 2"):
             BloomFilter.from_bytes(bytes(blob))
 
+    def test_from_bytes_refuses_version_three(self):
+        # version 3 had this layout but took 4 * gamma digest bytes, so
+        # its positions differ for gamma below 8
+        blob = bytearray(BloomFilter(64, 3).to_bytes())
+        blob[0] = 3
+        with pytest.raises(ValueError, match="version 3"):
+            BloomFilter.from_bytes(bytes(blob))
+
     def test_at_most_sixteen_index_functions(self):
         assert BloomFilter(8, 16).gamma == 16
         with pytest.raises(ValueError, match="16"):
@@ -248,7 +266,7 @@ class TestBloomFilter:
                 bytes([version]) + beta.to_bytes(4, "big") + bytes([gamma])
                 + salt + bits[: max(0, (beta + 7) // 8 + cut)]
             ),
-            st.sampled_from([1, 2, 3]),
+            st.sampled_from([1, 2, 3, BF_WIRE_VERSION]),
             st.integers(0, 200),
             st.integers(0, 255),
             st.binary(min_size=16, max_size=16),
@@ -281,6 +299,36 @@ class TestBloomFilter:
         # the packed form round-trips exactly through the parser
         blob = batch.to_bytes()
         assert BloomFilter.from_bytes(blob).to_bytes() == blob
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.integers(1, 300),
+        gamma=st.integers(1, 16),
+        salt=st.binary(min_size=16, max_size=16),
+        inserted=st.lists(st.binary(max_size=40), max_size=20),
+        others=st.lists(st.binary(max_size=40), max_size=20),
+        data=st.data(),
+    )
+    def test_probe_all_returns_the_hits_in_order(
+        self, beta, gamma, salt, inserted, others, data
+    ):
+        bf = BloomFilter(beta, gamma, salt)
+        digests = bf.insert_all(inserted)
+        items = data.draw(st.permutations(inserted + others))
+        hits = bf.probe_all(items)
+        assert [item for _, item in hits] == [item for item in items if item in bf]
+        # the same hits, recomputed from the packed bits with hashlib alone
+        bits = bf.bits
+        expected = []
+        for item in items:
+            d = hashlib.blake2b(item, key=salt, digest_size=max(32, 4 * gamma)).digest()
+            words = [int.from_bytes(d[4 * i : 4 * i + 4], "big") for i in range(gamma)]
+            if all(bits[w % beta // 8] >> (w % beta % 8) & 1 for w in words):
+                expected.append((d, item))
+        assert hits == expected
+        # every inserted item hits, with the digest insert_all returned
+        hit_digests = {item: d for d, item in hits}
+        assert [hit_digests[item] for item in inserted] == digests
 
     def test_batch_insert_into_zero_size_filter(self):
         bf = BloomFilter(0, 3)

@@ -1,5 +1,6 @@
 """The interactive intersection protocol: flows, failures, privacy."""
 
+import hashlib
 import secrets
 import socket
 
@@ -18,6 +19,7 @@ from sopal.psi import (
     PHASE_DONE,
     PHASE_FAILED,
     PHASE_REJECTED,
+    WIRE_VERSION,
     ProtocolError,
     PsiSession,
     _pack_hello,
@@ -264,7 +266,7 @@ class TestFrameLimits:
     @pytest.mark.parametrize("msg_type", sorted(LIMITS))
     def test_declared_length_is_capped_per_type(self, msg_type):
         limit = self.LIMITS[msg_type]
-        header = bytes([1, msg_type]) + bytes(16)
+        header = bytes([WIRE_VERSION, msg_type]) + bytes(16)
         with pytest.raises(ProtocolError, match="limit"):
             parse_frame(header + (limit + 1).to_bytes(4, "big"))
         with pytest.raises(ProtocolError, match="does not match"):
@@ -281,7 +283,7 @@ class TestFrameLimits:
         sock_a, sock_b = socket.socketpair()
         with sock_a, sock_b:
             sock_b.settimeout(5)
-            header = bytes([1, MSG_HELLO]) + bytes(16) + (2**20).to_bytes(4, "big")
+            header = bytes([WIRE_VERSION, MSG_HELLO]) + bytes(16) + (2**20).to_bytes(4, "big")
             sock_a.sendall(header + b"body")
             with pytest.raises(ProtocolError, match="limit"):
                 recv_frame(sock_b)
@@ -365,6 +367,37 @@ class TestTagOrder:
             tags = [payload[i : i + 32] for i in range(4, len(payload), 32)]
             assert len(tags) >= 12
             assert tags == sorted(tags)
+
+
+class TestChallengeTags:
+    @pytest.mark.parametrize("gamma", [1, 7, 8, 16])
+    def test_challenge_tags_are_filter_digest_prefixes(self, gamma):
+        # up to 8 positions the filter digest is 32 bytes, past them
+        # 4 * gamma bytes; either way a challenge tag is its first 32 bytes
+        shared = fresh_values(6)
+        values_a = shared + fresh_values(20)
+        values_b = fresh_values(20) + shared
+        # a small filter, so that false positives reach the challenge
+        init, resp, _ = run_session(
+            values_a, values_b, transcript=True, beta_override=256, gamma_override=gamma
+        )
+        assert init.matched_values == resp.matched_values == frozenset(shared)
+        sent = {
+            msg_type: plaintext
+            for session in (init, resp)
+            for direction, msg_type, plaintext in session.transcript_plaintexts
+            if direction == "sent"
+        }
+        salt = BloomFilter.from_bytes(sent[MSG_BF]).salt
+        digest_size = max(32, 4 * gamma)
+        prefixes = {
+            hashlib.blake2b(p, key=salt, digest_size=digest_size).digest()[:32]
+            for p in resp.bound_payloads
+        }
+        chal = sent[MSG_CHAL]
+        tags = {chal[i : i + 32] for i in range(4, len(chal), 32)}
+        assert len(tags) >= len(shared)
+        assert tags <= prefixes
 
 
 class TestParsersOnArbitraryBytes:

@@ -102,20 +102,6 @@ class TestConnector:
         with pytest.raises(AuthError):
             connector.authenticate("mock:nobody")
 
-    def test_mock_tokens_can_be_disabled(self):
-        connector = MockOsnConnector(GROUND, accept_mock_tokens=False)
-        with pytest.raises(AuthError):
-            connector.authenticate("mock:A")
-
-    def test_issued_token_roundtrip_and_expiry(self):
-        now = [0.0]
-        connector = MockOsnConnector(GROUND, clock=lambda: now[0])
-        token = connector.issue_token("B", ttl_s=60)
-        assert connector.authenticate(token.token) == "B"
-        now[0] = 61.0
-        with pytest.raises(AuthError, match="expired"):
-            connector.authenticate(token.token)
-
     def test_friends_of_unknown_user(self):
         connector = MockOsnConnector(GROUND)
         assert connector.friends_of("A") == ["B", "C"]
