@@ -70,48 +70,3 @@ from sopal.store import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedItem",
-    "AuthError",
-    "BloomFilter",
-    "CapRecord",
-    "CapabilityStore",
-    "ConnectorError",
-    "CoverageReport",
-    "DiscoveryClient",
-    "DistResult",
-    "DistributionResult",
-    "ERSATZ",
-    "FriendLayers",
-    "HttpServerHandle",
-    "KeyPair",
-    "LocalServerHandle",
-    "MEMBER",
-    "MockOsnConnector",
-    "NotEnrolledError",
-    "ProtocolError",
-    "PsiSession",
-    "SessionError",
-    "SimConfig",
-    "SocialGraph",
-    "SopalHttpServer",
-    "bf_false_positive_estimate",
-    "bf_hash_count",
-    "bf_optimal_size",
-    "build_input_set",
-    "discoverable",
-    "establish_session",
-    "forest_fire_graph",
-    "gnp_graph",
-    "hash_chain",
-    "load_edge_list",
-    "load_membership",
-    "load_probe",
-    "make_reject",
-    "model_protocol_equivalence",
-    "new_capability",
-    "preferential_attachment_graph",
-    "run_coverage",
-    "run_discovery_pair",
-    "true_shortest_distance",
-]

@@ -29,6 +29,8 @@ import json
 import threading
 import urllib.parse
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from sopal.crypto import KeyPair, hash_chain, new_capability
@@ -65,6 +67,10 @@ class AnnotatedItem(NamedTuple):
     is_self: bool = False
 
 
+# AnnotatedItem._make without its Python-level frame.
+_new_item = functools.partial(tuple.__new__, AnnotatedItem)
+
+
 @dataclass(frozen=True)
 class DistResult:
     """Outcome of one discovery run.
@@ -87,31 +93,33 @@ def build_input_set(
     plus one self item at degree 0; a download without value collisions
     gives exactly ``1 + sum(len(entries at degree i) * (d_max - i + 1))``
     items.  Only a faulty server can make two items share a value; the
-    map then keeps the self item, else the one with the shorter path.
+    map then keeps the self item, else the one with the shorter path,
+    else the one received first.  Items are built one group per received
+    degree (``r_u``, or a run of ``r_h``) and item degree.
     """
-    make = AnnotatedItem._make
-    items = [make((own_cap, 0, 0, None, True))]
-    append = items.append
-    for friend_id, value in distribution.r_u:
-        append(make((value, 0, 0, friend_id, False)))
-        for m in range(1, d_max + 1):
-            value = hash_chain(value, 1)
-            append(make((value, 0, m, friend_id, False)))
-    for degree, value in distribution.r_h:
+    # (path length, values, items) per group, in download order.
+    groups = [(0, [own_cap], [AnnotatedItem(own_cap, 0, 0, None, True)])]
+
+    def expand(degree, ids, values):
+        for m in range(degree, d_max + 1):
+            if m > degree:
+                values = list(map(hash_chain, values, repeat(1)))
+            fields = zip(values, repeat(degree), repeat(m), ids, repeat(False))
+            groups.append((degree + m, values, list(map(_new_item, fields))))
+
+    r_u = distribution.r_u
+    expand(0, list(map(itemgetter(0), r_u)), list(map(itemgetter(1), r_u)))
+    for degree, run in groupby(distribution.r_h, itemgetter(0)):
         if not 1 <= degree <= d_max:
             raise ValueError(f"received degree {degree} outside [1, {d_max}]")
-        append(make((value, degree, degree, None, False)))
-        for m in range(degree + 1, d_max + 1):
-            value = hash_chain(value, 1)
-            append(make((value, degree, m, None, False)))
-    # The self item comes first and its path length 0 is never beaten.
+        expand(degree, repeat(None), list(map(itemgetter(1), run)))
+    # A stable sort puts the shorter paths first and keeps download order
+    # on ties; folded in reverse, the first item of a value overwrites
+    # every later one.
+    groups.sort(key=itemgetter(0))
     by_value: dict[bytes, AnnotatedItem] = {}
-    for item in items:
-        kept = by_value.setdefault(item.value, item)
-        if kept is not item and (
-            item.received_degree + item.item_degree < kept.received_degree + kept.item_degree
-        ):
-            by_value[item.value] = item
+    for _, values, items in reversed(groups):
+        by_value.update(zip(reversed(values), reversed(items)))
     return by_value
 
 

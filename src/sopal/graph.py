@@ -93,6 +93,11 @@ class SocialGraph:
     def __len__(self) -> int:
         return len(self._adj)
 
+    def hop_distances(self, uid: str, n: int) -> dict[str, int]:
+        """Hop distance from ``uid`` (0 for ``uid`` itself) of every node
+        within ``n`` hops, in breadth-first order."""
+        return hop_layers(self._adj, uid, n)
+
     def layer_friend_sets(self, uid: str, n: int) -> FriendLayers:
         """Breadth-first hop layers around ``uid``, out to depth ``n``.
 
@@ -102,7 +107,7 @@ class SocialGraph:
         if n < 1:
             raise ValueError("layer depth must be at least 1")
         layers: list[set[str]] = [set() for _ in range(n + 1)]
-        for node, depth in hop_layers(self._adj, uid, n).items():
+        for node, depth in self.hop_distances(uid, n).items():
             layers[depth].add(node)
         return FriendLayers(center=uid, layers=layers[1:])
 

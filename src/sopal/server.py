@@ -9,6 +9,9 @@ Routes:
 
 * ``POST /v1/capability`` with the capability as lowercase hex in the body
 * ``GET /v1/capabilities?dmax=N`` returning the distribution as JSON
+  body format 2 (:meth:`DistributionResult.to_json`): the id-bearing
+  entries one object each, the higher-order values as one hex run per
+  stretch of equal degree
 * ``GET /v1/health``
 
 All routes take ``Authorization: Bearer <token>``.  The server runs over

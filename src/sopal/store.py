@@ -22,16 +22,21 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Callable
 
 from sopal.crypto import CAPABILITY_BITS, hash_chain, new_capability
 from sopal.graph import SocialGraph
 
 SNAPSHOT_VERSION = 2
+DOWNLOAD_FORMAT = 2
+_VALUE = struct.Struct(f"{CAPABILITY_BITS // 8}s")
 DEFAULT_TTL_S = 48 * 3600.0
 
 MEMBER = "member"
@@ -65,7 +70,9 @@ class CapRecord:
 @dataclass(frozen=True)
 class DistributionResult:
     """What one member downloads: id-bearing layer-1 entries plus
-    anonymous (degree, value) pairs for the layers beyond."""
+    anonymous (degree, value) pairs for the layers beyond, which the body
+    carries as one ``[degree, hex of the values]`` run per stretch of
+    ``r_h`` with one degree."""
 
     r_u: tuple[tuple[str, bytes], ...]
     r_h: tuple[tuple[int, bytes], ...]
@@ -74,32 +81,48 @@ class DistributionResult:
         return len(self.r_u) + len(self.r_h)
 
     def to_json(self) -> str:
-        """The download body: compact JSON with sorted keys, so ``r_h``
-        comes before ``r_u`` and ``cap`` before ``id``."""
-        r_h = ",".join(
-            '{"degree":%d,"digest":"%s"}' % (deg, val.hex()) for deg, val in self.r_h
-        )
+        """The download body: compact JSON with sorted keys, so
+        ``format_version`` comes first, ``r_h`` before ``r_u`` and ``cap``
+        before ``id``.  Raises ``ValueError`` for a higher-order value that
+        is not a capability's length."""
+        size = CAPABILITY_BITS // 8
+        runs = []
+        for degree, run in groupby(self.r_h, itemgetter(0)):
+            values = list(map(itemgetter(1), run))
+            if set(map(len, values)) != {size}:
+                raise ValueError(f"higher-order values must be {size} bytes")
+            runs.append('[%d,"%s"]' % (degree, b"".join(values).hex()))
         dumps = json.dumps
         r_u = ",".join(
             '{"cap":"%s","id":%s}' % (cap.hex(), dumps(uid)) for uid, cap in self.r_u
         )
-        return '{"r_h":[%s],"r_u":[%s]}' % (r_h, r_u)
+        body = '{"format_version":%d,"r_h":[%s],"r_u":[%s]}'
+        return body % (DOWNLOAD_FORMAT, ",".join(runs), r_u)
 
     @classmethod
     def from_json(cls, text: str) -> "DistributionResult":
         """Parse a download body; raises only ``ValueError`` when it is
-        malformed."""
+        malformed or of another format version."""
+        size = CAPABILITY_BITS // 8
         try:
             body = json.loads(text)
+            version = body["format_version"]
+            if type(version) is not int or version != DOWNLOAD_FORMAT:
+                raise ValueError(f"unsupported distribution format {version!r}")
             r_u = tuple((e["id"], bytes.fromhex(e["cap"])) for e in body["r_u"])
-            r_h = tuple((e["degree"], bytes.fromhex(e["digest"])) for e in body["r_h"])
+            r_h = []
+            for degree, digits in body["r_h"]:
+                if type(degree) is not int:
+                    raise ValueError("malformed distribution: degrees must be integers")
+                raw = bytes.fromhex(digits)
+                if len(raw) % size or 2 * len(raw) != len(digits):
+                    raise ValueError(f"malformed distribution: run of {len(digits)} digits")
+                r_h += zip(repeat(degree), map(itemgetter(0), _VALUE.iter_unpack(raw)))
         except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed distribution: {exc!r}") from None
         if not all(isinstance(uid, str) for uid, _ in r_u):
             raise ValueError("malformed distribution: ids must be strings")
-        if not all(type(degree) is int for degree, _ in r_h):
-            raise ValueError("malformed distribution: degrees must be integers")
-        return cls(r_u=r_u, r_h=r_h)
+        return cls(r_u=r_u, r_h=tuple(r_h))
 
 
 class CapabilityStore:
@@ -202,38 +225,37 @@ class CapabilityStore:
     def distribute(self, uid: str, d_max: int) -> DistributionResult:
         """Compute the download for ``uid``: layer-1 pairs with ids, then
         degree ``i - 1`` values for each layer ``i`` up to ``d_max + 1``
-        with ids removed.  Higher-order values are memoised on each record
-        one chain step at a time, so a value is hashed once per record
-        however many downloads carry it; they are never persisted.
-        Deterministic: results are sorted, so repeated calls without
-        intervening writes are identical.
+        with ids removed, in one pass over the hop walk's node→depth map.
+        Higher-order values are memoised on each record one chain step at
+        a time, so a value is hashed once per record however many
+        downloads carry it; they are never persisted.  Deterministic:
+        ``r_u`` is sorted by id and ``r_h`` by degree, then value.
         """
         if d_max < 0:
             raise ValueError("maximum degree must be non-negative")
+        r_u = []
+        buckets: list[list[tuple[int, bytes]]] = [[] for _ in range(d_max + 1)]  # by degree
         with self._lock:
             rec = self._records.get(uid)
             if rec is None or rec.kind != MEMBER:
                 raise NotEnrolledError(f"{uid!r} has no member record")
-            layers = self.graph.layer_friend_sets(uid, d_max + 1)
             records = self._records
-            r_u = []
-            for fid in sorted(layers.layer(1)):
+            for fid, depth in self.graph.hop_distances(uid, d_max + 1).items():
                 frec = records.get(fid)
-                if frec is not None and not frec.stale:
+                if depth == 0 or frec is None or frec.stale:
+                    continue
+                if depth == 1:
                     r_u.append((fid, frec.cap))
-            r_h = []
-            for i in range(2, d_max + 2):
-                degree = i - 1
-                for fid in layers.layer(i):
-                    frec = records.get(fid)
-                    if frec is None or frec.stale:
-                        continue
-                    chain = frec.chain
-                    while len(chain) < degree:
-                        chain.append(hash_chain(chain[-1] if chain else frec.cap, 1))
-                    r_h.append((degree, chain[degree - 1]))
-            r_h.sort()
-        return DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
+                    continue
+                degree = depth - 1
+                memo = frec.chain
+                while len(memo) < degree:
+                    memo.append(hash_chain(memo[-1] if memo else frec.cap, 1))
+                buckets[degree].append((degree, memo[degree - 1]))
+        r_u.sort()
+        for bucket in buckets:
+            bucket.sort(key=itemgetter(1))
+        return DistributionResult(r_u=tuple(r_u), r_h=tuple(chain.from_iterable(buckets)))
 
     def record_of(self, uid: str) -> CapRecord | None:
         with self._lock:

@@ -28,6 +28,16 @@ def path_adjacency(*nodes) -> dict[str, set[str]]:
     return adjacency_from_edges(zip(nodes, nodes[1:]))
 
 
+def assert_anonymous_runs(body) -> None:
+    """Every higher-order run of a download body is exactly ``[degree,
+    hex]``: an integer and whole 32-byte values, with no id."""
+    for run in body["r_h"]:
+        assert type(run) is list and len(run) == 2, run
+        degree, digits = run
+        assert type(degree) is int and type(digits) is str, run
+        assert len(digits) % 64 == 0, run
+
+
 def enrolled_world(
     ground: dict[str, set[str]],
     members,

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately written from the public algorithm descriptions
-(FIPS 180-4 for SHA-256, RFC 7748 for X25519, the coverage procedure of
+(FIPS 180-4 for SHA-256, RFC 7748 for X25519, the capability download
+and its input-set expansion, the coverage procedure of
 ``sopal.sim.run_coverage`` computed the direct way) and share no code
 with the package, so they can vouch for the production code.
 """
@@ -150,6 +151,33 @@ def reference_distribute(adjacency, live_caps, uid, d_max):
             value = pure_sha256(b"\x01" + value)
         r_h.append((hops - 1, value))
     return tuple(sorted(r_u)), tuple(sorted(r_h))
+
+
+def reference_input_set(r_u, r_h, own_cap, d_max):
+    """``sopal.client.build_input_set`` computed the direct way: expand
+    every entry item by item along the chain (``pure_sha256``), self item
+    first, then ``r_u``, then ``r_h`` in download order, and keep the
+    first item of each value unless a later one has a strictly shorter
+    path.  Items are ``(value, received_degree, item_degree, friend_id,
+    is_self)`` tuples, keyed by value.
+    """
+    items = [(own_cap, 0, 0, None, True)]
+    for friend_id, value in r_u:
+        for m in range(d_max + 1):
+            items.append((value, 0, m, friend_id, False))
+            value = pure_sha256(b"\x01" + value)
+    for degree, value in r_h:
+        if not 1 <= degree <= d_max:
+            raise ValueError(f"received degree {degree} outside [1, {d_max}]")
+        for m in range(degree, d_max + 1):
+            items.append((value, degree, m, None, False))
+            value = pure_sha256(b"\x01" + value)
+    by_value = {}
+    for item in items:
+        kept = by_value.setdefault(item[0], item)
+        if item[1] + item[2] < kept[1] + kept[2]:
+            by_value[item[0]] = item
+    return by_value
 
 
 # -- coverage simulation -----------------------------------------------------

@@ -5,6 +5,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sopal.client import (
     AnnotatedItem,
@@ -26,6 +28,7 @@ from helpers import (
     random_member_subset,
     v1_filter_blob,
 )
+from oracles import reference_input_set
 
 
 def fake_distribution(n_ru=0, n_rh=0, rh_degree=1):
@@ -98,6 +101,50 @@ class TestBuildInputSet:
         # 16 expanded items, of which 6 repeat a value: one of the self
         # item, two of f0's chain, one of other's, two of the repeated entry
         assert len(items) == 10
+
+
+    @staticmethod
+    @st.composite
+    def planted_downloads(draw):
+        """A download at d_max 1-3 whose values collide where a faulty
+        server could make them: ``r_u`` may carry the client's own
+        capability, and ``r_h`` re-sends chain steps of the own and
+        ``r_u`` capabilities, repeats entries and mixes degree order."""
+        caps = st.binary(min_size=32, max_size=32)
+        d_max = draw(st.integers(1, 3))
+        own = draw(caps)
+        r_u = draw(st.lists(st.tuples(st.text(max_size=2), caps | st.just(own)), max_size=4))
+        sources = [own, *(cap for _, cap in r_u), *draw(st.lists(caps, max_size=3))]
+        steps = draw(
+            st.lists(
+                st.tuples(st.integers(1, d_max), st.sampled_from(sources), st.integers(0, d_max)),
+                max_size=8,
+            )
+        )
+        r_h = [(degree, hash_chain(base, k)) for degree, base, k in steps]
+        return tuple(r_u), tuple(r_h), own, d_max
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=planted_downloads())
+    @example(
+        case=(
+            (("mirror", b"o" * 32), ("f0", b"c" * 32)),
+            (
+                (2, hash_chain(b"c" * 32, 2)),
+                (1, hash_chain(b"c" * 32, 1)),
+                (1, b"r" * 32),
+                (2, b"o" * 32),
+                (1, b"r" * 32),
+            ),
+            b"o" * 32,
+            2,
+        )
+    )
+    def test_matches_the_item_by_item_reference(self, case):
+        r_u, r_h, own, d_max = case
+        items = build_input_set(DistributionResult(r_u=r_u, r_h=r_h), own, d_max)
+        assert items == reference_input_set(r_u, r_h, own, d_max)
+        assert all(type(item) is AnnotatedItem for item in items.values())
 
 
 class TestDiscoveryOutcomes:

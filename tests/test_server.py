@@ -27,7 +27,7 @@ from sopal.server import (
 )
 from sopal.store import CapabilityStore, NotEnrolledError
 
-from helpers import adjacency_from_edges, self_signed_cert
+from helpers import adjacency_from_edges, assert_anonymous_runs, self_signed_cert
 
 
 GROUND = adjacency_from_edges(
@@ -208,7 +208,7 @@ class TestEndpoints:
         _, body = request(server, "GET", "/v1/capabilities?dmax=2", token="mock:A")
         parsed = json.loads(body)
         assert parsed["r_h"], "expected higher-order entries"
-        assert all(set(e) == {"degree", "digest"} for e in parsed["r_h"])
+        assert_anonymous_runs(parsed)
 
     def test_token_scopes_to_its_own_uid(self, world):
         store, _, server = world

@@ -21,7 +21,7 @@ from sopal.store import (
     NotEnrolledError,
 )
 
-from helpers import adjacency_from_edges, path_adjacency
+from helpers import adjacency_from_edges, assert_anonymous_runs, path_adjacency
 from oracles import reference_distribute
 
 
@@ -133,8 +133,11 @@ class TestDistribute:
         result = store.distribute("A", 2)
         body = json.loads(result.to_json())
         assert body["r_h"], "expected higher-order entries"
-        for entry in body["r_h"]:
-            assert set(entry) == {"degree", "digest"}
+        assert_anonymous_runs(body)
+        # a run carries chain values only, never a stored capability
+        digits = "".join(run[1] for run in body["r_h"])
+        for uid in "ABCD":
+            assert store.record_of(uid).cap.hex() not in digits
 
     def test_deterministic_between_mutations(self):
         ground = gnp_graph(25, 0.15, seed=4)
@@ -163,16 +166,26 @@ class TestDistribute:
                 | st.integers()
                 | st.floats()
                 | st.text()
-                | st.sampled_from(["", "00", "ab" * 16, "zz"]),
+                | st.sampled_from(["", "00", "ab" * 16, "ab" * 32, "zz"]),
                 lambda inner: st.lists(inner, max_size=3)
                 | st.dictionaries(
-                    st.sampled_from(["r_u", "r_h", "id", "cap", "degree", "digest"])
+                    st.sampled_from(
+                        ["format_version", "r_u", "r_h", "id", "cap", "degree", "digest"]
+                    )
                     | st.text(),
                     inner,
                     max_size=4,
                 ),
                 max_leaves=20,
             ).map(json.dumps),
+            # format 2 bodies whose runs may be malformed
+            st.lists(
+                st.tuples(
+                    st.integers(-1, 3) | st.booleans() | st.floats(),
+                    st.sampled_from(["", "ab" * 31, "ab" * 32, "cd" * 64, " " * 64 + "ab" * 32]),
+                ),
+                max_size=3,
+            ).map(lambda runs: json.dumps({"format_version": 2, "r_h": runs, "r_u": []})),
         )
     )
     def test_from_json_raises_only_value_error(self, text):
@@ -191,16 +204,66 @@ class TestDistribute:
             ),
             max_size=5,
         ),
-        r_h=st.lists(st.tuples(st.integers(), st.binary(max_size=40)), max_size=5),
+        r_h=st.lists(
+            st.tuples(st.integers(0, 3) | st.integers(), st.binary(min_size=32, max_size=32)),
+            max_size=6,
+        ),
     )
     @example(r_u=[], r_h=[])
     def test_to_json_is_byte_identical_to_json_dumps(self, r_u, r_h):
         result = DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
+        runs = []
+        for deg, val in r_h:
+            if runs and runs[-1][0] == deg:
+                runs[-1][1] += val.hex()
+            else:
+                runs.append([deg, val.hex()])
         body = {
+            "format_version": 2,
             "r_u": [{"id": uid, "cap": cap.hex()} for uid, cap in r_u],
-            "r_h": [{"degree": deg, "digest": val.hex()} for deg, val in r_h],
+            "r_h": runs,
         }
         assert result.to_json() == json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+    def test_from_json_refuses_other_format_versions(self):
+        v1 = '{"r_h":[{"degree":1,"digest":"%s"}],"r_u":[]}' % ("ab" * 32)
+        with pytest.raises(ValueError):
+            DistributionResult.from_json(v1)
+        for version in ("1", "3", "2.0", "true", '"2"', "null"):
+            with pytest.raises(ValueError):
+                DistributionResult.from_json(
+                    '{"format_version":%s,"r_h":[],"r_u":[]}' % version
+                )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            '[1,"%s"]' % ("ab" * 31 + "a"),
+            '[1,"%s"]' % ("ab" * 32 + "a"),
+            '[1,"%s"]' % (" " * 64 + "ab" * 32),
+            '[true,"%s"]' % ("ab" * 32),
+            '[1.0,"%s"]' % ("ab" * 32),
+            '[1,"%s",0]' % ("ab" * 32),
+            '{"degree":1,"digest":"%s"}' % ("ab" * 32),
+        ],
+    )
+    def test_from_json_refuses_a_malformed_run(self, run):
+        with pytest.raises(ValueError):
+            DistributionResult.from_json('{"format_version":2,"r_h":[%s],"r_u":[]}' % run)
+
+    def test_to_json_refuses_a_short_value(self):
+        result = DistributionResult(r_u=(), r_h=((1, new_capability()), (1, bytes(31))))
+        with pytest.raises(ValueError):
+            result.to_json()
+
+    def test_unsorted_runs_round_trip(self):
+        a, b, c, d, e = (new_capability() for _ in range(5))
+        result = DistributionResult(
+            r_u=(("f", a),), r_h=((2, b), (1, c), (1, d), (2, e), (1, b))
+        )
+        body = json.loads(result.to_json())
+        assert body["r_h"] == [[2, b.hex()], [1, c.hex() + d.hex()], [2, e.hex()], [1, b.hex()]]
+        assert DistributionResult.from_json(result.to_json()) == result
 
     def test_from_json_refuses_deep_nesting(self):
         with pytest.raises(ValueError, match="malformed distribution"):
@@ -330,8 +393,7 @@ class TestDistributeMatchesReference:
         )
         # ids only on layer 1
         assert {fid for fid, _ in result.r_u} <= layers.layer(1)
-        body = json.loads(result.to_json())
-        assert all(set(entry) == {"degree", "digest"} for entry in body["r_h"])
+        assert_anonymous_runs(json.loads(result.to_json()))
 
 
 class TestExpiry:
