@@ -3,16 +3,16 @@ API, and path-length computation.
 
 A client downloads its capability view from the server, expands every
 received value along the hash chain up to the configured maximum degree,
-adds its own capability as a self item, and keeps the result as one
-value→item map.  Every session runs the set-intersection protocol
-against a peer on that map's values and looks its matches up in it.
-Each matched item with received degree ``i`` and item degree ``m``
-witnesses a path of length ``i + m + 2`` through the item's owner; a
-match against the self item, or against an id-bearing degree-0 entry
-whose id equals the peer's claimed id, means the peers are direct
-friends (length 1).  The reported distance is the minimum over all
-matches.  Common-friend identifiers are revealed only for length-2
-matches; anything longer stays anonymous.
+adds its own capability, and keeps the result as one value→item map in
+which each group of values received without ids shares one item.  Every
+session runs the set-intersection protocol against a peer on the map's
+values and looks its matches' items up in it.  Each matched item with
+received degree ``i`` and item degree ``m`` witnesses a path of length
+``i + m + 2`` through the item's owner; a match against the self item,
+or against an id-bearing degree-0 entry whose id equals the peer's
+claimed id, means the peers are direct friends (length 1).  The reported
+distance is the minimum over all matches.  Common-friend identifiers are
+revealed only for length-2 matches; anything longer stays anonymous.
 
 The session surface is the four basic calls (``startSoPaLSession``,
 ``handleSoPaLMessage``, ``getResult``, ``endSoPaLSession``) plus the
@@ -51,24 +51,21 @@ class SessionError(Exception):
 
 
 class AnnotatedItem(NamedTuple):
-    """One entry of the discovery input set.
-
-    ``value`` is the capability value at degree ``item_degree`` (m),
-    derived from a value received at degree ``received_degree`` (i) by
-    hashing ``m - i`` times.  ``friend_id`` is set only for degree-0
-    entries that arrived with an id; the self item is the client's own
-    capability and is never derived.
+    """The annotation of the input-set value that keys it: that value is
+    the capability value at degree ``item_degree`` (m), derived from a
+    value received at degree ``received_degree`` (i) by hashing ``m - i``
+    times.  ``friend_id`` is set only for degree-0 entries that arrived
+    with an id; the self item annotates the client's own capability.
+    The values of one group without ids share one item object.
     """
 
-    value: bytes
     received_degree: int
     item_degree: int
     friend_id: str | None = None
     is_self: bool = False
 
 
-# AnnotatedItem._make without its Python-level frame.
-_new_item = functools.partial(tuple.__new__, AnnotatedItem)
+_SELF_ITEM = AnnotatedItem(0, 0, None, True)
 
 
 @dataclass(frozen=True)
@@ -87,32 +84,35 @@ class DistResult:
 def build_input_set(
     distribution: DistributionResult, own_cap: bytes, d_max: int
 ) -> dict[bytes, AnnotatedItem]:
-    """Expand a download into the full discovery input set, keyed by value.
+    """Expand a download into the discovery input set: each value mapped
+    to the item that annotates it.
 
-    Every received entry of degree i yields items at degrees i..d_max,
-    plus one self item at degree 0; a download without value collisions
-    gives exactly ``1 + sum(len(entries at degree i) * (d_max - i + 1))``
-    items.  Only a faulty server can make two items share a value; the
-    map then keeps the self item, else the one with the shorter path,
-    else the one received first.  Items are built one group per received
-    degree (``r_u``, or a run of ``r_h``) and item degree.
+    Every received entry of degree i yields values at degrees i..d_max,
+    plus the own capability with the self item; a download without value
+    collisions gives ``1 + sum(len(entries at degree i) * (d_max - i + 1))``
+    values.  Only a faulty server can make two items share a value; the
+    map then keeps the self item, else the shorter path, else the one
+    received first.  Values come in groups, one per received degree
+    (``r_u``, or a run of ``r_h``) and item degree; an ``r_h`` group's
+    values all share one item.
     """
     # (path length, values, items) per group, in download order.
-    groups = [(0, [own_cap], [AnnotatedItem(own_cap, 0, 0, None, True)])]
-
-    def expand(degree, ids, values):
-        for m in range(degree, d_max + 1):
-            if m > degree:
-                values = list(map(hash_chain, values, repeat(1)))
-            fields = zip(values, repeat(degree), repeat(m), ids, repeat(False))
-            groups.append((degree + m, values, list(map(_new_item, fields))))
-
+    groups = [(0, [own_cap], [_SELF_ITEM])]
     r_u = distribution.r_u
-    expand(0, list(map(itemgetter(0), r_u)), list(map(itemgetter(1), r_u)))
+    ids = list(map(itemgetter(0), r_u))
+    values = list(map(itemgetter(1), r_u))
+    for m in range(d_max + 1):
+        if m:
+            values = list(map(hash_chain, values, repeat(1)))
+        groups.append((m, values, list(map(AnnotatedItem, repeat(0), repeat(m), ids))))
     for degree, run in groupby(distribution.r_h, itemgetter(0)):
         if not 1 <= degree <= d_max:
             raise ValueError(f"received degree {degree} outside [1, {d_max}]")
-        expand(degree, repeat(None), list(map(itemgetter(1), run)))
+        values = list(map(itemgetter(1), run))
+        for m in range(degree, d_max + 1):
+            if m > degree:
+                values = list(map(hash_chain, values, repeat(1)))
+            groups.append((degree + m, values, [AnnotatedItem(degree, m)] * len(values)))
     # A stable sort puts the shorter paths first and keeps download order
     # on ties; folded in reverse, the first item of a value overwrites
     # every later one.
@@ -229,11 +229,11 @@ class _ClientSession:
 class DiscoveryClient:
     """One user's discovery endpoint.
 
-    The input set is one value→item map, shared by all sessions.  A
-    refresh or renewal replaces the map under a lock and never mutates
-    it, so a session keeps the map it started with, and many sessions
-    may run concurrently.  The same lock makes opening a session atomic,
-    so one device id never gets two.
+    The input set is one value→item map, shared by all sessions, where
+    a group of values without ids shares one item.  A refresh or renewal
+    replaces the map under a lock and never mutates it, so each session
+    keeps the map it started with and many may run at once.  The same
+    lock makes opening a session atomic, so one device id never gets two.
     """
 
     def __init__(
@@ -267,8 +267,7 @@ class DiscoveryClient:
         with self._lock:
             self._own_cap = cap
             items = {v: it for v, it in self._items.items() if not it.is_self}
-            items[cap] = AnnotatedItem(cap, 0, 0, None, True)
-            self._items = items
+            self._items = items | {cap: _SELF_ITEM}
 
     def update_capabilities(self) -> None:
         """Re-download the distribution and rebuild the input set."""
@@ -279,8 +278,9 @@ class DiscoveryClient:
         with self._lock:
             self._items = items
 
-    def input_items(self) -> list[AnnotatedItem]:
-        return list(self._items.values())
+    def input_items(self) -> dict[bytes, AnnotatedItem]:
+        """A copy of the input set: each value mapped to its item."""
+        return dict(self._items)
 
     # -- session API -------------------------------------------------------
 

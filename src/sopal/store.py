@@ -109,7 +109,9 @@ class DistributionResult:
             version = body["format_version"]
             if type(version) is not int or version != DOWNLOAD_FORMAT:
                 raise ValueError(f"unsupported distribution format {version!r}")
-            r_u = tuple((e["id"], bytes.fromhex(e["cap"])) for e in body["r_u"])
+            r_u = [(e["id"], e["cap"], bytes.fromhex(e["cap"])) for e in body["r_u"]]
+            if any(type(u) is not str or len(d) != 2 * size or len(c) != size for u, d, c in r_u):
+                raise ValueError("malformed distribution: bad r_u id or capability")
             r_h = []
             for degree, digits in body["r_h"]:
                 if type(degree) is not int:
@@ -120,9 +122,7 @@ class DistributionResult:
                 r_h += zip(repeat(degree), map(itemgetter(0), _VALUE.iter_unpack(raw)))
         except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed distribution: {exc!r}") from None
-        if not all(isinstance(uid, str) for uid, _ in r_u):
-            raise ValueError("malformed distribution: ids must be strings")
-        return cls(r_u=r_u, r_h=tuple(r_h))
+        return cls(r_u=tuple((uid, cap) for uid, _, cap in r_u), r_h=tuple(r_h))
 
 
 class CapabilityStore:

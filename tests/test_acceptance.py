@@ -253,8 +253,8 @@ def test_c07_privacy_of_transcripts_and_identities():
             result_a, result_b, frames = _run_pair_capturing_frames(
                 clients[a], clients[b]
             )
-            values_a = {it.value for it in clients[a].input_items()}
-            values_b = {it.value for it in clients[b].input_items()}
+            values_a = set(clients[a].input_items())
+            values_b = set(clients[b].input_items())
             shared = values_a & values_b
             non_shared = (values_a | values_b) - shared
             post_hello = frames[2:]

@@ -48,26 +48,26 @@ class TestBuildInputSet:
         cap = new_capability()
         items = build_input_set(fake_distribution(), cap, d_max=1)
         assert list(items) == [cap]
-        assert items[cap].is_self and items[cap].value == cap
+        assert items[cap] == AnnotatedItem(0, 0, None, True)
 
     def test_derived_values_follow_the_chain(self):
         dist = fake_distribution(1, 1)
         items = build_input_set(dist, new_capability(), d_max=2)
         base = dist.r_u[0][1]
         by_degree = {
-            it.item_degree: it for it in items.values() if it.friend_id == "f0"
+            it.item_degree: value for value, it in items.items() if it.friend_id == "f0"
         }
-        assert by_degree[0].value == base
-        assert by_degree[1].value == hash_chain(base, 1)
-        assert by_degree[2].value == hash_chain(base, 2)
+        assert by_degree[0] == base
+        assert by_degree[1] == hash_chain(base, 1)
+        assert by_degree[2] == hash_chain(base, 2)
         received = dist.r_h[0][1]
         anon = sorted(
-            (it for it in items.values() if it.friend_id is None and not it.is_self),
-            key=lambda it: it.item_degree,
+            ((it, value) for value, it in items.items() if it.friend_id is None and not it.is_self),
+            key=lambda pair: pair[0].item_degree,
         )
-        assert [it.item_degree for it in anon] == [1, 2]
-        assert anon[1].value == hash_chain(received, 1)
-        assert all(it.received_degree == 1 for it in anon)
+        assert [it.item_degree for it, _ in anon] == [1, 2]
+        assert anon[1][1] == hash_chain(received, 1)
+        assert all(it.received_degree == 1 for it, _ in anon)
 
     def test_rejects_out_of_range_degree(self):
         with pytest.raises(ValueError, match="degree"):
@@ -93,15 +93,30 @@ class TestBuildInputSet:
             ),
         )
         items = build_input_set(dist, own, d_max=2)
-        assert items[own] == AnnotatedItem(own, 0, 0, None, True)
-        assert items[hash_chain(cap, 1)] == AnnotatedItem(hash_chain(cap, 1), 0, 1, "f0")
-        assert items[hash_chain(cap, 2)] == AnnotatedItem(hash_chain(cap, 2), 0, 2, "f0")
-        assert items[hash_chain(other, 1)] == AnnotatedItem(hash_chain(other, 1), 1, 2)
-        assert items[repeated] == AnnotatedItem(repeated, 1, 1)
+        assert items[own] == AnnotatedItem(0, 0, None, True)
+        assert items[hash_chain(cap, 1)] == AnnotatedItem(0, 1, "f0")
+        assert items[hash_chain(cap, 2)] == AnnotatedItem(0, 2, "f0")
+        assert items[hash_chain(other, 1)] == AnnotatedItem(1, 2)
+        assert items[repeated] == AnnotatedItem(1, 1)
         # 16 expanded items, of which 6 repeat a value: one of the self
         # item, two of f0's chain, one of other's, two of the repeated entry
         assert len(items) == 10
 
+    def test_items_are_shared_per_group(self):
+        # Two downloads that differ only in the length of a degree-2 run,
+        # which at d_max 2 is one group: one shared item for any length.
+        r_u = (("f0", new_capability()), ("f1", new_capability()))
+        degree_1 = tuple((1, new_capability()) for _ in range(5))
+        shapes = []
+        for n in (10, 1000):
+            degree_2 = tuple((2, new_capability()) for _ in range(n))
+            dist = DistributionResult(r_u=r_u, r_h=degree_1 + degree_2)
+            items = build_input_set(dist, new_capability(), d_max=2)
+            assert all(type(item) is AnnotatedItem for item in items.values())
+            shapes.append((len(items), len({id(item) for item in items.values()})))
+        # self, each friend at degrees 0-2, the degree-1 run at 1 and 2, the degree-2 run
+        assert shapes == [(1 + 6 + 10 + 10, 1 + 6 + 2 + 1), (1 + 6 + 10 + 1000, 1 + 6 + 2 + 1)]
+        assert "value" not in AnnotatedItem._fields
 
     @staticmethod
     @st.composite
@@ -143,7 +158,8 @@ class TestBuildInputSet:
     def test_matches_the_item_by_item_reference(self, case):
         r_u, r_h, own, d_max = case
         items = build_input_set(DistributionResult(r_u=r_u, r_h=r_h), own, d_max)
-        assert items == reference_input_set(r_u, r_h, own, d_max)
+        as_tuples = {value: (value, *item) for value, item in items.items()}
+        assert as_tuples == reference_input_set(r_u, r_h, own, d_max)
         assert all(type(item) is AnnotatedItem for item in items.values())
 
 
@@ -228,7 +244,7 @@ class TestDiscoveryOutcomes:
         store, _, _, clients = enrolled_world(ground, members, d_max=2)
         for uid in members:
             layers = store.graph.layer_friend_sets(uid, 3)
-            values = {it.value for it in clients[uid].input_items()}
+            values = set(clients[uid].input_items())
             for k in range(1, 4):
                 for other in layers.layer(k):
                     cap = store.record_of(other).cap
@@ -343,7 +359,7 @@ class TestRefresh:
         client = DiscoveryClient("A", BrokenHandle())
         with pytest.raises(ConnectionError):
             client.renew_capability()
-        assert client.input_items() == []
+        assert client.input_items() == {}
 
 
 class TestSessionApi:
@@ -465,7 +481,7 @@ class TestSessionApi:
         ground = path_adjacency("user-alice", "user-carol", "user-bob")
         _, _, _, clients = enrolled_world(ground, ["user-alice", "user-bob"])
         alice, bob = clients["user-alice"], clients["user-bob"]
-        values = [it.value for it in alice.input_items()]
+        values = list(alice.input_items())
         # a peer speaking the version-1 filter format, over a valid session
         init, hello = PsiSession.start_initiator(values, KeyPair.generate(), "user-alice")
         hello_b, _ = bob.handle_message("dev-a", hello)
@@ -479,8 +495,8 @@ class TestSessionApi:
         assert "failed: malformed filter: unsupported filter version 1" in message
         for uid in ("user-alice", "user-bob", "user-carol"):
             assert uid not in message
-        for item in alice.input_items() + bob.input_items():
-            assert item.value.hex() not in message
+        for value in [*alice.input_items(), *bob.input_items()]:
+            assert value.hex() not in message
 
     def test_discovery_over_stream_sockets(self):
         a, b = self.make_pair()

@@ -178,14 +178,29 @@ class TestDistribute:
                 ),
                 max_leaves=20,
             ).map(json.dumps),
-            # format 2 bodies whose runs may be malformed
-            st.lists(
-                st.tuples(
-                    st.integers(-1, 3) | st.booleans() | st.floats(),
-                    st.sampled_from(["", "ab" * 31, "ab" * 32, "cd" * 64, " " * 64 + "ab" * 32]),
+            # format 2 bodies whose runs and capabilities may be malformed
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.integers(-1, 3) | st.booleans() | st.floats(),
+                        st.sampled_from(
+                            ["", "ab" * 31, "ab" * 32, "cd" * 64, " " * 64 + "ab" * 32]
+                        ),
+                    ),
+                    max_size=3,
                 ),
-                max_size=3,
-            ).map(lambda runs: json.dumps({"format_version": 2, "r_h": runs, "r_u": []})),
+                st.lists(
+                    st.fixed_dictionaries(
+                        {
+                            "cap": st.sampled_from(
+                                ["ab cd", "ab" * 31, "ab" * 32, "ab" * 33, " " + "ab" * 32]
+                            ),
+                            "id": st.text() | st.integers(),
+                        }
+                    ),
+                    max_size=2,
+                ),
+            ).map(lambda b: json.dumps({"format_version": 2, "r_h": b[0], "r_u": b[1]})),
         )
     )
     def test_from_json_raises_only_value_error(self, text):
@@ -250,6 +265,23 @@ class TestDistribute:
     def test_from_json_refuses_a_malformed_run(self, run):
         with pytest.raises(ValueError):
             DistributionResult.from_json('{"format_version":2,"r_h":[%s],"r_u":[]}' % run)
+
+    @pytest.mark.parametrize(
+        "cap",
+        [
+            "ab cd",
+            "ab" * 31,
+            "ab" * 33,
+            " " + "ab" * 32,
+            "ab" * 32 + " ",
+            "ab" * 16 + " " + "ab" * 16,
+        ],
+    )
+    def test_from_json_refuses_a_malformed_capability(self, cap):
+        body = '{"format_version":2,"r_h":[],"r_u":[{"cap":"%s","id":"x"}]}'
+        DistributionResult.from_json(body % ("ab" * 32))
+        with pytest.raises(ValueError):
+            DistributionResult.from_json(body % cap)
 
     def test_to_json_refuses_a_short_value(self):
         result = DistributionResult(r_u=(), r_h=((1, new_capability()), (1, bytes(31))))
