@@ -29,7 +29,7 @@ import json
 import threading
 import urllib.parse
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -93,8 +93,8 @@ def build_input_set(
     values.  Only a faulty server can make two items share a value; the
     map then keeps the self item, else the shorter path, else the one
     received first.  Values come in groups, one per received degree
-    (``r_u``, or a run of ``r_h``) and item degree; an ``r_h`` group's
-    values all share one item.
+    (``r_u``, or one of the download's runs, taken as received) and item
+    degree; a run's group of values all share one item.
     """
     # (path length, values, items) per group, in download order.
     groups = [(0, [own_cap], [_SELF_ITEM])]
@@ -105,10 +105,9 @@ def build_input_set(
         if m:
             values = list(map(hash_chain, values, repeat(1)))
         groups.append((m, values, list(map(AnnotatedItem, repeat(0), repeat(m), ids))))
-    for degree, run in groupby(distribution.r_h, itemgetter(0)):
+    for degree, values in distribution.runs:
         if not 1 <= degree <= d_max:
             raise ValueError(f"received degree {degree} outside [1, {d_max}]")
-        values = list(map(itemgetter(1), run))
         for m in range(degree, d_max + 1):
             if m > degree:
                 values = list(map(hash_chain, values, repeat(1)))
@@ -151,9 +150,7 @@ class HttpServerHandle:
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        parts = urllib.parse.urlsplit(self.base_url)
+        parts = urllib.parse.urlsplit(base_url.rstrip("/"))
         connection_class = {
             "http": http.client.HTTPConnection,
             "https": http.client.HTTPSConnection,

@@ -5,10 +5,10 @@ member upload attests the uploader's friend list to the social graph and
 creates fresh ersatz records for every friend the store has never seen,
 which is what lets two enrolled users discover a non-enrolled common
 friend.  Distribution returns the friends' capabilities with ids, plus
-anonymous higher-order values for nodes further out.  A higher-order
-value is derived the first time a download asks for it and memoised on
-the record (every write makes a new record, so the memo never outlives
-its capability); memoised values are never persisted.
+anonymous higher-order values for nodes further out as one run of values
+per degree.  A higher-order value is derived the first time a download
+asks for it and memoised on the record (every write makes a new record,
+so the memo never outlives its capability); it is never persisted.
 
 Degree convention: with maximum degree ``d_max``, collection spans hop
 layers 1 through ``d_max + 1``; layer ``i`` contributes values at degree
@@ -27,7 +27,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable
 
@@ -69,28 +68,32 @@ class CapRecord:
 
 @dataclass(frozen=True)
 class DistributionResult:
-    """What one member downloads: id-bearing layer-1 entries plus
-    anonymous (degree, value) pairs for the layers beyond, which the body
-    carries as one ``[degree, hex of the values]`` run per stretch of
-    ``r_h`` with one degree."""
+    """What one member downloads: id-bearing layer-1 entries ``r_u`` plus
+    the anonymous values beyond as ``runs``, each ``(degree, values)`` with
+    one or more values, held as the body carries them.  ``r_h`` is a view,
+    not a second copy: the runs as ``(degree, value)`` pairs, for callers
+    that count or compare values one by one."""
 
     r_u: tuple[tuple[str, bytes], ...]
-    r_h: tuple[tuple[int, bytes], ...]
+    runs: tuple[tuple[int, tuple[bytes, ...]], ...]
+
+    @property
+    def r_h(self) -> tuple[tuple[int, bytes], ...]:
+        return tuple((degree, value) for degree, values in self.runs for value in values)
 
     def total(self) -> int:
-        return len(self.r_u) + len(self.r_h)
+        return len(self.r_u) + sum(len(values) for _, values in self.runs)
 
     def to_json(self) -> str:
         """The download body: compact JSON with sorted keys, so
         ``format_version`` comes first, ``r_h`` before ``r_u`` and ``cap``
-        before ``id``.  Raises ``ValueError`` for a higher-order value that
-        is not a capability's length."""
+        before ``id``.  Raises ``ValueError`` for an empty run or a
+        higher-order value that is not a capability's length."""
         size = CAPABILITY_BITS // 8
         runs = []
-        for degree, run in groupby(self.r_h, itemgetter(0)):
-            values = list(map(itemgetter(1), run))
+        for degree, values in self.runs:
             if set(map(len, values)) != {size}:
-                raise ValueError(f"higher-order values must be {size} bytes")
+                raise ValueError(f"a run needs one or more values of {size} bytes")
             runs.append('[%d,"%s"]' % (degree, b"".join(values).hex()))
         dumps = json.dumps
         r_u = ",".join(
@@ -112,17 +115,17 @@ class DistributionResult:
             r_u = [(e["id"], e["cap"], bytes.fromhex(e["cap"])) for e in body["r_u"]]
             if any(type(u) is not str or len(d) != 2 * size or len(c) != size for u, d, c in r_u):
                 raise ValueError("malformed distribution: bad r_u id or capability")
-            r_h = []
+            runs = []
             for degree, digits in body["r_h"]:
                 if type(degree) is not int:
                     raise ValueError("malformed distribution: degrees must be integers")
                 raw = bytes.fromhex(digits)
-                if len(raw) % size or 2 * len(raw) != len(digits):
+                if not raw or len(raw) % size or 2 * len(raw) != len(digits):
                     raise ValueError(f"malformed distribution: run of {len(digits)} digits")
-                r_h += zip(repeat(degree), map(itemgetter(0), _VALUE.iter_unpack(raw)))
+                runs.append((degree, tuple(map(itemgetter(0), _VALUE.iter_unpack(raw)))))
         except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed distribution: {exc!r}") from None
-        return cls(r_u=tuple((uid, cap) for uid, _, cap in r_u), r_h=tuple(r_h))
+        return cls(r_u=tuple((uid, cap) for uid, _, cap in r_u), runs=tuple(runs))
 
 
 class CapabilityStore:
@@ -229,12 +232,13 @@ class CapabilityStore:
         Higher-order values are memoised on each record one chain step at
         a time, so a value is hashed once per record however many
         downloads carry it; they are never persisted.  Deterministic:
-        ``r_u`` is sorted by id and ``r_h`` by degree, then value.
+        ``r_u`` is sorted by id, and ``runs`` holds one run per degree with
+        values, by ascending degree, each sorted by value.
         """
         if d_max < 0:
             raise ValueError("maximum degree must be non-negative")
         r_u = []
-        buckets: list[list[tuple[int, bytes]]] = [[] for _ in range(d_max + 1)]  # by degree
+        buckets: list[list[bytes]] = [[] for _ in range(d_max + 1)]  # by degree
         with self._lock:
             rec = self._records.get(uid)
             if rec is None or rec.kind != MEMBER:
@@ -251,11 +255,10 @@ class CapabilityStore:
                 memo = frec.chain
                 while len(memo) < degree:
                     memo.append(hash_chain(memo[-1] if memo else frec.cap, 1))
-                buckets[degree].append((degree, memo[degree - 1]))
+                buckets[degree].append(memo[degree - 1])
         r_u.sort()
-        for bucket in buckets:
-            bucket.sort(key=itemgetter(1))
-        return DistributionResult(r_u=tuple(r_u), r_h=tuple(chain.from_iterable(buckets)))
+        runs = tuple((degree, tuple(sorted(b))) for degree, b in enumerate(buckets) if b)
+        return DistributionResult(r_u=tuple(r_u), runs=runs)
 
     def record_of(self, uid: str) -> CapRecord | None:
         with self._lock:

@@ -4,6 +4,8 @@ import datetime
 import ipaddress
 import random
 import secrets
+from itertools import groupby
+from operator import itemgetter
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
@@ -13,7 +15,7 @@ from cryptography.x509.oid import NameOID
 from sopal.client import DiscoveryClient, LocalServerHandle
 from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector
-from sopal.store import CapabilityStore
+from sopal.store import CapabilityStore, DistributionResult
 
 
 def adjacency_from_edges(edges) -> dict[str, set[str]]:
@@ -26,6 +28,15 @@ def adjacency_from_edges(edges) -> dict[str, set[str]]:
 
 def path_adjacency(*nodes) -> dict[str, set[str]]:
     return adjacency_from_edges(zip(nodes, nodes[1:]))
+
+
+def distribution(r_u, pairs) -> DistributionResult:
+    """A download of ``r_u`` and ``(degree, value)`` pairs, the pairs
+    grouped in order into maximal runs of one degree."""
+    runs = tuple(
+        (degree, tuple(map(itemgetter(1), run))) for degree, run in groupby(pairs, itemgetter(0))
+    )
+    return DistributionResult(r_u=tuple(r_u), runs=runs)
 
 
 def assert_anonymous_runs(body) -> None:

@@ -19,10 +19,10 @@ from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.graph import true_shortest_distance
 from sopal.psi import MSG_BF, PsiSession, recv_frame, send_frame
 from sopal.sim import gnp_graph
-from sopal.store import DistributionResult
 
 from helpers import (
     adjacency_from_edges,
+    distribution,
     enrolled_world,
     path_adjacency,
     random_member_subset,
@@ -34,7 +34,7 @@ from oracles import reference_input_set
 def fake_distribution(n_ru=0, n_rh=0, rh_degree=1):
     r_u = tuple((f"f{i}", new_capability()) for i in range(n_ru))
     r_h = tuple((rh_degree, new_capability()) for _ in range(n_rh))
-    return DistributionResult(r_u=r_u, r_h=r_h)
+    return distribution(r_u, r_h)
 
 
 class TestBuildInputSet:
@@ -82,9 +82,9 @@ class TestBuildInputSet:
         # ahead of the degree-1 value it derives from, and a repeated
         # degree-1 entry.
         own, cap, other, repeated = (new_capability() for _ in range(4))
-        dist = DistributionResult(
-            r_u=(("mirror", own), ("f0", cap)),
-            r_h=(
+        dist = distribution(
+            (("mirror", own), ("f0", cap)),
+            (
                 (1, hash_chain(cap, 1)),
                 (2, hash_chain(other, 1)),
                 (1, other),
@@ -110,7 +110,7 @@ class TestBuildInputSet:
         shapes = []
         for n in (10, 1000):
             degree_2 = tuple((2, new_capability()) for _ in range(n))
-            dist = DistributionResult(r_u=r_u, r_h=degree_1 + degree_2)
+            dist = distribution(r_u, degree_1 + degree_2)
             items = build_input_set(dist, new_capability(), d_max=2)
             assert all(type(item) is AnnotatedItem for item in items.values())
             shapes.append((len(items), len({id(item) for item in items.values()})))
@@ -157,7 +157,7 @@ class TestBuildInputSet:
     )
     def test_matches_the_item_by_item_reference(self, case):
         r_u, r_h, own, d_max = case
-        items = build_input_set(DistributionResult(r_u=r_u, r_h=r_h), own, d_max)
+        items = build_input_set(distribution(r_u, r_h), own, d_max)
         as_tuples = {value: (value, *item) for value, item in items.items()}
         assert as_tuples == reference_input_set(r_u, r_h, own, d_max)
         assert all(type(item) is AnnotatedItem for item in items.values())

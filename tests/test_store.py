@@ -219,24 +219,21 @@ class TestDistribute:
             ),
             max_size=5,
         ),
-        r_h=st.lists(
-            st.tuples(st.integers(0, 3) | st.integers(), st.binary(min_size=32, max_size=32)),
-            max_size=6,
+        runs=st.lists(
+            st.tuples(
+                st.integers(0, 3) | st.integers(),
+                st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=3).map(tuple),
+            ),
+            max_size=4,
         ),
     )
-    @example(r_u=[], r_h=[])
-    def test_to_json_is_byte_identical_to_json_dumps(self, r_u, r_h):
-        result = DistributionResult(r_u=tuple(r_u), r_h=tuple(r_h))
-        runs = []
-        for deg, val in r_h:
-            if runs and runs[-1][0] == deg:
-                runs[-1][1] += val.hex()
-            else:
-                runs.append([deg, val.hex()])
+    @example(r_u=[], runs=[])
+    def test_to_json_is_byte_identical_to_json_dumps(self, r_u, runs):
+        result = DistributionResult(r_u=tuple(r_u), runs=tuple(runs))
         body = {
             "format_version": 2,
             "r_u": [{"id": uid, "cap": cap.hex()} for uid, cap in r_u],
-            "r_h": runs,
+            "r_h": [[deg, b"".join(values).hex()] for deg, values in runs],
         }
         assert result.to_json() == json.dumps(body, sort_keys=True, separators=(",", ":"))
 
@@ -260,6 +257,7 @@ class TestDistribute:
             '[1.0,"%s"]' % ("ab" * 32),
             '[1,"%s",0]' % ("ab" * 32),
             '{"degree":1,"digest":"%s"}' % ("ab" * 32),
+            '[1,""]',
         ],
     )
     def test_from_json_refuses_a_malformed_run(self, run):
@@ -284,18 +282,54 @@ class TestDistribute:
             DistributionResult.from_json(body % cap)
 
     def test_to_json_refuses_a_short_value(self):
-        result = DistributionResult(r_u=(), r_h=((1, new_capability()), (1, bytes(31))))
+        result = DistributionResult(r_u=(), runs=((1, (new_capability(), bytes(31))),))
         with pytest.raises(ValueError):
             result.to_json()
+
+    def test_to_json_refuses_an_empty_run(self):
+        with pytest.raises(ValueError):
+            DistributionResult(r_u=(), runs=((1, ()),)).to_json()
 
     def test_unsorted_runs_round_trip(self):
         a, b, c, d, e = (new_capability() for _ in range(5))
         result = DistributionResult(
-            r_u=(("f", a),), r_h=((2, b), (1, c), (1, d), (2, e), (1, b))
+            r_u=(("f", a),), runs=((2, (b,)), (1, (c, d)), (2, (e,)), (1, (b,)))
         )
         body = json.loads(result.to_json())
         assert body["r_h"] == [[2, b.hex()], [1, c.hex() + d.hex()], [2, e.hex()], [1, b.hex()]]
         assert DistributionResult.from_json(result.to_json()) == result
+
+    def test_runs_are_one_per_degree_in_order(self):
+        ground = gnp_graph(40, 0.1, seed=2)
+        store, _ = make_store(ground)
+        for uid in sorted(ground)[:25]:
+            store.upload_capability(uid, new_capability())
+        seen = set()
+        for d_max in (1, 2, 3):
+            for uid in sorted(ground)[:25]:
+                runs = store.distribute(uid, d_max).runs
+                degrees = [degree for degree, _ in runs]
+                assert degrees == sorted(set(degrees)), (uid, d_max)
+                assert all(1 <= degree <= d_max for degree in degrees), (uid, d_max)
+                for _, values in runs:
+                    assert values and all(a < b for a, b in zip(values, values[1:]))
+                seen.update(degrees)
+        assert seen == {1, 2, 3}
+
+    def test_r_h_and_total_follow_the_runs(self):
+        a, b, c = (new_capability() for _ in range(3))
+        result = DistributionResult(r_u=(("f", a),), runs=((1, (b, c)), (2, (a,))))
+        assert result.r_h == ((1, b), (1, c), (2, a))
+        assert result.total() == len(result.r_u) + len(result.r_h) == 4
+        ground = gnp_graph(30, 0.15, seed=3)
+        store, _ = make_store(ground)
+        for uid in sorted(ground)[:20]:
+            store.upload_capability(uid, new_capability())
+        for uid in sorted(ground)[:20]:
+            result = store.distribute(uid, 2)
+            flat = tuple((degree, v) for degree, values in result.runs for v in values)
+            assert result.r_h == flat
+            assert result.total() == len(result.r_u) + len(result.r_h)
 
     def test_from_json_refuses_deep_nesting(self):
         with pytest.raises(ValueError, match="malformed distribution"):
@@ -418,6 +452,7 @@ class TestDistributeMatchesReference:
             for v in attested[u]:
                 attested.setdefault(v, set()).add(u)
         assert (result.r_u, result.r_h) == reference_distribute(attested, live, uid, d_max)
+        assert DistributionResult.from_json(result.to_json()).runs == result.runs
         layers = store.graph.layer_friend_sets(uid, d_max + 1)
         # c06: one entry per node in layers 1..d_max+1 with a live record
         assert result.total() == sum(
