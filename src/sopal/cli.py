@@ -4,8 +4,10 @@ Subcommands: ``serve`` (run the capability server), ``enroll`` (upload
 capabilities for listed users), ``discover`` (two local clients over a
 socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
 report).  Error classes map to distinct exit codes: 3 for missing files,
-4 for an unreachable server, 5 for malformed configuration or an address
-``serve`` cannot listen on, 6 for authentication or enrollment failures.
+4 for a server that cannot be reached, fails certificate checks or
+answers with an unexpected status, 5 for malformed configuration or an
+address ``serve`` cannot listen on, 6 for authentication or enrollment
+failures.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import socket
 import sys
 import threading
 
-from sopal.client import DiscoveryClient, HttpServerHandle
+from sopal.client import DiscoveryClient, HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import load_edge_list, load_membership
-from sopal.psi import recv_frame, send_frame
+from sopal.psi import recv_frame
 from sopal.server import AuthError, MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import SimConfig, run_coverage
 from sopal.store import CapabilityStore, NotEnrolledError
@@ -33,6 +35,7 @@ EXIT_BAD_CONFIG = 5
 EXIT_DENIED = 6
 
 DEFAULT_ADDR = "127.0.0.1:7468"
+CLIENT_ADDR_HELP = "server as host:port (plaintext) or https://host:port"
 # Seconds between two TTL sweeps of a running server's store.
 EXPIRY_SWEEP_S = 60.0
 
@@ -65,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     enroll = sub.add_parser("enroll", help="upload capabilities for listed users")
     enroll.add_argument("--members", required=True, help="one id per line")
-    enroll.add_argument("--addr", default=DEFAULT_ADDR)
+    enroll.add_argument("--addr", default=DEFAULT_ADDR, help=CLIENT_ADDR_HELP)
 
     discover = sub.add_parser("discover", help="run discovery between two users")
     discover.add_argument("uid_a")
     discover.add_argument("uid_b")
-    discover.add_argument("--addr", default=DEFAULT_ADDR)
+    discover.add_argument("--addr", default=DEFAULT_ADDR, help=CLIENT_ADDR_HELP)
     discover.add_argument("--dmax", type=int, default=1)
     discover.add_argument("--fp-target", type=float, default=0.001)
 
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", help="CSV output path (default: stdout)")
 
     probe = sub.add_parser("loadprobe", help="measure server throughput and latency")
-    probe.add_argument("--addr", default=DEFAULT_ADDR)
+    probe.add_argument("--addr", default=DEFAULT_ADDR, help=CLIENT_ADDR_HELP)
     probe.add_argument("--uid", required=True, help="enrolled user to download as")
     probe.add_argument("--rates", default="1,5,10,20,40")
     probe.add_argument("--duration", type=float, default=5.0)
@@ -158,6 +161,8 @@ def cmd_enroll(args) -> int:
 
 
 def _addr_url(addr: str) -> str:
+    if "://" in addr:
+        return addr
     host, port = _parse_addr(addr)
     return f"http://{host}:{port}"
 
@@ -181,7 +186,7 @@ def cmd_discover(args) -> int:
     def respond():
         results["b"] = client_b.run_discovery(
             args.uid_a,
-            lambda frame: send_frame(sock_b, frame),
+            sock_b.sendall,
             lambda: recv_frame(sock_b),
             initiate=False,
         )
@@ -190,7 +195,7 @@ def cmd_discover(args) -> int:
     responder.start()
     results["a"] = client_a.run_discovery(
         args.uid_b,
-        lambda frame: send_frame(sock_a, frame),
+        sock_a.sendall,
         lambda: recv_frame(sock_a),
         initiate=True,
     )
@@ -273,8 +278,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENIED
     # Must follow the two clauses above, since FileNotFoundError and
-    # PermissionError are OSErrors; so is urllib's URLError from load_probe.
-    except (OSError, http.client.HTTPException) as exc:
+    # PermissionError are OSErrors; so is ssl's refusal of a certificate.
+    except (OSError, http.client.HTTPException, ServerError) as exc:
         print(f"error: server unreachable: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except ValueError as exc:

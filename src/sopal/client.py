@@ -27,7 +27,6 @@ import functools
 import http.client
 import json
 import threading
-import urllib.parse
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -48,6 +47,10 @@ from sopal.store import CapabilityStore, DistributionResult, NotEnrolledError
 
 class SessionError(Exception):
     """A discovery session is missing, unfinished, or ended abnormally."""
+
+
+class ServerError(RuntimeError):
+    """The server answered with an unexpected status."""
 
 
 class AnnotatedItem(NamedTuple):
@@ -146,21 +149,27 @@ class HttpServerHandle:
     before any status line arrives; it is sent once more on a fresh
     connection, which is safe because every route is idempotent.
     ``https`` URLs get an ``HTTPSConnection`` with the default TLS
-    context, which verifies the server's certificate.
+    context, which verifies the server's certificate against the system
+    trust store, or against the file that ``SSL_CERT_FILE`` names.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
-        parts = urllib.parse.urlsplit(base_url.rstrip("/"))
+        scheme, _, rest = base_url.rstrip("/").partition("://")
+        netloc, slash, path = rest.partition("/")
+        # The port follows the last colon outside an IPv6 address's brackets.
+        host, port = netloc, "0"
+        if netloc.rfind(":") > netloc.rfind("]"):
+            host, _, port = netloc.rpartition(":")
         connection_class = {
             "http": http.client.HTTPConnection,
             "https": http.client.HTTPSConnection,
-        }.get(parts.scheme)
-        if connection_class is None or not parts.hostname:
+        }.get(scheme.lower())
+        valid_port = port.isdigit() and int(port) < 65536
+        if connection_class is None or not host.strip("[]") or not valid_port:
             raise ValueError(f"server URL must be http(s)://host[:port], got {base_url!r}")
-        self._new_connection = functools.partial(
-            connection_class, parts.hostname, parts.port, timeout=timeout_s
-        )
-        self._path_prefix = parts.path
+        # http.client splits host[:port] itself, brackets included.
+        self._new_connection = functools.partial(connection_class, netloc, timeout=timeout_s)
+        self._path_prefix = slash + path
         self._local = threading.local()
 
     def close(self) -> None:
@@ -206,7 +215,7 @@ class HttpServerHandle:
             raise PermissionError(f"authentication failed: {detail}")
         if status == 403:
             raise NotEnrolledError(detail or "not enrolled")
-        raise RuntimeError(f"server returned {status}: {detail}")
+        raise ServerError(f"server returned {status}: {detail}")
 
     def upload(self, token: str, cap: bytes) -> None:
         self._request("POST", "/v1/capability", token, cap.hex().encode("ascii"))

@@ -461,10 +461,6 @@ def recv_frame(sock) -> bytes:
     return header + _recv_exact(sock, length)
 
 
-def send_frame(sock, frame: bytes) -> None:
-    sock.sendall(frame)
-
-
 def _recv_exact(sock, n: int) -> bytes:
     chunks = []
     remaining = n

@@ -23,11 +23,12 @@ a request.  A POST body must carry ``Content-Length`` and be at most
 error reply never leaves it to be parsed as the next request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
-of requests per second at a running server and reports per-second
-response counts, the latency distribution, and the first rate at which
-the server saturates.  The server adds no cost of its own to a request;
-to see saturation at desk scale, hand it a store whose ``distribute`` is
-slower, as demo 04 does.
+of downloads per second at a running ``http`` or ``https`` server
+through :class:`~sopal.client.HttpServerHandle` (one kept-open connection
+per worker thread; a request the handle raises on counts as failed) and
+reports per-second response counts, latency and the saturation knee.
+The server adds no cost of its own; to see saturation at desk scale,
+hand it a store whose ``distribute`` is slower, as demo 04 does.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ import statistics
 import sys
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
+from sopal.client import HttpServerHandle
 from sopal.store import CapabilityStore, NotEnrolledError
 
 logger = logging.getLogger(__name__)
@@ -341,7 +342,6 @@ class RateSample:
     """Measurements for one offered request rate."""
 
     rate: int
-    duration_s: float
     sent: int
     received: int
     failed: int
@@ -360,9 +360,9 @@ class RateSample:
 
 @dataclass
 class LoadReport:
-    """Sweep result: per-rate samples, the single-request baseline, and the
-    saturation knee (first rate whose median latency exceeds five times the
-    baseline)."""
+    """Sweep result: per-rate samples, the single-request baseline, the
+    seconds each rate ran, and the saturation knee (first rate whose median
+    latency exceeds five times the baseline)."""
 
     baseline_latency_s: float
     duration_s: float
@@ -385,18 +385,6 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _timed_request(url: str, token: str) -> tuple[float, float]:
-    """Issue one download; returns (latency, completion timestamp)."""
-    req = urllib.request.Request(url, headers={"Authorization": f"Bearer {token}"})
-    start = time.perf_counter()
-    with urllib.request.urlopen(req, timeout=PROBE_TIMEOUT_S) as resp:
-        resp.read()
-        if resp.status != 200:
-            raise RuntimeError(f"status {resp.status}")
-    end = time.perf_counter()
-    return end - start, end
-
-
 def load_probe(
     base_url: str,
     token: str,
@@ -405,29 +393,40 @@ def load_probe(
     *,
     dmax: int = 1,
 ) -> LoadReport:
-    """Measure a running server with bursts of ``rate`` download requests
-    per second for each rate in ``rates``.
+    """Measure a running server with bursts of ``rate`` downloads per
+    second for each rate in ``rates``, each rate for ``duration_s``
+    rounded to whole seconds, at least one.
 
     Every request is accounted as received or failed, so
     ``sent == received + failed`` per sample.
     """
-    url = f"{base_url}/v1/capabilities?dmax={dmax}"
-    baseline_lats = [_timed_request(url, token)[0] for _ in range(5)]
-    baseline = statistics.median(baseline_lats)
+    if any(rate < 1 for rate in rates):
+        raise ValueError(f"rates must be at least 1, got {list(rates)}")
+    handle = HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)
 
+    def timed_download() -> tuple[float, float]:
+        start = time.perf_counter()
+        handle.download(token, dmax)
+        end = time.perf_counter()
+        return end - start, end
+
+    baseline = statistics.median(timed_download()[0] for _ in range(5))
+    handle.close()
+
+    seconds = max(1, round(duration_s))
     samples = []
     for rate in rates:
-        seconds = max(1, round(duration_s))
         sent = rate * seconds
         latencies: list[float] = []
         finish_times: list[float] = []
         failed = 0
+        # A worker's connection closes when its thread ends with the pool.
         with ThreadPoolExecutor(max_workers=min(512, max(8, rate * 2))) as pool:
             futures = []
             start = time.perf_counter()
             for sec in range(seconds):
                 for _ in range(rate):
-                    futures.append(pool.submit(_timed_request, url, token))
+                    futures.append(pool.submit(timed_download))
                 next_tick = start + sec + 1
                 pause = next_tick - time.perf_counter()
                 if pause > 0:
@@ -447,7 +446,6 @@ def load_probe(
         samples.append(
             RateSample(
                 rate=rate,
-                duration_s=float(seconds),
                 sent=sent,
                 received=len(latencies),
                 failed=failed,
@@ -456,14 +454,5 @@ def load_probe(
             )
         )
 
-    knee = None
-    for s in samples:
-        if s.median_latency_s > 5 * baseline:
-            knee = s.rate
-            break
-    return LoadReport(
-        baseline_latency_s=baseline,
-        duration_s=float(duration_s),
-        samples=samples,
-        knee_rate=knee,
-    )
+    knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
+    return LoadReport(baseline, float(seconds), samples, knee)

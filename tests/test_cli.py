@@ -1,8 +1,10 @@
 """Operator commands: exit codes, determinism, end-to-end discovery."""
 
 import json
+import os
 import signal
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -19,7 +21,7 @@ from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector, SopalHttpServer
 from sopal.store import CapabilityStore
 
-from helpers import adjacency_from_edges
+from helpers import adjacency_from_edges, self_signed_cert
 
 
 @pytest.fixture
@@ -29,16 +31,29 @@ def graph_file(tmp_path):
     return path
 
 
+GROUND = adjacency_from_edges([("A", "C"), ("C", "B"), ("B", "D")])
+
+
 @pytest.fixture
 def live_server():
-    ground = adjacency_from_edges([("A", "C"), ("C", "B"), ("B", "D")])
-    connector = MockOsnConnector(ground)
+    connector = MockOsnConnector(GROUND)
     store = CapabilityStore(SocialGraph(), connector)
     server = SopalHttpServer(store, connector, insecure_plaintext=True)
     server.start()
     host, port = server.address
     yield store, f"{host}:{port}"
     server.stop()
+
+
+@pytest.fixture
+def tls_server(tmp_path):
+    """A started TLS server with a self-signed certificate; yields (store,
+    certificate path, https URL)."""
+    cert, key = self_signed_cert(tmp_path)
+    connector = MockOsnConnector(GROUND)
+    store = CapabilityStore(SocialGraph(), connector)
+    with SopalHttpServer(store, connector, tls_cert=cert, tls_key=key) as server:
+        yield store, cert, server.url
 
 
 class TestSimulate:
@@ -178,6 +193,75 @@ class TestLoadProbe:
         assert "saturation knee" in text
 
 
+class TestLoadProbeArguments:
+    def test_reports_the_whole_seconds_it_ran(self, live_server, capsys):
+        store, addr = live_server
+        store.upload_capability("A", new_capability())
+        args = ["loadprobe", "--addr", addr, "--uid", "A", "--rates", "2"]
+        assert main(args + ["--duration", "0.4"]) == 0
+        assert "duration per rate: 1.0 s" in capsys.readouterr().out
+
+    def test_unknown_user_exit_code(self, live_server, capsys):
+        _, addr = live_server
+        args = ["loadprobe", "--addr", addr, "--rates", "1", "--duration", "1"]
+        assert main(args + ["--uid", "nobody"]) == 6
+        assert "authentication failed" in capsys.readouterr().err
+
+    def test_rate_below_one_exit_code(self, live_server, capsys):
+        _, addr = live_server
+        args = ["loadprobe", "--addr", addr, "--uid", "A", "--duration", "1"]
+        assert main(args + ["--rates", "0"]) == 5
+        assert "at least 1" in capsys.readouterr().err
+
+
+class TestClientAddresses:
+    def client_commands(self, tmp_path, addr):
+        members = tmp_path / "members.txt"
+        members.write_text("A\nB\n")
+        return [
+            ["enroll", "--members", str(members), "--addr", addr],
+            ["discover", "A", "B", "--addr", addr],
+            ["loadprobe", "--addr", addr, "--uid", "A", "--rates", "2", "--duration", "1"],
+        ]
+
+    def test_unsupported_scheme_exit_code(self, tmp_path, capsys):
+        for argv in self.client_commands(tmp_path, "ftp://127.0.0.1:1"):
+            assert main(argv) == 5, argv
+        assert "http(s)://" in capsys.readouterr().err
+
+    def test_unexpected_status_exit_code(self, live_server, tmp_path, capsys):
+        _, addr = live_server
+        for argv in self.client_commands(tmp_path, f"http://{addr}/nothing"):
+            assert main(argv) == 4, argv
+            assert "server returned 404" in capsys.readouterr().err
+
+    def test_untrusted_tls_server_exit_code(self, tls_server, tmp_path, capsys):
+        store, _, url = tls_server
+        for argv in self.client_commands(tmp_path, url):
+            assert main(argv) == 4, argv
+            assert "CERTIFICATE_VERIFY_FAILED" in capsys.readouterr().err
+        assert store.record_count() == 0
+
+    def test_trusted_tls_server(self, tls_server, tmp_path, monkeypatch, capsys):
+        store, cert, url = tls_server
+        assert url.startswith("https://")
+        monkeypatch.setattr(
+            ssl,
+            "_create_default_https_context",
+            lambda: ssl.create_default_context(cafile=cert),
+        )
+        enroll, discover, probe = self.client_commands(tmp_path, url)
+        assert main(enroll) == 0
+        assert store.record_of("A").kind == "member"
+        assert store.record_of("B").kind == "member"
+        assert main(discover) == 0
+        out = capsys.readouterr().out
+        assert "A: Dist=2" in out and "common_friends=C" in out
+        assert main(probe) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[3].split()[:4] == ["2", "2", "2", "0"]
+
+
 class TestServeParser:
     def test_requires_graph(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -293,3 +377,20 @@ class TestServeProcess:
         body = json.loads(snapshot.read_text())
         assert body["format_version"] == 2
         assert {r["id"] for r in body["records"]} >= {"A", "B"}
+
+
+class TestTlsProcess:
+    def test_ssl_cert_file_makes_the_cli_trust_the_server(self, tls_server, tmp_path):
+        store, cert, url = tls_server
+        members = tmp_path / "members.txt"
+        members.write_text("A\n")
+        argv = [sys.executable, "-m", "sopal.cli", "enroll", "--members", str(members)]
+        argv += ["--addr", url]
+        env = {k: v for k, v in os.environ.items() if not k.startswith("SSL_CERT_")}
+        untrusted = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert untrusted.returncode == 4, untrusted.stderr
+        assert "CERTIFICATE_VERIFY_FAILED" in untrusted.stderr
+        env["SSL_CERT_FILE"] = cert
+        trusted = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert trusted.returncode == 0, trusted.stderr
+        assert store.record_of("A").kind == "member"

@@ -17,7 +17,7 @@ from sopal.client import (
 )
 from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.graph import true_shortest_distance
-from sopal.psi import MSG_BF, PsiSession, recv_frame, send_frame
+from sopal.psi import MSG_BF, PsiSession, recv_frame
 from sopal.sim import gnp_graph
 
 from helpers import (
@@ -506,7 +506,7 @@ class TestSessionApi:
         def run_b():
             results["b"] = b.run_discovery(
                 "A",
-                lambda fr: send_frame(sock_b, fr),
+                sock_b.sendall,
                 lambda: recv_frame(sock_b),
                 initiate=False,
             )
@@ -515,7 +515,7 @@ class TestSessionApi:
         thread.start()
         results["a"] = a.run_discovery(
             "B",
-            lambda fr: send_frame(sock_a, fr),
+            sock_a.sendall,
             lambda: recv_frame(sock_a),
             initiate=True,
         )

@@ -355,6 +355,32 @@ class TestPersistentConnections:
                 handle.close()
 
 
+class TestServerUrl:
+    @pytest.mark.parametrize(
+        "url",
+        ["ftp://h:1", "h:80", "http://", "http://:80", "http://[]:80", "http://h:",
+         "http://h:abc", "http://h:70000", "http://h:80?x"],
+    )
+    def test_malformed_url_refused(self, url):
+        with pytest.raises(ValueError, match=r"http\(s\)://host"):
+            HttpServerHandle(url)
+
+    @pytest.mark.parametrize(
+        "url, host, port, prefix",
+        [
+            ("http://127.0.0.1:8080", "127.0.0.1", 8080, ""),
+            ("https://example.org/", "example.org", 443, ""),
+            ("HTTP://h:81/api/", "h", 81, "/api"),
+            ("http://[::1]:8080", "::1", 8080, ""),
+            ("http://[::1]", "::1", 80, ""),
+        ],
+    )
+    def test_host_port_and_path_prefix(self, url, host, port, prefix):
+        handle = HttpServerHandle(url)
+        conn = handle._new_connection()
+        assert (conn.host, conn.port, handle._path_prefix) == (host, port, prefix)
+
+
 class TestServerConfig:
     def test_refuses_plaintext_without_flag(self):
         connector = MockOsnConnector(GROUND)
@@ -384,3 +410,39 @@ class TestLoadProbe:
         assert len(sample.latencies_s) == sample.received
         assert sum(sample.per_second_received) == sample.received
         assert "saturation knee" in report.to_text()
+
+
+class TestLoadProbeClient:
+    def test_sweep_reuses_connections(self, fresh_server, connects):
+        report = load_probe(fresh_server.url, "mock:A", rates=[2], duration_s=2)
+        sample = report.samples[0]
+        assert (sample.sent, sample.failed) == (4, 0)
+        # the baseline's one connection plus one per worker thread, of
+        # which a burst of two needs two; one per request would be 9
+        assert len(connects) <= 3
+
+    def test_rates_below_one_are_refused_before_any_request(self, fresh_server, connects):
+        with pytest.raises(ValueError, match="at least 1"):
+            load_probe(fresh_server.url, "mock:A", rates=[-1, 0])
+        with pytest.raises(ValueError, match="at least 1"):
+            load_probe(fresh_server.url, "mock:A", rates=[2, 0])
+        assert connects == []
+
+    def test_refused_bodies_count_as_failed(self, fresh_server, monkeypatch):
+        store = fresh_server.store
+        real = store.distribute
+        calls = []
+
+        class Garbled:
+            def to_json(self):
+                return '{"version":2,"r_u":"nope"}'
+
+        def distribute(uid, d_max):
+            calls.append(uid)
+            return real(uid, d_max) if len(calls) <= 5 else Garbled()
+
+        monkeypatch.setattr(store, "distribute", distribute)
+        report = load_probe(fresh_server.url, "mock:A", rates=[3], duration_s=1)
+        sample = report.samples[0]
+        assert (sample.sent, sample.received, sample.failed) == (3, 0, 3)
+        assert len(calls) == 8
