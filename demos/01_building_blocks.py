@@ -4,7 +4,7 @@ and session keys.
 Run:  python demos/01_building_blocks.py
 """
 
-from sopal import (
+from sopal.crypto import (
     BloomFilter,
     KeyPair,
     bf_false_positive_estimate,

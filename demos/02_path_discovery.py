@@ -9,13 +9,9 @@ The graph (only alice, bob, and dave enroll at first):
 Run:  python demos/02_path_discovery.py
 """
 
-from sopal import (
-    CapabilityStore,
-    DiscoveryClient,
-    LocalServerHandle,
-    MockOsnConnector,
-    run_discovery_pair,
-)
+from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
+from sopal.server import MockOsnConnector
+from sopal.store import CapabilityStore
 
 GROUND = {
     "alice": {"carol", "frank"},

@@ -8,8 +8,7 @@ always exactly 100%.
 Run:  python demos/03_coverage_simulation.py
 """
 
-from sopal import SimConfig, run_coverage
-from sopal.sim import preferential_attachment_graph
+from sopal.sim import SimConfig, preferential_attachment_graph, run_coverage
 
 N = 300
 print(f"generating a {N}-node preferential-attachment graph (2 links per node)")

@@ -12,16 +12,10 @@ Run:  python demos/04_server_and_load.py
 import threading
 import time
 
-from sopal import (
-    CapabilityStore,
-    DiscoveryClient,
-    HttpServerHandle,
-    MockOsnConnector,
-    SopalHttpServer,
-    load_probe,
-    run_discovery_pair,
-)
+from sopal.client import DiscoveryClient, HttpServerHandle, run_discovery_pair
+from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import gnp_graph
+from sopal.store import CapabilityStore
 
 print("building a 60-node world and starting the HTTP server")
 ground = gnp_graph(60, 0.08, seed=7)

@@ -164,7 +164,9 @@ def _addr_url(addr: str) -> str:
     if "://" in addr:
         return addr
     host, port = _parse_addr(addr)
-    return f"http://{host}:{port}"
+    # An IPv6 host goes in brackets, whether or not it came with them.
+    host = host.strip("[]")
+    return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
 
 def cmd_discover(args) -> int:

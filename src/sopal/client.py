@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import re
 import threading
 from dataclasses import dataclass
 from itertools import repeat
@@ -36,8 +37,6 @@ from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.psi import (
     DEFAULT_FP_TARGET,
     PHASE_DONE,
-    PHASE_FAILED,
-    PHASE_REJECTED,
     ProtocolError,
     PsiSession,
     make_reject,
@@ -139,6 +138,16 @@ class LocalServerHandle:
         return self._store.distribute(self._connector.authenticate(token), d_max)
 
 
+# A host name or IPv4 address, or an IPv6 address in brackets; no user
+# info, query or fragment.  The prefix holds RFC 3986 path characters.
+_SERVER_URL = re.compile(
+    r"(?P<scheme>https?)://"
+    r"(?P<netloc>(?:[a-z0-9._-]+|\[[0-9a-f:.]+\])(?::(?P<port>[0-9]{1,5}))?)"
+    r"(?P<prefix>(?:/[a-z0-9._~!$&'()*+,;=:@%/-]*)?)",
+    re.ASCII | re.IGNORECASE,
+)
+
+
 class HttpServerHandle:
     """Server access over HTTP, matching :mod:`sopal.server`'s routes.
 
@@ -154,22 +163,16 @@ class HttpServerHandle:
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
-        scheme, _, rest = base_url.rstrip("/").partition("://")
-        netloc, slash, path = rest.partition("/")
-        # The port follows the last colon outside an IPv6 address's brackets.
-        host, port = netloc, "0"
-        if netloc.rfind(":") > netloc.rfind("]"):
-            host, _, port = netloc.rpartition(":")
-        connection_class = {
-            "http": http.client.HTTPConnection,
-            "https": http.client.HTTPSConnection,
-        }.get(scheme.lower())
-        valid_port = port.isdigit() and int(port) < 65536
-        if connection_class is None or not host.strip("[]") or not valid_port:
+        match = _SERVER_URL.fullmatch(base_url.rstrip("/"))
+        if match is None or int(match["port"] or 0) > 65535:
             raise ValueError(f"server URL must be http(s)://host[:port], got {base_url!r}")
+        secure = match["scheme"].lower() == "https"
+        connection_class = http.client.HTTPSConnection if secure else http.client.HTTPConnection
         # http.client splits host[:port] itself, brackets included.
-        self._new_connection = functools.partial(connection_class, netloc, timeout=timeout_s)
-        self._path_prefix = slash + path
+        self._new_connection = functools.partial(
+            connection_class, match["netloc"], timeout=timeout_s
+        )
+        self._path_prefix = match["prefix"]
         self._local = threading.local()
 
     def close(self) -> None:
@@ -226,10 +229,13 @@ class HttpServerHandle:
 
 
 class _ClientSession:
+    """A live session's protocol state and input set; once it ends, only
+    its outcome: the result, or the text that :meth:`get_result` raises."""
+
     def __init__(self, psi: PsiSession, items: dict[bytes, AnnotatedItem]):
-        self.psi = psi
-        self.items = items
-        self.result: DistResult | None = None
+        self.psi: PsiSession | None = psi
+        self.items: dict[bytes, AnnotatedItem] | None = items
+        self.outcome: DistResult | str | None = None
 
 
 class DiscoveryClient:
@@ -313,25 +319,31 @@ class DiscoveryClient:
             with self._lock:
                 # Another thread may have opened one meanwhile; use it.
                 session = self._sessions.setdefault(device_id, _ClientSession(psi, items))
-        try:
-            reply, finished = session.psi.step(data)
-        except ProtocolError:
+        psi = session.psi
+        if psi is None:
             return None, True
-        if finished and session.psi.phase == PHASE_DONE:
-            session.result = self._compute_result(session)
+        try:
+            reply, finished = psi.step(data)
+        except ProtocolError:
+            reply, finished = None, True
+        if finished:
+            if psi.phase == PHASE_DONE:
+                session.outcome = self._compute_result(psi, session.items)
+            else:
+                detail = f": {psi.failure_reason}" if psi.failure_reason else ""
+                session.outcome = f"session with {device_id!r} is {psi.phase}{detail}"
+            session.psi = session.items = None
         return reply, finished
 
     def get_result(self, device_id: str) -> DistResult:
         session = self._sessions.get(device_id)
         if session is None:
             raise SessionError(f"no session with {device_id!r}")
-        if session.result is None:
-            phase = session.psi.phase
-            state = phase if phase in (PHASE_FAILED, PHASE_REJECTED) else "active"
-            reason = session.psi.failure_reason
-            detail = f": {reason}" if reason else ""
-            raise SessionError(f"session with {device_id!r} is {state}{detail}")
-        return session.result
+        if session.outcome is None:
+            raise SessionError(f"session with {device_id!r} is active")
+        if isinstance(session.outcome, str):
+            raise SessionError(session.outcome)
+        return session.outcome
 
     def end_session(self, device_id: str) -> bool:
         """Release all state for the session; True if one existed."""
@@ -352,12 +364,12 @@ class DiscoveryClient:
 
     # -- internals -----------------------------------------------------------
 
-    def _compute_result(self, session: _ClientSession) -> DistResult:
-        peer_id = session.psi.peer_claimed_id
+    def _compute_result(self, psi: PsiSession, items: dict[bytes, AnnotatedItem]) -> DistResult:
+        peer_id = psi.peer_claimed_id
         lengths = []
         common: set[str] = set()
-        for value in session.psi.matched_values:
-            item = session.items[value]
+        for value in psi.matched_values:
+            item = items[value]
             direct = item.is_self or (
                 item.received_degree == 0
                 and item.item_degree == 0

@@ -9,8 +9,7 @@ carry capability sets compactly during discovery; each filter has one
 fresh salt, and every item is hashed once with BLAKE2b keyed by it, all
 of its bit positions and its discovery challenge tag coming from that
 single digest.  X25519 key agreement produces the per-session symmetric
-key that protects the discovery transcript and binds set items to the
-session.
+key that protects the discovery transcript.
 
 Every use of SHA-256 here is domain-separated with a one-byte context
 label so chain values and derived keys live in disjoint input spaces.
@@ -118,7 +117,7 @@ class BloomFilter:
     Each filter carries one fresh random 16-byte salt, so bit positions
     are not comparable across filters and a transferred filter is only
     meaningful inside its own session.  An item is hashed once, as
-    ``d = BLAKE2b(item, key=salt, digest_size=max(32, 4 * gamma))``
+    ``d = BLAKE2b(context || item, key=salt, digest_size=max(32, 4 * gamma))``
     (keyed BLAKE2b, RFC 7693); its ``gamma`` positions are the first
     ``gamma`` big-endian 32-bit words of ``d``, each taken ``mod beta``,
     and its first :data:`DIGEST_BYTES` bytes serve the PSI as the item's
@@ -132,6 +131,11 @@ class BloomFilter:
     above :data:`BF_MAX_GAMMA` is refused.  The filter never produces
     false negatives.
 
+    ``context``, both session public keys in the PSI, binds the items
+    to one use: it is absorbed into the keyed state once and never goes
+    on the wire, so a filter parsed under another context matches
+    nothing it holds.  Empty, ``d`` hashes the bare item.
+
     In memory the filter keeps one byte per bit (``cells``, each 0 or
     1), which lets an insert or probe index a position directly; the
     packed bits exist only in :meth:`to_bytes` and :attr:`bits`.
@@ -139,7 +143,7 @@ class BloomFilter:
     A single instance is not safe for concurrent mutation.
     """
 
-    def __init__(self, beta: int, gamma: int, salt: bytes | None = None):
+    def __init__(self, beta: int, gamma: int, salt: bytes | None = None, *, context: bytes = b""):
         if beta < 0:
             raise ValueError("filter size must be non-negative")
         if not 1 <= gamma <= BF_MAX_GAMMA:
@@ -155,7 +159,7 @@ class BloomFilter:
         self.inserted_count = 0
         # Copying a keyed state costs about half of building one per item.
         digest_size = max(DIGEST_BYTES, 4 * gamma)
-        self._hasher = hashlib.blake2b(key=self.salt, digest_size=digest_size)
+        self._hasher = hashlib.blake2b(context, key=self.salt, digest_size=digest_size)
         self._digest_words = digest_size // 4
         self._positions = struct.Struct(f">{gamma}I").unpack_from
 
@@ -241,10 +245,11 @@ class BloomFilter:
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BloomFilter":
-        """Parse :meth:`to_bytes` output; raises ValueError for anything else,
-        including filters of another wire version and filters with a
-        padding bit set, so ``from_bytes(x).to_bytes() == x``."""
+    def from_bytes(cls, data: bytes, *, context: bytes = b"") -> "BloomFilter":
+        """Parse :meth:`to_bytes` output for use under ``context``; raises
+        ValueError for anything else, including filters of another wire
+        version and filters with a padding bit set, so
+        ``from_bytes(x).to_bytes() == x``."""
         if len(data) < BF_HEADER_BYTES:
             raise ValueError("truncated filter")
         if data[0] != BF_WIRE_VERSION:
@@ -259,7 +264,7 @@ class BloomFilter:
             raise ValueError("filter padding bits are set")
         # Built empty, so no zeroed buffer of beta cells is allocated
         # only to be replaced.
-        bf = cls(0, gamma, data[6:BF_HEADER_BYTES])
+        bf = cls(0, gamma, data[6:BF_HEADER_BYTES], context=context)
         packed = memoryview(data)[BF_HEADER_BYTES:]
         cells = bytearray(8 * len(packed))
         # A join keeps an 80-byte buffer record per part, so a whole

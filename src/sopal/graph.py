@@ -1,13 +1,11 @@
-"""Server-side social graph bookkeeping and shortest-path oracles.
+"""Server-side social graph bookkeeping and the hop-layer walk.
 
 The capability service never sees a whole OSN graph.  It accumulates the
 edges that enrolled members attest through their friend lists and
 answers hop-layer queries against that partial view; which nodes are
 members and which are ersatz stand-ins is kept in the capability store's
 records.  It does no locking; the capability store serializes every
-access.  :func:`hop_layers` is the one layer walk;
-:func:`true_shortest_distance` stays a separate BFS as the independent
-ground-truth oracle for tests.
+access.  :func:`hop_layers` is the one layer walk.
 """
 
 from __future__ import annotations
@@ -110,31 +108,6 @@ class SocialGraph:
         for node, depth in self.hop_distances(uid, n).items():
             layers[depth].add(node)
         return FriendLayers(center=uid, layers=layers[1:])
-
-
-def true_shortest_distance(adjacency: Adjacency, u: str, v: str) -> int | None:
-    """Plain BFS shortest-path length on a complete edge set.
-
-    Returns None when ``v`` is unreachable from ``u``.
-    """
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = [u]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for node in frontier:
-            for nbr in adjacency.get(node, ()):
-                if nbr in seen:
-                    continue
-                if nbr == v:
-                    return dist
-                seen.add(nbr)
-                nxt.append(nbr)
-        frontier = nxt
-    return None
 
 
 def hop_layers(adjacency: Adjacency, start: str, max_depth: int) -> dict[str, int]:

@@ -4,21 +4,22 @@ The protocol runs between an initiator and a responder:
 
 1. Hello exchange.  Each side sends its role, a fresh X25519 public key,
    its claimed OSN identifier and the Bloom filter parameters it intends
-   to use, then derives the shared session key.  Every set item is bound
-   to the session by appending both public keys (initiator first), so a
-   filter captured in one session matches nothing in another.
-2. The initiator inserts its bound items into a salted Bloom filter and
-   sends it, encrypted.
+   to use, then derives the shared session key.  Both public keys,
+   initiator first, form the session binding.
+2. The initiator inserts its items into a salted Bloom filter whose
+   keyed hash absorbs the binding before each item, so a filter captured
+   in one session matches nothing in another, and sends it, encrypted.
 3. The responder answers with challenge tags for its items that hit the
    filter, sorted by byte value.  An item's challenge tag is the first
    32 bytes of the keyed digest that sets or probes its filter bits, so
    each side hashes each item once.  The order is a function of the tag
    set alone, so it hides the order of the input set and reveals
    nothing the receiver does not already see.
-4. The initiator returns response tags, ``SHA-256("chal1" || item)``
-   sorted the same way, for the challenges that match the digests of
-   its own items.  This removes Bloom filter false positives, and both
-   sides finish holding the exact intersection.
+4. The initiator returns response tags,
+   ``SHA-256("chal1" || binding || item)`` sorted the same way, for the
+   challenges that match the digests of its own items.  This removes
+   Bloom filter false positives, and both sides finish holding the exact
+   intersection.
 
 Wire envelope (bit-exact): 1 version byte, 1 message-type byte, a
 16-byte session id, a 4-byte big-endian payload length, then the
@@ -42,7 +43,6 @@ from sopal.crypto import (
     BF_HEADER_BYTES,
     BF_MAX_GAMMA,
     DIGEST_BYTES,
-    PUBLIC_KEY_BYTES,
     BloomFilter,
     KeyPair,
     bf_hash_count,
@@ -50,7 +50,7 @@ from sopal.crypto import (
     establish_session,
 )
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 MSG_HELLO = 1
 MSG_BF = 2
@@ -86,9 +86,6 @@ _MAX_PAYLOAD_BY_TYPE = {
 
 _HEADER = struct.Struct(">BB16sI")
 
-# Every bound payload is its value followed by both public keys.
-_BINDING_BYTES = 2 * PUBLIC_KEY_BYTES
-
 _TAG1_LABEL = b"chal1"
 
 PHASE_HELLO = "hello"
@@ -104,10 +101,6 @@ _TERMINAL = (PHASE_DONE, PHASE_FAILED, PHASE_REJECTED)
 
 class ProtocolError(Exception):
     """A frame could not be processed; the session has moved to failed."""
-
-
-def _tag1(payload: bytes) -> bytes:
-    return hashlib.sha256(_TAG1_LABEL + payload).digest()
 
 
 def build_frame(msg_type: int, session_id: bytes, payload: bytes) -> bytes:
@@ -227,7 +220,10 @@ class PsiSession:
         self._values = list(values)
         if not set(map(type, self._values)) <= {bytes}:
             raise TypeError("PSI input values must be bytes")
-        self._payloads: list[bytes] = []
+        # Both public keys, initiator first, once the hellos are exchanged,
+        # and the response-tag hash state that has absorbed them.
+        self._binding = b""
+        self._tag1_prefix = hashlib.sha256(_TAG1_LABEL)
         self._digests: list[bytes] = []
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
@@ -287,21 +283,11 @@ class PsiSession:
     # -- results ----------------------------------------------------------
 
     @property
-    def intersection(self) -> frozenset[bytes]:
-        """Final intersection as session-bound payloads."""
+    def matched_values(self) -> frozenset[bytes]:
+        """The final intersection: the input values both sides hold."""
         if self._intersection is None:
             raise ProtocolError("session has not completed")
         return frozenset(self._intersection)
-
-    @property
-    def matched_values(self) -> frozenset[bytes]:
-        """Final intersection mapped back to the caller's input values."""
-        return frozenset(p[:-_BINDING_BYTES] for p in self.intersection)
-
-    @property
-    def bound_payloads(self) -> tuple[bytes, ...]:
-        """Session-bound items (value with both public keys appended)."""
-        return tuple(self._payloads)
 
     # -- state machine ----------------------------------------------------
 
@@ -370,15 +356,9 @@ class PsiSession:
         except ValueError as exc:
             raise ProtocolError(f"key agreement failed: {exc}") from exc
         self._aead = ChaCha20Poly1305(key)
-        self._bind_items(initiator_public)
-
-    def _bind_items(self, initiator_public: bytes) -> None:
-        responder_public = (
-            self.peer_public if self.role == ROLE_INITIATOR else self.own_keypair.public
-        )
-        assert self.peer_public is not None
-        suffix = initiator_public + responder_public
-        self._payloads = [v + suffix for v in self._values]
+        responder_public = public if self.role == ROLE_INITIATOR else self.own_keypair.public
+        self._binding = initiator_public + responder_public
+        self._tag1_prefix.update(self._binding)
 
     def _on_initiator_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_INITIATOR)
@@ -387,40 +367,43 @@ class PsiSession:
 
     def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_RESPONDER)
-        bf = BloomFilter(self.declared_beta, self.declared_gamma)
-        self._digests = bf.insert_all(self._payloads)
+        bf = BloomFilter(self.declared_beta, self.declared_gamma, context=self._binding)
+        self._digests = bf.insert_all(self._values)
         self.phase = PHASE_BF_SENT
         return self._seal(MSG_BF, bf.to_bytes()), False
 
     def _on_filter(self, ciphertext: bytes) -> tuple[bytes, bool]:
         plaintext = self._open(MSG_BF, ciphertext)
         try:
-            bf = BloomFilter.from_bytes(plaintext)
+            bf = BloomFilter.from_bytes(plaintext, context=self._binding)
         except ValueError as exc:
             raise ProtocolError(f"malformed filter: {exc}") from exc
         if bf.beta != self.peer_beta or bf.gamma != self.peer_gamma:
             raise ProtocolError("filter does not match the declared parameters")
-        self._candidates = {d[:TAG_BYTES]: p for d, p in bf.probe_all(self._payloads)}
+        self._candidates = {d[:TAG_BYTES]: v for d, v in bf.probe_all(self._values)}
         self.phase = PHASE_CHALLENGED
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
         received = _unpack_tags(self._open(MSG_CHAL, ciphertext))
-        matched = [
-            p for p, d in zip(self._payloads, self._digests) if d[:TAG_BYTES] in received
-        ]
+        matched = [v for v, d in zip(self._values, self._digests) if d[:TAG_BYTES] in received]
         self._intersection = set(matched)
-        proof = sorted(_tag1(p) for p in matched)
+        proof = sorted(map(self._tag1, matched))
         self.phase = PHASE_DONE
         return self._seal(MSG_RESP, _pack_tags(proof)), True
 
     def _on_response(self, ciphertext: bytes) -> tuple[None, bool]:
         received = _unpack_tags(self._open(MSG_RESP, ciphertext))
         self._intersection = {
-            p for p in self._candidates.values() if _tag1(p) in received
+            v for v in self._candidates.values() if self._tag1(v) in received
         }
         self.phase = PHASE_DONE
         return None, True
+
+    def _tag1(self, value: bytes) -> bytes:
+        hasher = self._tag1_prefix.copy()
+        hasher.update(value)
+        return hasher.digest()
 
     # -- encryption -------------------------------------------------------
 

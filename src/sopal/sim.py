@@ -4,8 +4,7 @@ The simulator samples a member set of a given fraction, samples member
 pairs whose true shortest distance equals each target length, and
 measures the fraction of pairs the system would discover, with and
 without ersatz records.  ``discoverable`` is a closed-form model of a
-full protocol run; ``model_protocol_equivalence`` checks it against real
-stores and clients on small instances.
+full protocol run.
 
 :func:`run_coverage` applies the same model to many pairs at once on
 per-node reach bitmasks: one Python int per node and hop count whose bit
@@ -34,13 +33,10 @@ import itertools
 import logging
 import random
 import statistics
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
-from sopal.graph import Adjacency, SocialGraph, hop_layers, load_edge_list
-from sopal.server import MockOsnConnector
-from sopal.store import CapabilityStore
+from sopal.graph import Adjacency, hop_layers, load_edge_list
 
 logger = logging.getLogger(__name__)
 
@@ -349,52 +345,6 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
                     )
                 )
     return report
-
-
-def model_protocol_equivalence(
-    ground: Adjacency,
-    members: Iterable[str],
-    d_max: int,
-    *,
-    ersatz_on: bool = True,
-    max_pairs: int | None = None,
-    seed: int = 0,
-) -> int:
-    """Compare :func:`discoverable` with full protocol runs.
-
-    Stands up a real store and real clients for every member, runs
-    discovery over every (or a sampled subset of) member pair, and
-    returns the number of pairs where (found, dist) disagrees at either
-    endpoint.  Expected to be zero.
-    """
-    members = sorted(members)
-    connector = MockOsnConnector(ground)
-    store = CapabilityStore(SocialGraph(), connector, ersatz_enabled=ersatz_on)
-    handle = LocalServerHandle(store, connector)
-    clients: dict[str, DiscoveryClient] = {}
-    for uid in members:
-        client = DiscoveryClient(uid, handle, d_max=d_max)
-        client.renew_capability()
-        clients[uid] = client
-    for client in clients.values():
-        client.update_capabilities()
-
-    pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        pairs = random.Random(f"{seed}/equiv").sample(pairs, max_pairs)
-
-    mismatches = 0
-    member_set = set(members)
-    for a, b in pairs:
-        result_a, result_b = run_discovery_pair(clients[a], clients[b])
-        clients[a].end_session(b)
-        clients[b].end_session(a)
-        expected = discoverable(ground, member_set, ersatz_on, d_max, a, b)
-        got_a = (result_a.dist is not None, result_a.dist)
-        got_b = (result_b.dist is not None, result_b.dist)
-        if got_a != expected or got_b != expected:
-            mismatches += 1
-    return mismatches
 
 
 # -- synthetic graphs --------------------------------------------------------

@@ -1,14 +1,23 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately written from the public algorithm descriptions
-(FIPS 180-4 for SHA-256, RFC 7748 for X25519, the capability download
-and its input-set expansion, the coverage procedure of
-``sopal.sim.run_coverage`` computed the direct way) and share no code
-with the package, so they can vouch for the production code.
+(FIPS 180-4 for SHA-256, RFC 7748 for X25519, breadth-first hop
+distances, the capability download and its input-set expansion, the
+coverage procedure of ``sopal.sim.run_coverage`` computed the direct
+way) and share no code with the package, so they can vouch for the
+production code.  The one exception is :func:`model_protocol_equivalence`,
+which runs the package's real store and clients to check its coverage
+model against them.
 """
 
 import random
 import statistics
+
+from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
+from sopal.graph import SocialGraph
+from sopal.server import MockOsnConnector
+from sopal.sim import discoverable
+from sopal.store import CapabilityStore
 
 # -- SHA-256 (FIPS 180-4) ----------------------------------------------------
 
@@ -126,6 +135,27 @@ def brute_intersection(xs, ys) -> set:
     return set(xs) & set(ys)
 
 
+# -- hop distances -----------------------------------------------------------
+
+
+def bfs(adjacency, start, depth=None):
+    """Hop distance from ``start`` of every node within ``depth`` hops, or
+    of every reachable node when ``depth`` is None."""
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier and d != depth:
+        d += 1
+        nxt = []
+        for node in frontier:
+            for nbr in adjacency.get(node, ()):
+                if nbr not in dist:
+                    dist[nbr] = d
+                    nxt.append(nbr)
+        frontier = nxt
+    return dist
+
+
 # -- capability distribution -------------------------------------------------
 
 
@@ -139,7 +169,7 @@ def reference_distribute(adjacency, live_caps, uid, d_max):
     sorted.
     """
     r_u, r_h = [], []
-    for node, hops in _bfs(adjacency, uid, d_max + 1).items():
+    for node, hops in bfs(adjacency, uid, d_max + 1).items():
         cap = live_caps.get(node)
         if hops == 0 or cap is None:
             continue
@@ -185,20 +215,6 @@ def reference_input_set(r_u, r_h, own_cap, d_max):
 _SKIP_WARNING = "skipping cell (fraction=%.2f, length=%d, rep=%d): only %d qualifying pairs"
 
 
-def _bfs(adjacency, start, depth):
-    dist = {start: 0}
-    frontier = [start]
-    for d in range(1, depth + 1):
-        nxt = []
-        for node in frontier:
-            for nbr in adjacency.get(node, ()):
-                if nbr not in dist:
-                    dist[nbr] = d
-                    nxt.append(nbr)
-        frontier = nxt
-    return dist
-
-
 def _attested(ground, members, ersatz_on):
     """Edges listed under their lower endpoint, kept when they touch a
     member (ersatz on) or join two members (ersatz off); undirected."""
@@ -231,7 +247,7 @@ def reference_run_coverage(config, adjacency):
             rng = random.Random(f"{config.seed}/cov/{rep}/{fraction}")
             size = max(2, round(fraction * len(nodes)))
             members = sorted(rng.sample(nodes, min(size, len(nodes))))
-            dist = {m: _bfs(adjacency, m, max(config.path_lengths)) for m in members}
+            dist = {m: bfs(adjacency, m, max(config.path_lengths)) for m in members}
             buckets = {n: [] for n in config.path_lengths}
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
@@ -257,7 +273,7 @@ def reference_run_coverage(config, adjacency):
                     for u, v in pairs:
                         for x in (u, v):
                             if x not in near:
-                                near[x] = set(_bfs(known, x, config.d_max + 1))
+                                near[x] = set(bfs(known, x, config.d_max + 1))
                         if v in adjacency.get(u, ()) or (near[u] & near[v]) - {u, v}:
                             found += 1
                     key = (fraction, n, ersatz_on)
@@ -276,3 +292,44 @@ def reference_run_coverage(config, adjacency):
                         f"{seen[fraction, n, ersatz_on]},{config.seed}"
                     )
     return "\n".join(lines) + "\n", warnings, pool_sizes
+
+
+# -- coverage model against the protocol ------------------------------------
+
+
+def model_protocol_equivalence(ground, members, d_max, *, ersatz_on=True, max_pairs=None, seed=0):
+    """Compare ``sopal.sim.discoverable`` with full protocol runs.
+
+    Stands up a real store and real clients for every member, runs
+    discovery over every (or a sampled subset of) member pair, and
+    returns the number of pairs where (found, dist) disagrees at either
+    endpoint.  Expected to be zero.
+    """
+    members = sorted(members)
+    connector = MockOsnConnector(ground)
+    store = CapabilityStore(SocialGraph(), connector, ersatz_enabled=ersatz_on)
+    handle = LocalServerHandle(store, connector)
+    clients = {}
+    for uid in members:
+        client = DiscoveryClient(uid, handle, d_max=d_max)
+        client.renew_capability()
+        clients[uid] = client
+    for client in clients.values():
+        client.update_capabilities()
+
+    pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+    if max_pairs is not None and len(pairs) > max_pairs:
+        pairs = random.Random(f"{seed}/equiv").sample(pairs, max_pairs)
+
+    mismatches = 0
+    member_set = set(members)
+    for a, b in pairs:
+        result_a, result_b = run_discovery_pair(clients[a], clients[b])
+        clients[a].end_session(b)
+        clients[b].end_session(a)
+        expected = discoverable(ground, member_set, ersatz_on, d_max, a, b)
+        got_a = (result_a.dist is not None, result_a.dist)
+        got_b = (result_b.dist is not None, result_b.dist)
+        if got_a != expected or got_b != expected:
+            mismatches += 1
+    return mismatches

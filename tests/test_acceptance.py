@@ -23,21 +23,20 @@ from sopal.crypto import (
     hash_chain,
     new_capability,
 )
-from sopal.graph import SocialGraph, true_shortest_distance
+from sopal.graph import SocialGraph
 from sopal.psi import PsiSession
 from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import (
     SimConfig,
     discoverable,
     gnp_graph,
-    model_protocol_equivalence,
     preferential_attachment_graph,
     run_coverage,
 )
 from sopal.store import CapabilityStore
 
 from helpers import enrolled_world, random_member_subset
-from oracles import brute_intersection
+from oracles import bfs, brute_intersection, model_protocol_equivalence
 
 
 def announce(number: int, message: str) -> None:
@@ -92,7 +91,7 @@ def test_c02_exact_path_length_on_fully_enrolled_graphs():
         graphs += 1
         for i, a in enumerate(nodes):
             for b in nodes[i + 1 :]:
-                true = true_shortest_distance(ground, a, b)
+                true = bfs(ground, a).get(b)
                 expected = true if true is not None and true <= horizon else None
                 ra, rb = run_discovery_pair(clients[a], clients[b])
                 clients[a].end_session(b)

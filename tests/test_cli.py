@@ -229,6 +229,17 @@ class TestClientAddresses:
             assert main(argv) == 5, argv
         assert "http(s)://" in capsys.readouterr().err
 
+    def test_bare_addresses_mean_plaintext_http(self):
+        assert sopal.cli._addr_url("h:80") == "http://h:80"
+        assert sopal.cli._addr_url("::1:80") == "http://[::1]:80"
+        assert sopal.cli._addr_url("[::1]:80") == "http://[::1]:80"
+        assert sopal.cli._addr_url("https://h/p") == "https://h/p"
+
+    def test_user_info_exit_code(self, tmp_path, capsys):
+        for argv in self.client_commands(tmp_path, "http://u@127.0.0.1:1"):
+            assert main(argv) == 5, argv
+        assert "http(s)://" in capsys.readouterr().err
+
     def test_unexpected_status_exit_code(self, live_server, tmp_path, capsys):
         _, addr = live_server
         for argv in self.client_commands(tmp_path, f"http://{addr}/nothing"):

@@ -3,6 +3,7 @@
 import random
 import socket
 import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from sopal.client import (
     run_discovery_pair,
 )
 from sopal.crypto import KeyPair, hash_chain, new_capability
-from sopal.graph import true_shortest_distance
 from sopal.psi import MSG_BF, PsiSession, recv_frame
 from sopal.sim import gnp_graph
 
@@ -28,7 +28,7 @@ from helpers import (
     random_member_subset,
     v1_filter_blob,
 )
-from oracles import reference_input_set
+from oracles import bfs, reference_input_set
 
 
 def fake_distribution(n_ru=0, n_rh=0, rh_degree=1):
@@ -211,7 +211,7 @@ class TestDiscoveryOutcomes:
                 ra, rb = run_discovery_pair(clients[a], clients[b])
                 clients[a].end_session(b)
                 clients[b].end_session(a)
-                true = true_shortest_distance(ground, a, b)
+                true = bfs(ground, a).get(b)
                 expected = true if true is not None and true <= 4 else None
                 assert ra.dist == expected, (seed, a, b, true)
                 assert rb.dist == expected
@@ -233,7 +233,7 @@ class TestDiscoveryOutcomes:
                 clients[a].end_session(b)
                 clients[b].end_session(a)
                 if ra.dist is not None:
-                    assert ra.dist >= true_shortest_distance(ground, a, b)
+                    assert ra.dist >= bfs(ground, a).get(b)
                 assert (ra.dist is None) == (rb.dist is None)
 
     def test_layer_membership_implies_held_value(self):
@@ -381,6 +381,29 @@ class TestSessionApi:
         assert b.getResult("dev-a").dist == 2
         assert a.endSoPaLSession("dev-b") is True
         assert a.endSoPaLSession("dev-b") is False
+
+    def test_finished_sessions_release_their_protocol_state(self):
+        a, b = self.make_pair()
+        reply, _ = b.handle_message("dev-a", a.start_session("dev-b"))
+        states = [weakref.ref(a._sessions["dev-b"].psi), weakref.ref(b._sessions["dev-a"].psi)]
+        done = False
+        while not done:
+            frame, _ = a.handle_message("dev-b", reply)
+            reply, done = b.handle_message("dev-a", frame)
+        assert [state() for state in states] == [None, None]
+        assert a.get_result("dev-b").dist == b.get_result("dev-a").dist == 2
+        # a late frame finds the session over and leaves its result alone
+        assert a.handle_message("dev-b", frame) == (None, True)
+        assert a.get_result("dev-b").dist == 2
+        assert a.end_session("dev-b") and b.end_session("dev-a")
+
+        a.start_session("dev-c")
+        state = weakref.ref(a._sessions["dev-c"].psi)
+        assert a.handle_message("dev-c", b"not a frame") == (None, True)
+        assert state() is None
+        with pytest.raises(SessionError, match="failed"):
+            a.get_result("dev-c")
+        assert a.end_session("dev-c")
 
     def test_result_before_completion_raises(self):
         a, b = self.make_pair()

@@ -346,6 +346,18 @@ class TestBloomFilter:
         with pytest.raises(ValueError, match="padding"):
             BloomFilter.from_bytes(bytes(blob))
 
+    def test_one_salt_with_two_contexts_gives_disjoint_digests(self):
+        # the context is hashed ahead of every item and never sent, so a
+        # filter only probes true under the context it was built with
+        salt = secrets.token_bytes(16)
+        items = [secrets.token_bytes(32) for _ in range(50)]
+        first = BloomFilter(512, 4, salt, context=b"\x01" * 64)
+        second = BloomFilter(512, 4, salt, context=b"\x02" * 64)
+        digests = first.insert_all(items)
+        assert set(digests).isdisjoint(second.insert_all(items))
+        parsed = BloomFilter.from_bytes(first.to_bytes(), context=b"\x01" * 64)
+        assert parsed.probe_all(items) == list(zip(digests, items))
+
     def test_salt_validation(self):
         with pytest.raises(ValueError):
             BloomFilter(8, 2, b"\x00" * 32)

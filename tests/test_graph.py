@@ -10,13 +10,13 @@ from sopal.graph import (
     hop_layers,
     load_edge_list,
     load_membership,
-    true_shortest_distance,
 )
 from sopal.server import MockOsnConnector
 from sopal.sim import gnp_graph
 from sopal.store import ERSATZ, MEMBER, CapabilityStore, NotEnrolledError
 
 from helpers import adjacency_from_edges, path_adjacency
+from oracles import bfs
 
 
 def enrolled_store(ground, members):
@@ -108,12 +108,9 @@ class TestLayering:
             rng = random.Random(seed)
             for center in rng.sample(sorted(adjacency), 5):
                 layers = g.layer_friend_sets(center, 6)
+                dist = bfs(adjacency, center)
                 for k in range(1, 7):
-                    expected = {
-                        v
-                        for v in adjacency
-                        if true_shortest_distance(adjacency, center, v) == k
-                    }
+                    expected = {v for v in adjacency if dist.get(v) == k}
                     assert layers.layer(k) == expected, (seed, center, k)
 
     def test_layers_disjoint_and_exclude_center(self):
@@ -151,22 +148,22 @@ class TestLayering:
 
 class TestShortestDistance:
     def test_same_node_is_zero(self):
-        assert true_shortest_distance({}, "A", "A") == 0
+        assert bfs({}, "A").get("A") == 0
 
     def test_adjacent_is_one(self):
         adj = path_adjacency("A", "B")
-        assert true_shortest_distance(adj, "A", "B") == 1
+        assert bfs(adj, "A").get("B") == 1
 
     def test_five_cycle(self):
         adj = adjacency_from_edges(
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
         )
-        assert true_shortest_distance(adj, "a", "c") == 2
-        assert true_shortest_distance(adj, "a", "d") == 2
+        assert bfs(adj, "a").get("c") == 2
+        assert bfs(adj, "a").get("d") == 2
 
     def test_unreachable_is_none(self):
         adj = {"A": {"B"}, "B": {"A"}, "C": set()}
-        assert true_shortest_distance(adj, "A", "C") is None
+        assert bfs(adj, "A").get("C") is None
 
     def test_hop_layers_bounded(self):
         adj = path_adjacency("a", "b", "c", "d", "e")

@@ -84,8 +84,8 @@ class TestBasicFlows:
         assert init.matched_values == resp.matched_values == frozenset()
 
     def test_values_must_be_bytes(self):
-        """Values are kept as given, so a bytearray (unhashable once bound
-        to the session keys) or a str is refused when the session starts."""
+        """Values are kept as given, so a bytearray (unhashable) or a str
+        is refused when the session starts."""
         values = fresh_values(3)
         for bad in (bytearray(values[0]), values[0].hex()):
             with pytest.raises(TypeError):
@@ -108,11 +108,12 @@ class TestBasicFlows:
         expected = brute_intersection(values_a, values_b)
         assert init.matched_values == resp.matched_values == frozenset(expected)
 
-    def test_intersection_is_subset_of_own_payloads(self):
+    def test_matched_values_are_subset_of_own_values(self):
         values = fresh_values(3)
-        init, resp, _ = run_session(values + fresh_values(2), values + fresh_values(2))
-        assert init.intersection <= set(init.bound_payloads)
-        assert resp.intersection <= set(resp.bound_payloads)
+        values_a, values_b = values + fresh_values(2), values + fresh_values(2)
+        init, resp, _ = run_session(values_a, values_b)
+        assert init.matched_values <= set(values_a)
+        assert resp.matched_values <= set(values_b)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -152,11 +153,16 @@ class TestHello:
         with pytest.raises(ProtocolError, match="17 index functions"):
             init.step(bytes(forged))
 
-    def test_fresh_keys_give_fresh_payloads(self):
+    def test_fresh_keys_give_fresh_filter_digests(self):
+        # one salt for both sessions, so only their public keys differ
         values = fresh_values(4)
-        init1, resp1, _ = run_session(values, list(values))
-        init2, resp2, _ = run_session(values, list(values))
-        assert set(init1.bound_payloads).isdisjoint(init2.bound_payloads)
+        salt = secrets.token_bytes(16)
+        digests = []
+        for _ in range(2):
+            init, resp, _ = run_session(values, list(values))
+            binding = init.own_keypair.public + resp.own_keypair.public
+            digests.append(BloomFilter(64, 2, salt, context=binding).insert_all(values))
+        assert set(digests[0]).isdisjoint(digests[1])
 
     def test_oversized_declared_filter_fails_responder(self):
         init, frame = PsiSession.start_initiator(
@@ -240,7 +246,7 @@ class TestReject:
         out, done = init.step(make_reject())
         assert out is None and done
         assert init.phase == PHASE_REJECTED
-        assert init.intersection == frozenset()
+        assert init.matched_values == frozenset()
 
     def test_reject_midway_terminates_cleanly(self):
         init, hello = PsiSession.start_initiator(fresh_values(4), KeyPair.generate(), "u")
@@ -306,15 +312,16 @@ class TestSessionBinding:
         hello_b, _ = resp2.step(hello2)
         init2.step(hello_b)
 
-        stale_bf = BloomFilter(bf_optimal_size(6, 0.001), 10)
-        for payload in init1.bound_payloads:
-            stale_bf.insert(payload)
+        binding1 = init1.own_keypair.public + resp1.own_keypair.public
+        stale_bf = BloomFilter(bf_optimal_size(6, 0.001), 10, context=binding1)
+        for value in values:
+            stale_bf.insert(value)
         init2._send_counter = 0
         replayed = init2._seal(MSG_BF, stale_bf.to_bytes())
         init2._send_counter = 1
         chal, _ = resp2.step(replayed)
-        # no session 2 payload can sit in a filter built over session 1
-        # payloads, so the candidate set and both final results are empty
+        # no session 2 item can sit in a filter keyed to session 1's
+        # public keys, so the candidate set and both final results are empty
         assert resp2._candidates == {}
         resp_frame, done = init2.step(chal)
         assert done and init2.matched_values == frozenset()
@@ -389,11 +396,13 @@ class TestChallengeTags:
             if direction == "sent"
         }
         salt = BloomFilter.from_bytes(sent[MSG_BF]).salt
-        digest_size = max(32, 4 * gamma)
-        prefixes = {
-            hashlib.blake2b(p, key=salt, digest_size=digest_size).digest()[:32]
-            for p in resp.bound_payloads
-        }
+        binding = init.own_keypair.public + resp.own_keypair.public
+        prefixes = set()
+        for value in values_b:
+            hasher = hashlib.blake2b(key=salt, digest_size=max(32, 4 * gamma))
+            hasher.update(binding)
+            hasher.update(value)
+            prefixes.add(hasher.digest()[:32])
         chal = sent[MSG_CHAL]
         tags = {chal[i : i + 32] for i in range(4, len(chal), 32)}
         assert len(tags) >= len(shared)

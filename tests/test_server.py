@@ -3,6 +3,7 @@ probe."""
 
 import http.client
 import json
+import re
 import socket
 import ssl
 import statistics
@@ -12,6 +13,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sopal.client import HttpServerHandle
 from sopal.crypto import new_capability
@@ -359,11 +362,48 @@ class TestServerUrl:
     @pytest.mark.parametrize(
         "url",
         ["ftp://h:1", "h:80", "http://", "http://:80", "http://[]:80", "http://h:",
-         "http://h:abc", "http://h:70000", "http://h:80?x"],
+         "http://h:abc", "http://h:70000", "http://h:80?x", "http://u@host:80"],
     )
     def test_malformed_url_refused(self, url):
         with pytest.raises(ValueError, match=r"http\(s\)://host"):
             HttpServerHandle(url)
+
+    # A looser reading of http(s)://host[:port][/prefix] than the handle's.
+    SHAPE = re.compile(
+        r"(https?)://([^\s/?#@\[\]:]+|\[[^\s/?#@\[\]]+\])(?::(\d+))?(/[^\s?#]*)?",
+        re.IGNORECASE,
+    )
+    server_url = st.builds(
+        "{}://{}{}{}".format,
+        st.sampled_from(["http", "https", "HTTPS"]),
+        st.sampled_from(["h", "example.org", "127.0.0.1", "[::1]"]),
+        st.sampled_from(["", ":0", ":80", ":65535"]),
+        st.sampled_from(["", "/", "/api/", "/a/b"]),
+    )
+    # a server URL with a few characters inserted somewhere
+    edited_url = st.builds(
+        lambda url, at, text: url[:at] + text + url[at:],
+        server_url,
+        st.integers(0, 30),
+        st.sampled_from(["u@", "@", ":", ":1", "?x", "#", " ", "[", "]", "%", "//"])
+        | st.text(max_size=3),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(url=st.text(max_size=40) | server_url | edited_url)
+    def test_accepted_urls_have_the_server_url_shape(self, url):
+        try:
+            handle = HttpServerHandle(url)
+        except ValueError:
+            return
+        match = self.SHAPE.fullmatch(url.rstrip("/"))
+        assert match is not None, url
+        scheme, host, port, prefix = match.groups()
+        conn = handle._new_connection()
+        default_port = 443 if scheme.lower() == "https" else 80
+        assert conn.host == host.strip("[]")
+        assert conn.port == (default_port if port is None else int(port)) < 65536
+        assert handle._path_prefix == (prefix or "")
 
     @pytest.mark.parametrize(
         "url, host, port, prefix",

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sopal import sim
-from sopal.graph import true_shortest_distance
 from sopal.sim import (
     SimConfig,
     _PairPool,
@@ -21,13 +20,12 @@ from sopal.sim import (
     gnp_graph,
     known_adjacency,
     load_graph_source,
-    model_protocol_equivalence,
     preferential_attachment_graph,
     run_coverage,
 )
 
 from helpers import adjacency_from_edges, path_adjacency, random_member_subset
-from oracles import reference_run_coverage
+from oracles import bfs, model_protocol_equivalence, reference_run_coverage
 
 
 class TestDiscoverable:
@@ -71,7 +69,7 @@ class TestDiscoverable:
                 a, b = rng.sample(uids, 2)
                 found, dist = discoverable(ground, members, True, 1, a, b)
                 if found:
-                    true = true_shortest_distance(ground, a, b)
+                    true = bfs(ground, a).get(b)
                     assert dist >= true
 
 
@@ -458,9 +456,8 @@ class TestGenerators:
         assert len(g) == 60
         # growth attaches every new node to at least its ambassador
         root = "0"
-        assert all(
-            true_shortest_distance(g, root, v) is not None for v in g
-        )
+        reached = bfs(g, root)
+        assert all(reached.get(v) is not None for v in g)
 
     def test_source_specs(self, tmp_path):
         assert len(load_graph_source("pa:40:2", seed=1)) == 40
