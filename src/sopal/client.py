@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 from sopal.crypto import KeyPair, hash_chain, new_capability
 from sopal.psi import (
     DEFAULT_FP_TARGET,
+    MSG_HELLO,
     PHASE_DONE,
     ProtocolError,
     PsiSession,
@@ -309,9 +310,11 @@ class DiscoveryClient:
         return hello
 
     def handle_message(self, device_id: str, data: bytes) -> tuple[bytes | None, bool]:
-        """Feed one received frame; returns (reply or None, finished flag)."""
+        """Feed one frame; only a HELLO opens a session.  Returns (reply or None, finished)."""
         session = self._sessions.get(device_id)
         if session is None:
+            if data[1:2] != bytes((MSG_HELLO,)):
+                return None, True
             items = self._items
             psi = PsiSession.start_responder(
                 items, KeyPair.generate(), self.uid, fp_target=self._fp_target

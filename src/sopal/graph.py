@@ -1,16 +1,17 @@
-"""Server-side social graph bookkeeping and the hop-layer walk.
+"""Server-side social graph bookkeeping and the hop-ring walk.
 
 The capability service never sees a whole OSN graph.  It accumulates the
 edges that enrolled members attest through their friend lists and
 answers hop-layer queries against that partial view; which nodes are
 members and which are ersatz stand-ins is kept in the capability store's
 records.  It does no locking; the capability store serializes every
-access.  :func:`hop_layers` is the one layer walk.
+access.  :func:`hop_rings` is the one ring walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 Adjacency = Mapping[str, set[str]]
@@ -20,8 +21,7 @@ Adjacency = Mapping[str, set[str]]
 class FriendLayers:
     """Hop layers around a center node: ``layers[0]`` is the 1-hop set."""
 
-    center: str
-    layers: list[set[str]] = field(default_factory=list)
+    layers: list[set[str]]
 
     def layer(self, k: int) -> set[str]:
         """The set of nodes exactly ``k`` hops out (k is 1-based)."""
@@ -91,40 +91,37 @@ class SocialGraph:
     def __len__(self) -> int:
         return len(self._adj)
 
-    def hop_distances(self, uid: str, n: int) -> dict[str, int]:
-        """Hop distance from ``uid`` (0 for ``uid`` itself) of every node
-        within ``n`` hops, in breadth-first order."""
-        return hop_layers(self._adj, uid, n)
+    def hop_rings(self, uid: str, n: int) -> list[set[str]]:
+        """:func:`hop_rings` around ``uid`` out to ``n`` hops."""
+        return hop_rings(self._adj, uid, n)
 
     def layer_friend_sets(self, uid: str, n: int) -> FriendLayers:
-        """Breadth-first hop layers around ``uid``, out to depth ``n``.
-
-        Each node lands in the layer of its first discovery, the center is
-        in no layer, and layers are pairwise disjoint.
-        """
+        """The disjoint hop layers 1 to ``n`` around ``uid``: its rings
+        without the center, padded with empty layers."""
         if n < 1:
             raise ValueError("layer depth must be at least 1")
-        layers: list[set[str]] = [set() for _ in range(n + 1)]
-        for node, depth in self.hop_distances(uid, n).items():
-            layers[depth].add(node)
-        return FriendLayers(center=uid, layers=layers[1:])
+        layers = self.hop_rings(uid, n)[1:]
+        return FriendLayers(layers + [set() for _ in range(n - len(layers))])
+
+
+def hop_rings(adjacency: Adjacency, start: str, max_depth: int) -> list[set[str]]:
+    """``rings[k]`` holds the nodes exactly ``k`` hops from ``start``, out to
+    ``max_depth``; the list ends before the first empty ring."""
+    rings = [{start}]
+    seen = {start}
+    while len(rings) <= max_depth:
+        ring = set().union(*map(adjacency.get, rings[-1], repeat(())))
+        ring -= seen
+        if not ring:
+            break
+        seen |= ring
+        rings.append(ring)
+    return rings
 
 
 def hop_layers(adjacency: Adjacency, start: str, max_depth: int) -> dict[str, int]:
     """Distances from ``start`` for every node within ``max_depth`` hops."""
-    dists = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            for nbr in adjacency.get(node, ()):
-                if nbr not in dists:
-                    dists[nbr] = depth
-                    nxt.append(nbr)
-        frontier = nxt
-    return dists
+    return {n: k for k, ring in enumerate(hop_rings(adjacency, start, max_depth)) for n in ring}
 
 
 def load_edge_list(path) -> dict[str, set[str]]:

@@ -115,7 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
-        logger.debug("%s %s", self.address_string(), fmt % args)
+        logger.debug("%s " + fmt, self.address_string(), *args)
 
     @property
     def _ctx(self) -> "SopalHttpServer":

@@ -7,8 +7,8 @@ which is what lets two enrolled users discover a non-enrolled common
 friend.  Distribution returns the friends' capabilities with ids, plus
 anonymous higher-order values for nodes further out as one run of values
 per degree.  A higher-order value is derived the first time a download
-asks for it and memoised on the record (every write makes a new record,
-so the memo never outlives its capability); it is never persisted.
+asks for it and memoised per degree; a write drops only the written id's
+values, so the memo never outlives a capability.  It is never persisted.
 
 Degree convention: with maximum degree ``d_max``, collection spans hop
 layers 1 through ``d_max + 1``; layer ``i`` contributes values at degree
@@ -26,7 +26,7 @@ import struct
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable
 
@@ -46,13 +46,9 @@ class NotEnrolledError(LookupError):
     """The id has no member record, so it cannot download capabilities."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapRecord:
-    """One stored (id, capability) pair.
-
-    ``chain`` memoises ``hash_chain(cap, k)`` at index ``k - 1``; only
-    :meth:`CapabilityStore.distribute` extends it, under the store lock.
-    """
+    """One stored (id, capability) pair; a write replaces the record."""
 
     uid: str
     cap: bytes
@@ -60,7 +56,6 @@ class CapRecord:
     created_at: float
     ttl_s: float
     stale: bool = False
-    chain: list = field(default_factory=list, compare=False, repr=False)
 
     def expired(self, now: float) -> bool:
         return now - self.created_at > self.ttl_s
@@ -160,6 +155,8 @@ class CapabilityStore:
         self.ersatz_enabled = ersatz_enabled
         self._clock = clock
         self._records: dict[str, CapRecord] = {}
+        # _chains[k][uid]: hash_chain(cap, k), or b"" while the record is stale
+        self._chains: dict[int, dict[str, bytes]] = {}
         self._lock = threading.Lock()
 
     # -- writes ----------------------------------------------------------
@@ -181,7 +178,7 @@ class CapabilityStore:
             if self.ersatz_enabled:
                 for friend in friends:
                     if friend not in self._records:
-                        self._records[friend] = self._new_ersatz(friend, now)
+                        self._put(self._new_ersatz(friend, now))
             else:
                 # Every record is a member's here.  Each member-member edge
                 # is recorded when its second endpoint enrolls; this relies
@@ -189,7 +186,7 @@ class CapabilityStore:
                 # storing edges both ways.
                 friends = [f for f in friends if f in self._records]
             self.graph.record_member(uid, friends)
-            self._records[uid] = CapRecord(uid, cap, MEMBER, now, self.default_ttl_s)
+            self._put(CapRecord(uid, cap, MEMBER, now, self.default_ttl_s))
 
     def expire_and_refresh(self, now: float | None = None) -> int:
         """Apply TTLs; returns how many records expired.
@@ -207,12 +204,18 @@ class CapabilityStore:
                 if not rec.expired(now):
                     continue
                 if rec.kind == MEMBER and not rec.stale:
-                    self._records[uid] = replace(rec, stale=True)
+                    self._put(replace(rec, stale=True))
                     count += 1
                 elif rec.kind == ERSATZ:
-                    self._records[uid] = self._new_ersatz(uid, now)
+                    self._put(self._new_ersatz(uid, now))
                     count += 1
         return count
+
+    def _put(self, rec: CapRecord) -> None:
+        """Store ``rec`` and drop its id's memoised values; needs the lock."""
+        self._records[rec.uid] = rec
+        for memo in self._chains.values():
+            memo.pop(rec.uid, None)
 
     def _new_ersatz(self, uid: str, now: float) -> CapRecord:
         """A stand-in record with a fresh random value."""
@@ -226,39 +229,36 @@ class CapabilityStore:
     # -- reads -----------------------------------------------------------
 
     def distribute(self, uid: str, d_max: int) -> DistributionResult:
-        """Compute the download for ``uid``: layer-1 pairs with ids, then
-        degree ``i - 1`` values for each layer ``i`` up to ``d_max + 1``
-        with ids removed, in one pass over the hop walk's node→depth map.
-        Higher-order values are memoised on each record one chain step at
-        a time, so a value is hashed once per record however many
-        downloads carry it; they are never persisted.  Deterministic:
-        ``r_u`` is sorted by id, and ``runs`` holds one run per degree with
-        values, by ascending degree, each sorted by value.
-        """
+        """The download for ``uid``: its friends' (id, capability) pairs,
+        then each hop ring ``i`` up to ``d_max + 1`` as its degree ``i - 1``
+        memo values.  ``r_u`` is sorted by id; ``runs`` has one run per
+        degree with values, by ascending degree, each sorted by value."""
         if d_max < 0:
             raise ValueError("maximum degree must be non-negative")
-        r_u = []
-        buckets: list[list[bytes]] = [[] for _ in range(d_max + 1)]  # by degree
         with self._lock:
-            rec = self._records.get(uid)
+            records = self._records
+            rec = records.get(uid)
             if rec is None or rec.kind != MEMBER:
                 raise NotEnrolledError(f"{uid!r} has no member record")
-            records = self._records
-            for fid, depth in self.graph.hop_distances(uid, d_max + 1).items():
-                frec = records.get(fid)
-                if depth == 0 or frec is None or frec.stale:
-                    continue
-                if depth == 1:
-                    r_u.append((fid, frec.cap))
-                    continue
-                degree = depth - 1
-                memo = frec.chain
-                while len(memo) < degree:
-                    memo.append(hash_chain(memo[-1] if memo else frec.cap, 1))
-                buckets[degree].append(memo[degree - 1])
+            rings = self.graph.hop_rings(uid, d_max + 1)
+            r_u = [(f, r.cap) for ring in rings[1:2] for f in ring if not (r := records[f]).stale]
+            buckets = [list(filter(None, map(self._chain(k, ring).get, ring)))
+                       for k, ring in enumerate(rings[2:], 1)]
         r_u.sort()
-        runs = tuple((degree, tuple(sorted(b))) for degree, b in enumerate(buckets) if b)
+        runs = tuple((degree, tuple(sorted(b))) for degree, b in enumerate(buckets, 1) if b)
         return DistributionResult(r_u=tuple(r_u), runs=runs)
+
+    def _chain(self, degree: int, uids: set[str]) -> dict[str, bytes]:
+        """The memo at ``degree``, filled for ``uids`` from the degree below; needs the lock."""
+        if degree == 0:
+            return {u: b"" if (r := self._records[u]).stale else r.cap for u in uids}
+        memo = self._chains.setdefault(degree, {})
+        missing = uids.difference(memo)
+        if missing:
+            base = self._chain(degree - 1, missing)
+            for u in missing:
+                memo[u] = hash_chain(base[u], 1) if base[u] else b""
+        return memo
 
     def record_of(self, uid: str) -> CapRecord | None:
         with self._lock:

@@ -17,7 +17,7 @@ from sopal.client import (
     run_discovery_pair,
 )
 from sopal.crypto import KeyPair, hash_chain, new_capability
-from sopal.psi import MSG_BF, PsiSession, recv_frame
+from sopal.psi import MSG_BF, MSG_HELLO, WIRE_VERSION, PsiSession, make_reject, recv_frame
 from sopal.sim import gnp_graph
 
 from helpers import (
@@ -456,12 +456,24 @@ class TestSessionApi:
             return self.StubPsi()
 
         monkeypatch.setattr(PsiSession, "start_responder", start_responder)
+        one, two = (bytes((WIRE_VERSION, MSG_HELLO)) + tail for tail in (b"one", b"two"))
         outcomes = self.run_together(
-            lambda: a.handle_message("dev", b"one"),
-            lambda: a.handle_message("dev", b"two"),
+            lambda: a.handle_message("dev", one),
+            lambda: a.handle_message("dev", two),
         )
         assert outcomes == [(b"reply", False)] * 2
-        assert sorted(a._sessions["dev"].psi.frames) == [b"one", b"two"]
+        assert sorted(a._sessions["dev"].psi.frames) == [one, two]
+
+    def test_only_a_hello_opens_a_responder_session(self, monkeypatch):
+        a, _ = self.make_pair()
+        generated = []
+        monkeypatch.setattr(KeyPair, "generate", lambda: generated.append(1))
+        for i in range(1000):
+            assert a.handle_message(f"junk-{i}", b"junk") == (None, True)
+            assert a.handle_message(f"reject-{i}", make_reject()) == (None, True)
+        assert a._sessions == {} and generated == []
+        with pytest.raises(SessionError, match="no session"):
+            a.get_result("junk-0")
 
     def test_racing_starts_open_one_session(self, monkeypatch):
         a, _ = self.make_pair()

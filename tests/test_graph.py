@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sopal.crypto import new_capability
 from sopal.graph import (
     SocialGraph,
     hop_layers,
+    hop_rings,
     load_edge_list,
     load_membership,
 )
@@ -17,6 +20,7 @@ from sopal.store import ERSATZ, MEMBER, CapabilityStore, NotEnrolledError
 
 from helpers import adjacency_from_edges, path_adjacency
 from oracles import bfs
+from test_sim import odd_gnp_graphs
 
 
 def enrolled_store(ground, members):
@@ -169,6 +173,20 @@ class TestShortestDistance:
         adj = path_adjacency("a", "b", "c", "d", "e")
         layers = hop_layers(adj, "a", 2)
         assert layers == {"a": 0, "b": 1, "c": 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency=odd_gnp_graphs(), data=st.data())
+def test_ring_walk_matches_bfs_oracle(adjacency, data):
+    """One-way arcs and neighbours with no entry of their own included."""
+    nodes = sorted(set(adjacency).union(*adjacency.values()))
+    start = data.draw(st.sampled_from(nodes))
+    for depth in range(5):
+        want = bfs(adjacency, start, depth)
+        rings = hop_rings(adjacency, start, depth)
+        assert len(rings) == 1 + max(want.values())
+        assert rings == [{v for v, d in want.items() if d == k} for k in range(len(rings))]
+        assert hop_layers(adjacency, start, depth) == want
 
 
 class TestFileFormats:

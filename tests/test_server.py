@@ -421,6 +421,15 @@ class TestServerUrl:
         assert (conn.host, conn.port, handle._path_prefix) == (host, port, prefix)
 
 
+class TestAccessLog:
+    def test_debug_line_carries_request_line_and_status(self, fresh_server, caplog):
+        with caplog.at_level("DEBUG", logger="sopal.server"):
+            status, _ = request(fresh_server, "GET", "/v1/health")
+        assert status == 200
+        lines = [r for r in caplog.records if r.name == "sopal.server" and r.levelname == "DEBUG"]
+        assert any('"GET /v1/health HTTP/1.1" 200' in r.getMessage() for r in lines)
+
+
 class TestServerConfig:
     def test_refuses_plaintext_without_flag(self):
         connector = MockOsnConnector(GROUND)

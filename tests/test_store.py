@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sopal.store
 from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
 from sopal.crypto import hash_chain, new_capability
 from sopal.graph import SocialGraph
@@ -427,7 +428,9 @@ class TestDistributeMatchesReference:
     def check_records(store, ersatz):
         """Node kinds live in the records: every graph node has one, every
         edge has a member end, every ersatz record a member neighbour, and
-        an ersatz-off store holds no ersatz record."""
+        an ersatz-off store holds no ersatz record.  Every memoised chain
+        value is its record's current one, so the memo holds at most one
+        entry per record and degree."""
         graph = store.graph
         kinds = {uid: store.record_of(uid).kind for uid in graph.nodes()}
         assert store.record_count() == len(kinds)
@@ -437,6 +440,12 @@ class TestDistributeMatchesReference:
             if kind == ERSATZ:
                 assert ersatz
                 assert any(kinds[n] == MEMBER for n in graph.neighbors(uid))
+        chains = store._chains
+        assert sum(map(len, chains.values())) <= store.record_count() * len(chains)
+        for degree, memo in chains.items():
+            for uid, value in memo.items():
+                rec = store.record_of(uid)
+                assert value == (b"" if rec.stale else hash_chain(rec.cap, degree))
 
     @staticmethod
     def check(store, ground, model, uid, d_max):
@@ -461,6 +470,51 @@ class TestDistributeMatchesReference:
         # ids only on layer 1
         assert {fid for fid, _ in result.r_u} <= layers.layer(1)
         assert_anonymous_runs(json.loads(result.to_json()))
+
+
+class TestChainMemo:
+    """Chain values are hashed once per record and degree: a repeat
+    download hashes nothing, and a write re-hashes only the writer's chain."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The inputs of every ``hash_chain`` call the store makes."""
+        calls = []
+
+        def counted(value, steps):
+            calls.append(value)
+            return hash_chain(value, steps)
+
+        monkeypatch.setattr(sopal.store, "hash_chain", counted)
+        return calls
+
+    def test_writes_rehash_only_their_own_chain(self, hashed):
+        # U - A - B - C - D: from U, B is at degree 1, C at 2 and D at 3
+        clock = FakeClock()
+        store, _ = make_store(path_adjacency("U", "A", "B", "C", "D"), clock=clock)
+        store.upload_capability("B", new_capability())  # mints ersatz A and C
+        clock.advance(30 * 3600)
+        store.upload_capability("U", new_capability())
+        store.upload_capability("D", new_capability())
+        first = store.distribute("U", 3)
+        assert len(hashed) == 1 + 2 + 3
+        # B's member record goes stale; ersatz A and C get fresh values
+        clock.advance(20 * 3600)
+        assert store.expire_and_refresh() == 3
+        hashed.clear()
+        stale = store.distribute("U", 3)
+        assert hashed == [store.record_of("C").cap, hash_chain(store.record_of("C").cap, 1)]
+        assert [d for d, _ in stale.runs] == [2, 3] and stale.runs[1] == first.runs[2]
+        for _ in range(3):
+            hashed.clear()
+            assert store.distribute("U", 3) == stale
+            assert hashed == []
+        cap_d = new_capability()
+        store.upload_capability("D", cap_d)
+        store.upload_capability("U", new_capability())
+        hashed.clear()
+        store.distribute("U", 3)
+        assert hashed == [cap_d, hash_chain(cap_d, 1), hash_chain(cap_d, 2)]
 
 
 class TestExpiry:
