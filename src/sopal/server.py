@@ -15,7 +15,8 @@ Routes:
 * ``GET /v1/health``
 
 All routes take ``Authorization: Bearer <token>``.  The server runs over
-TLS when given a certificate, or in loudly flagged plaintext test mode.
+TLS when given a certificate, loaded before the port is bound so that a
+bad one leaves no socket open, or in loudly flagged plaintext test mode.
 Connections are persistent HTTP/1.1: a client may send many requests on
 one connection, which the server closes after ``IDLE_TIMEOUT_S`` without
 a request.  A POST body must carry ``Content-Length`` and be at most
@@ -117,10 +118,6 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         logger.debug("%s " + fmt, self.address_string(), *args)
 
-    @property
-    def _ctx(self) -> "SopalHttpServer":
-        return self.server.sopal  # type: ignore[attr-defined]
-
     def _send_json(self, code: int, body: dict, *, close: bool = False) -> None:
         data = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         self._send(code, data, close=close)
@@ -140,7 +137,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(401, {"error": "missing bearer token"})
             return None
         try:
-            return self._ctx.connector.authenticate(header[len("Bearer ") :].strip())
+            return self.server.connector.authenticate(header[len("Bearer ") :].strip())
         except AuthError as exc:
             self._send_json(401, {"error": str(exc)})
             return None
@@ -148,7 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         path, _, query = self.path.partition("?")
         if path == "/v1/health":
-            self._send_json(200, {"status": "ok", "records": self._ctx.store.record_count()})
+            self._send_json(200, {"status": "ok", "records": self.server.store.record_count()})
             return
         if path != "/v1/capabilities":
             self._send_json(404, {"error": "no such route"})
@@ -156,7 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
         uid = self._authenticate()
         if uid is None:
             return
-        d_max = self._ctx.d_max
+        d_max = self.server.d_max
         for part in query.split("&"):
             if part.startswith("dmax="):
                 try:
@@ -164,9 +161,9 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError:
                     self._send_json(400, {"error": "dmax must be an integer"})
                     return
-        d_max = max(0, min(d_max, self._ctx.d_max))
+        d_max = max(0, min(d_max, self.server.d_max))
         try:
-            result = self._ctx.store.distribute(uid, d_max)
+            result = self.server.store.distribute(uid, d_max)
         except NotEnrolledError as exc:
             self._send_json(403, {"error": "not-enrolled", "detail": str(exc)})
             return
@@ -203,7 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "body must be the capability as hex"})
             return
         try:
-            self._ctx.store.upload_capability(uid, cap)
+            self.server.store.upload_capability(uid, cap)
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
             return
@@ -213,17 +210,70 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"status": "ok"})
 
 
-class _ThreadingServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` that keeps its open connections, so that
-    they can be closed when the server stops."""
+class SopalHttpServer(ThreadingHTTPServer):
+    """Single-instance capability server, a ``ThreadingHTTPServer``
+    whose handler reads ``store``, ``connector`` and ``d_max`` from it
+    per request, so ``store`` may be replaced while it serves.
+
+    Handles each connection on its own thread; the store's one lock
+    serializes their reads and writes.  Connections stay open between
+    requests until the client closes them, ``IDLE_TIMEOUT_S`` passes
+    without a request, or :meth:`stop` closes them all.  ``with server:``
+    starts and stops it.
+    """
 
     daemon_threads = True
     request_queue_size = LISTEN_BACKLOG
 
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
+    def __init__(
+        self,
+        store: CapabilityStore,
+        connector: MockOsnConnector,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        d_max: int = 1,
+        tls_cert: str | None = None,
+        tls_key: str | None = None,
+        insecure_plaintext: bool = False,
+    ):
+        if not tls_cert and not insecure_plaintext:
+            raise ValueError(
+                "refusing to start without TLS; pass insecure_plaintext=True for test use"
+            )
+        # Loaded before binding, so a bad certificate leaves no socket open.
+        tls = None
+        if tls_cert:
+            tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            tls.load_cert_chain(tls_cert, tls_key)
+        super().__init__((host, port), _Handler)
+        self.store = store
+        self.connector = connector
+        self.d_max = d_max
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self._serve_thread: threading.Thread | None = None
+        if tls:
+            # The handshake runs on the connection's handler thread, at its
+            # first read, under the idle timeout; done at accept it would
+            # let one silent client stall every other connection.
+            self.socket = tls.wrap_socket(
+                self.socket, server_side=True, do_handshake_on_connect=False
+            )
+        else:
+            logger.warning(
+                "serving PLAINTEXT HTTP on %s:%d; this mode is for tests only", *self.address
+            )
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        scheme = "https" if isinstance(self.socket, ssl.SSLSocket) else "http"
+        return f"{scheme}://{host}:{port}"
 
     def process_request(self, request, client_address):
         with self._open_lock:
@@ -243,89 +293,27 @@ class _ThreadingServer(ThreadingHTTPServer):
             return
         super().handle_error(request, client_address)
 
-    def close_connections(self) -> None:
-        """Shut down every open connection; a handler thread blocked on
-        it reads end-of-file and exits."""
+    def start(self) -> None:
+        self._serve_thread = threading.Thread(
+            target=self.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
+        self._serve_thread.start()
+
+    def stop(self) -> None:
+        """Stop accepting and shut down every open connection, which ends
+        its handler thread, so no client is answered after this returns."""
+        if self._serve_thread:  # shutdown() would wait for a serve_forever never run
+            self.shutdown()
+            self._serve_thread.join(timeout=5)
+            self._serve_thread = None
         with self._open_lock:
             live = list(self._open)
         for conn in live:
             with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
+        self.server_close()
 
-
-class SopalHttpServer:
-    """Single-instance capability server.
-
-    Handles each connection on its own thread; the store's one lock
-    serializes their reads and writes.  Connections stay open between
-    requests until the client closes them, ``IDLE_TIMEOUT_S`` passes
-    without a request, or :meth:`stop` closes them all.
-    """
-
-    def __init__(
-        self,
-        store: CapabilityStore,
-        connector: MockOsnConnector,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        d_max: int = 1,
-        tls_cert: str | None = None,
-        tls_key: str | None = None,
-        insecure_plaintext: bool = False,
-    ):
-        if not tls_cert and not insecure_plaintext:
-            raise ValueError(
-                "refusing to start without TLS; pass insecure_plaintext=True for test use"
-            )
-        self.store = store
-        self.connector = connector
-        self.d_max = d_max
-        self._httpd = _ThreadingServer((host, port), _Handler)
-        self._httpd.sopal = self  # type: ignore[attr-defined]
-        self._scheme = "http"
-        if tls_cert:
-            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            ctx.load_cert_chain(tls_cert, tls_key)
-            # The handshake runs on the connection's handler thread, at its
-            # first read, under the idle timeout; done at accept it would
-            # let one silent client stall every other connection.
-            self._httpd.socket = ctx.wrap_socket(
-                self._httpd.socket, server_side=True, do_handshake_on_connect=False
-            )
-            self._scheme = "https"
-        else:
-            logger.warning(
-                "serving PLAINTEXT HTTP on %s:%d; this mode is for tests only",
-                *self._httpd.server_address[:2],
-            )
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"{self._scheme}://{host}:{port}"
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop accepting and close every open connection, so that no
-        client is answered after this returns."""
-        self._httpd.shutdown()
-        self._httpd.close_connections()
-        self._httpd.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-            self._thread = None
-
+    # BaseServer's context manager only closes the socket.
     def __enter__(self) -> "SopalHttpServer":
         self.start()
         return self
@@ -410,8 +398,10 @@ def load_probe(
         end = time.perf_counter()
         return end - start, end
 
-    baseline = statistics.median(timed_download()[0] for _ in range(5))
-    handle.close()
+    try:
+        baseline = statistics.median(timed_download()[0] for _ in range(5))
+    finally:
+        handle.close()
 
     seconds = max(1, round(duration_s))
     samples = []

@@ -33,7 +33,7 @@ from typing import Callable
 from sopal.crypto import CAPABILITY_BITS, hash_chain, new_capability
 from sopal.graph import SocialGraph
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 DOWNLOAD_FORMAT = 2
 _VALUE = struct.Struct(f"{CAPABILITY_BITS // 8}s")
 DEFAULT_TTL_S = 48 * 3600.0
@@ -132,10 +132,7 @@ class CapabilityStore:
     Reading ``graph`` directly bypasses the lock.  A ``graph`` passed in
     must be empty, since each of its nodes must be a record.
     ``connector`` supplies authenticated friend lists; any object with a
-    ``friends_of(uid)`` method works.  With ``ersatz_enabled`` off the
-    store creates no stand-in records and attests only member-member
-    edges, so it distributes over the member-induced subgraph, which
-    models the pre-ersatz behaviour for the simulator's comparison runs.
+    ``friends_of(uid)`` method works.
     """
 
     def __init__(
@@ -144,7 +141,6 @@ class CapabilityStore:
         connector=None,
         *,
         default_ttl_s: float = DEFAULT_TTL_S,
-        ersatz_enabled: bool = True,
         clock: Callable[[], float] = time.time,
     ):
         if graph is not None and len(graph):
@@ -152,7 +148,6 @@ class CapabilityStore:
         self.graph = graph if graph is not None else SocialGraph()
         self.connector = connector
         self.default_ttl_s = default_ttl_s
-        self.ersatz_enabled = ersatz_enabled
         self._clock = clock
         self._records: dict[str, CapRecord] = {}
         # _chains[k][uid]: hash_chain(cap, k), or b"" while the record is stale
@@ -175,16 +170,9 @@ class CapabilityStore:
         friends = list(self.connector.friends_of(uid))
         now = self._clock()
         with self._lock:
-            if self.ersatz_enabled:
-                for friend in friends:
-                    if friend not in self._records:
-                        self._put(self._new_ersatz(friend, now))
-            else:
-                # Every record is a member's here.  Each member-member edge
-                # is recorded when its second endpoint enrolls; this relies
-                # on friend lists being symmetric, as the graph assumes by
-                # storing edges both ways.
-                friends = [f for f in friends if f in self._records]
+            for friend in friends:
+                if friend not in self._records:
+                    self._put(self._new_ersatz(friend, now))
             self.graph.record_member(uid, friends)
             self._put(CapRecord(uid, cap, MEMBER, now, self.default_ttl_s))
 
@@ -273,8 +261,8 @@ class CapabilityStore:
     def save_snapshot(self, path) -> None:
         """Write a versioned JSON snapshot atomically (temp file + rename).
 
-        Fields: ``format_version``; store config (``default_ttl_s``,
-        ``ersatz_enabled``); ``records`` as objects with ``id``, ``cap``
+        Fields: ``format_version``; store config (``default_ttl_s``);
+        ``records`` as objects with ``id``, ``cap``
         (lowercase hex), ``kind``, ``created_at``, ``ttl_s``, ``stale``;
         graph ``edges`` as ``[low, high]`` pairs.  The graph's nodes are
         the record ids.
@@ -283,7 +271,6 @@ class CapabilityStore:
             body = {
                 "format_version": SNAPSHOT_VERSION,
                 "default_ttl_s": self.default_ttl_s,
-                "ersatz_enabled": self.ersatz_enabled,
                 "records": [
                     {
                         "id": rec.uid,
@@ -328,7 +315,6 @@ class CapabilityStore:
                 None,
                 connector,
                 default_ttl_s=_typed(body["default_ttl_s"], int, float),
-                ersatz_enabled=_typed(body["ersatz_enabled"], bool),
                 clock=clock,
             )
             for entry in _typed(body["records"], list):
@@ -342,8 +328,6 @@ class CapabilityStore:
                 )
                 if rec.kind not in (MEMBER, ERSATZ):
                     raise ValueError(f"record {rec.uid!r} has unknown kind {rec.kind!r}")
-                if rec.kind == ERSATZ and not store.ersatz_enabled:
-                    raise ValueError(f"ersatz record {rec.uid!r} with ersatz records disabled")
                 store._check_length(rec.cap)
                 store._records[rec.uid] = rec
             edges = [_typed(edge, list) for edge in _typed(body["edges"], list)]

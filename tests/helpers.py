@@ -59,12 +59,15 @@ def enrolled_world(
 ):
     """Build a store plus one enrolled, refreshed client per member.
 
-    Returns (store, connector, handle, clients-by-uid).
+    With ``ersatz`` off the OSN holds only the members, which models the
+    pre-ersatz server: once all have enrolled, the store attests exactly
+    the member-induced edges.  Returns (store, connector, handle,
+    clients-by-uid).
     """
+    if not ersatz:
+        ground = {u: ground[u] & set(members) for u in members}
     connector = MockOsnConnector(ground)
-    kwargs = {"ersatz_enabled": ersatz}
-    if clock is not None:
-        kwargs["clock"] = clock
+    kwargs = {} if clock is None else {"clock": clock}
     store = CapabilityStore(SocialGraph(), connector, **kwargs)
     handle = LocalServerHandle(store, connector)
     clients = {}

@@ -13,11 +13,10 @@ model against them.
 import random
 import statistics
 
-from sopal.client import DiscoveryClient, LocalServerHandle, run_discovery_pair
-from sopal.graph import SocialGraph
-from sopal.server import MockOsnConnector
+from sopal.client import run_discovery_pair
 from sopal.sim import discoverable
-from sopal.store import CapabilityStore
+
+from helpers import enrolled_world
 
 # -- SHA-256 (FIPS 180-4) ----------------------------------------------------
 
@@ -300,22 +299,14 @@ def reference_run_coverage(config, adjacency):
 def model_protocol_equivalence(ground, members, d_max, *, ersatz_on=True, max_pairs=None, seed=0):
     """Compare ``sopal.sim.discoverable`` with full protocol runs.
 
-    Stands up a real store and real clients for every member, runs
-    discovery over every (or a sampled subset of) member pair, and
-    returns the number of pairs where (found, dist) disagrees at either
-    endpoint.  Expected to be zero.
+    Stands up a real store and real clients for every member with
+    ``helpers.enrolled_world`` (with ``ersatz_on`` off, over an OSN that
+    holds only the members), runs discovery over every (or a sampled
+    subset of) member pair, and returns the number of pairs where
+    (found, dist) disagrees at either endpoint.  Expected to be zero.
     """
     members = sorted(members)
-    connector = MockOsnConnector(ground)
-    store = CapabilityStore(SocialGraph(), connector, ersatz_enabled=ersatz_on)
-    handle = LocalServerHandle(store, connector)
-    clients = {}
-    for uid in members:
-        client = DiscoveryClient(uid, handle, d_max=d_max)
-        client.renew_capability()
-        clients[uid] = client
-    for client in clients.values():
-        client.update_capabilities()
+    _, _, _, clients = enrolled_world(ground, members, d_max=d_max, ersatz=ersatz_on)
 
     pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
     if max_pairs is not None and len(pairs) > max_pairs:

@@ -386,7 +386,7 @@ class TestServeProcess:
             proc.communicate(timeout=15)
         assert proc.returncode == 0
         body = json.loads(snapshot.read_text())
-        assert body["format_version"] == 2
+        assert body["format_version"] == 3
         assert {r["id"] for r in body["records"]} >= {"A", "B"}
 
 

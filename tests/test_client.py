@@ -290,9 +290,9 @@ class TestRefresh:
         assert value == store.record_of("C").cap
 
     def test_sessions_follow_updates_and_keep_their_snapshot(self):
-        # without ersatz records A and B share nothing until C enrolls
-        ground = path_adjacency("A", "C", "B")
-        _, _, handle, clients = enrolled_world(ground, ["A", "B"], ersatz=False)
+        # A and B share nothing until C joins the OSN and enrolls
+        ground = {"A": set(), "B": set()}
+        _, _, handle, clients = enrolled_world(ground, ["A", "B"])
         a, b = clients["A"], clients["B"]
         ra, _ = run_discovery_pair(a, b)
         assert ra.dist is None
@@ -301,6 +301,7 @@ class TestRefresh:
         # a session opened before the update keeps the input set it
         # started with, and that set knows nothing of C
         open_frame = a.start_session("B")
+        ground.update(path_adjacency("A", "C", "B"))
         DiscoveryClient("C", handle).renew_capability()
         a.update_capabilities()
         b.update_capabilities()

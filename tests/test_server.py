@@ -1,6 +1,8 @@
 """HTTP endpoints, persistent connections, authentication, and the load
 probe."""
 
+import contextlib
+import gc
 import http.client
 import json
 import re
@@ -11,6 +13,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +89,18 @@ def connects(monkeypatch):
 
     monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
     return calls
+
+
+@contextlib.contextmanager
+def no_resource_warnings():
+    """Fail if a socket (or other resource) left unclosed in the block is
+    finalised; earlier garbage is collected first, so it is not counted."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def exchange(conn, method, path, token=None, body=None):
@@ -442,8 +457,24 @@ class TestServerConfig:
         store = CapabilityStore(SocialGraph(), connector)
         with caplog.at_level("WARNING", logger="sopal.server"):
             server = SopalHttpServer(store, connector, insecure_plaintext=True)
-        server._httpd.server_close()
+        server.server_close()
         assert any("PLAINTEXT" in rec.message for rec in caplog.records)
+
+    def test_stop_without_start_returns(self):
+        connector = MockOsnConnector(GROUND)
+        store = CapabilityStore(SocialGraph(), connector)
+        server = SopalHttpServer(store, connector, insecure_plaintext=True)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+    def test_missing_certificate_leaves_no_bound_socket(self, tmp_path):
+        connector = MockOsnConnector(GROUND)
+        store = CapabilityStore(SocialGraph(), connector)
+        with no_resource_warnings():
+            with pytest.raises(FileNotFoundError):
+                SopalHttpServer(store, connector, tls_cert=str(tmp_path / "missing.pem"))
 
 
 class TestLoadProbe:
@@ -476,6 +507,14 @@ class TestLoadProbeClient:
         with pytest.raises(ValueError, match="at least 1"):
             load_probe(fresh_server.url, "mock:A", rates=[2, 0])
         assert connects == []
+
+    @pytest.mark.parametrize(
+        "token, error", [("mock:nobody", PermissionError), ("mock:B", NotEnrolledError)]
+    )
+    def test_refused_baseline_closes_its_connection(self, fresh_server, token, error):
+        with no_resource_warnings():
+            with pytest.raises(error):
+                load_probe(fresh_server.url, token, rates=[1])
 
     def test_refused_bodies_count_as_failed(self, fresh_server, monkeypatch):
         store = fresh_server.store

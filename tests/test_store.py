@@ -336,17 +336,6 @@ class TestDistribute:
         with pytest.raises(ValueError, match="malformed distribution"):
             DistributionResult.from_json("[" * 100_000)
 
-    def test_ersatz_off_attests_only_member_edges(self):
-        # A - e - B where e never enrolls, plus A - M - B all members
-        ground = adjacency_from_edges([("A", "e"), ("e", "B"), ("A", "M"), ("M", "B")])
-        store, _ = make_store(ground, ersatz_enabled=False)
-        for uid in ("A", "B", "M"):
-            store.upload_capability(uid, new_capability())
-        result = store.distribute("A", 1)
-        assert [uid for uid, _ in result.r_u] == ["M"]
-        assert result.r_h == ((1, hash_chain(store.record_of("B").cap, 1)),)
-        assert "e" not in store.graph.nodes() and store.record_of("e") is None
-
     def test_upgrade_is_transparent_to_friends(self):
         store, _ = make_store(adjacency_from_edges([("A", "C"), ("B", "C")]))
         store.upload_capability("A", new_capability())
@@ -379,16 +368,15 @@ class TestDistributeMatchesReference:
     @given(
         edges=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=14),
         ops=ops,
-        ersatz=st.booleans(),
     )
-    def test_interleavings(self, edges, ops, ersatz):
+    def test_interleavings(self, edges, ops):
         ground = {str(n): set() for n in range(7)}
         for u, v in edges:
             if u != v:
                 ground[str(u)].add(str(v))
                 ground[str(v)].add(str(u))
         clock = FakeClock()
-        store, _ = make_store(ground, clock=clock, ersatz_enabled=ersatz)
+        store, _ = make_store(ground, clock=clock)
         ttl = store.default_ttl_s
         model = {}  # uid -> [cap, kind, created_at, stale]
         for op in ops:
@@ -404,7 +392,7 @@ class TestDistributeMatchesReference:
                 uid, cap = str(op[1]), new_capability()
                 store.upload_capability(uid, cap)
                 for friend in ground[uid]:
-                    if ersatz and friend not in model:
+                    if friend not in model:
                         model[friend] = [store.record_of(friend).cap, ERSATZ, clock(), False]
                 model[uid] = [cap, MEMBER, clock(), False]
             else:
@@ -419,18 +407,17 @@ class TestDistributeMatchesReference:
                         fresh = store.record_of(uid).cap
                         assert fresh != rec[0]
                         rec[0], rec[2] = fresh, clock()
-            self.check_records(store, ersatz)
+            self.check_records(store)
             members = sorted(u for u, rec in model.items() if rec[1] == MEMBER)
             if members:
                 self.check(store, ground, model, members[op[2] % len(members)], 3)
 
     @staticmethod
-    def check_records(store, ersatz):
+    def check_records(store):
         """Node kinds live in the records: every graph node has one, every
-        edge has a member end, every ersatz record a member neighbour, and
-        an ersatz-off store holds no ersatz record.  Every memoised chain
-        value is its record's current one, so the memo holds at most one
-        entry per record and degree."""
+        edge has a member end, and every ersatz record a member neighbour.
+        Every memoised chain value is its record's current one, so the
+        memo holds at most one entry per record and degree."""
         graph = store.graph
         kinds = {uid: store.record_of(uid).kind for uid in graph.nodes()}
         assert store.record_count() == len(kinds)
@@ -438,7 +425,6 @@ class TestDistributeMatchesReference:
             assert MEMBER in (kinds[u], kinds[v])
         for uid, kind in kinds.items():
             if kind == ERSATZ:
-                assert ersatz
                 assert any(kinds[n] == MEMBER for n in graph.neighbors(uid))
         chains = store._chains
         assert sum(map(len, chains.values())) <= store.record_count() * len(chains)
@@ -452,11 +438,7 @@ class TestDistributeMatchesReference:
         result = store.distribute(uid, d_max)
         members = {u for u, rec in model.items() if rec[1] == MEMBER}
         live = {u: rec[0] for u, rec in model.items() if not rec[3]}
-        # with ersatz off the store attests member-member edges only
-        attested = {
-            u: set(ground[u]) if store.ersatz_enabled else ground[u] & members
-            for u in members
-        }
+        attested = {u: set(ground[u]) for u in members}
         for u in members:
             for v in attested[u]:
                 attested.setdefault(v, set()).add(u)
@@ -575,7 +557,7 @@ class TestExpiry:
         assert ra.dist is None and rb.dist is None
 
 
-SNAPSHOT_KEYS = ("format_version", "default_ttl_s", "ersatz_enabled", "records", "edges")
+SNAPSHOT_KEYS = ("format_version", "default_ttl_s", "records", "edges")
 RECORD_FIELDS = ("id", "cap", "kind", "created_at", "ttl_s", "stale")
 
 
@@ -609,7 +591,7 @@ class TestSnapshot:
         path = tmp_path / "snap.json"
         store.save_snapshot(path)
         body = json.loads(path.read_text())
-        assert body["format_version"] == 2
+        assert body["format_version"] == 3
         assert set(body) == set(SNAPSHOT_KEYS)
         record = body["records"][0]
         assert set(record) == set(RECORD_FIELDS)
@@ -641,11 +623,6 @@ class TestSnapshot:
                 "256 bits",
                 id="short-capability",
             ),
-            pytest.param(
-                lambda body: body.update(ersatz_enabled=False),
-                "ersatz records disabled",
-                id="ersatz-node-with-ersatz-off",
-            ),
         ],
     )
     def test_rejects_inconsistent_snapshot(self, tmp_path, corrupt, reason):
@@ -665,15 +642,19 @@ class TestSnapshot:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError, match="version"):
             CapabilityStore.load_snapshot(path)
-        # version 1 also listed the graph's nodes with their kinds
         store, _ = make_store(path_adjacency("A", "B"))
         store.upload_capability("A", new_capability())
         store.save_snapshot(path)
         body = json.loads(path.read_text())
-        body.update(format_version=1, capability_bits=256, nodes=[{"id": "A", "kind": MEMBER}])
-        path.write_text(json.dumps(body))
-        with pytest.raises(ValueError, match="version 1"):
-            CapabilityStore.load_snapshot(path)
+        for old in (
+            # version 1 also listed the graph's nodes with their kinds
+            dict(body, format_version=1, capability_bits=256, nodes=[{"id": "A", "kind": MEMBER}]),
+            # version 2 also carried the store's ersatz_enabled switch
+            dict(body, format_version=2, ersatz_enabled=True),
+        ):
+            path.write_text(json.dumps(old))
+            with pytest.raises(ValueError, match=f"version {old['format_version']}"):
+                CapabilityStore.load_snapshot(path)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -688,7 +669,6 @@ class TestSnapshot:
             (("edges", 0), "AB"),
             (("edges", 0), 5),
             (("default_ttl_s",), "48h"),
-            (("ersatz_enabled",), "yes"),
             (("records", 0, "id"), 5),
             (("records", 0, "cap"), 5),
             (("records", 0, "created_at"), "1000"),
