@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import http.client
 import logging
+import os
 import signal
 import socket
 import sys
@@ -26,7 +27,7 @@ from sopal.crypto import new_capability
 from sopal.graph import load_edge_list, load_membership
 from sopal.psi import recv_frame
 from sopal.server import AuthError, MockOsnConnector, SopalHttpServer, load_probe
-from sopal.sim import SimConfig, run_coverage
+from sopal.sim import SimConfig, load_graph_source, run_coverage
 from sopal.store import CapabilityStore, NotEnrolledError
 
 EXIT_MISSING_FILE = 3
@@ -64,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow serving without TLS (test mode only)",
     )
-    serve.add_argument("--out", help="write a store snapshot here on shutdown")
+    serve.add_argument(
+        "--state", help="store snapshot: loaded at start when present, saved on shutdown"
+    )
 
     enroll = sub.add_parser("enroll", help="upload capabilities for listed users")
     enroll.add_argument("--members", required=True, help="one id per line")
@@ -106,9 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_serve(args) -> int:
     adjacency = load_edge_list(args.graph)
     connector = MockOsnConnector(adjacency)
-    store = CapabilityStore(
-        connector=connector, default_ttl_s=args.ttl_hours * 3600.0
-    )
+    ttl_s = args.ttl_hours * 3600.0
+    if args.state and os.path.exists(args.state):
+        store = CapabilityStore.load_snapshot(args.state, connector)
+        store.default_ttl_s = ttl_s
+    else:
+        store = CapabilityStore(connector=connector, default_ttl_s=ttl_s)
     if args.members:
         for uid in load_membership(args.members):
             store.upload_capability(uid, new_capability())
@@ -142,9 +148,9 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.stop()
-        if args.out:
-            store.save_snapshot(args.out)
-            print(f"snapshot written to {args.out}")
+        if args.state:
+            store.save_snapshot(args.state)
+            print(f"snapshot written to {args.state}")
     return 0
 
 
@@ -221,7 +227,6 @@ def cmd_simulate(args) -> int:
     lengths = tuple(int(x) for x in args.lengths.split(","))
     modes = {"on": (True,), "off": (False,), "both": (True, False)}[args.ersatz]
     config = SimConfig(
-        graph_source=args.graph,
         member_fractions=fractions,
         path_lengths=lengths,
         pairs_per_cell=args.pairs,
@@ -230,10 +235,10 @@ def cmd_simulate(args) -> int:
         ersatz_modes=modes,
         seed=args.seed,
     )
-    report = run_coverage(config)
+    report = run_coverage(config, load_graph_source(args.graph, args.seed))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            report.write_csv(fh)
+            fh.write(report.to_csv())
         print(f"wrote {len(report.cells)} cells to {args.out}")
     else:
         sys.stdout.write(report.to_csv())

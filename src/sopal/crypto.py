@@ -156,7 +156,6 @@ class BloomFilter:
         self.gamma = gamma
         self.salt = bytes(salt)
         self.cells = bytearray(beta)
-        self.inserted_count = 0
         # Copying a keyed state costs about half of building one per item.
         digest_size = max(DIGEST_BYTES, 4 * gamma)
         self._hasher = hashlib.blake2b(context, key=self.salt, digest_size=digest_size)
@@ -195,7 +194,6 @@ class BloomFilter:
         for i in range(self.gamma):
             for word in words[i::stride]:
                 cells[word % beta] = 1
-        self.inserted_count += len(digests)
         return digests
 
     def probe_all(self, items: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
@@ -296,7 +294,7 @@ class KeyPair:
 
 
 def establish_session(
-    own_keypair: KeyPair, peer_public: bytes, initiator_public: bytes
+    own_keypair: KeyPair, peer_key: bytes, initiator_public: bytes
 ) -> bytes:
     """Run X25519 with the peer and derive the 32-byte symmetric session key.
 
@@ -307,16 +305,16 @@ def establish_session(
 
     Raises ValueError for malformed or degenerate peer public keys.
     """
-    if len(peer_public) != PUBLIC_KEY_BYTES:
+    if len(peer_key) != PUBLIC_KEY_BYTES:
         raise ValueError(f"peer public key must be {PUBLIC_KEY_BYTES} bytes")
     if initiator_public == own_keypair.public:
-        responder_public = peer_public
-    elif initiator_public == peer_public:
+        responder_public = peer_key
+    elif initiator_public == peer_key:
         responder_public = own_keypair.public
     else:
         raise ValueError("initiator public key matches neither endpoint")
     private = X25519PrivateKey.from_private_bytes(own_keypair.private)
-    secret = private.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    secret = private.exchange(X25519PublicKey.from_public_bytes(peer_key))
     if secret == bytes(len(secret)):
         raise ValueError("degenerate peer public key")
     return hashlib.sha256(_KDF_LABEL + secret + initiator_public + responder_public).digest()

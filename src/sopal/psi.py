@@ -204,9 +204,6 @@ class PsiSession:
         claimed_id: str,
         *,
         fp_target: float = DEFAULT_FP_TARGET,
-        beta_override: int | None = None,
-        gamma_override: int | None = None,
-        record_transcript: bool = False,
     ):
         self.role = role
         self.phase = PHASE_HELLO
@@ -214,7 +211,6 @@ class PsiSession:
         self.claimed_id = claimed_id
         self.failure_reason: str | None = None
         self.peer_claimed_id: str | None = None
-        self.peer_public: bytes | None = None
         self._aead: ChaCha20Poly1305 | None = None
 
         self._values = list(values)
@@ -229,16 +225,8 @@ class PsiSession:
         self._intersection: set[bytes] | None = None
 
         alpha = len(self._values)
-        self.declared_beta = (
-            beta_override if beta_override is not None else bf_optimal_size(alpha, fp_target)
-        )
-        self.declared_gamma = (
-            gamma_override
-            if gamma_override is not None
-            else bf_hash_count(alpha, self.declared_beta)
-        )
-        if not 1 <= self.declared_gamma <= BF_MAX_GAMMA:
-            raise ValueError(f"index-function count must lie in [1, {BF_MAX_GAMMA}]")
+        self.declared_beta = bf_optimal_size(alpha, fp_target)
+        self.declared_gamma = bf_hash_count(alpha, self.declared_beta)
         self.peer_beta: int | None = None
         self.peer_gamma: int | None = None
 
@@ -247,11 +235,6 @@ class PsiSession:
         )
         self._send_counter = 0
         self._recv_counter = 0
-        # Testing hook: decrypted payloads of every encrypted message, as
-        # (direction, message type, plaintext) triples.
-        self.transcript_plaintexts: list[tuple[str, int, bytes]] | None = (
-            [] if record_transcript else None
-        )
 
     # -- construction ---------------------------------------------------
 
@@ -346,19 +329,18 @@ class PsiSession:
             )
         if not 1 <= gamma <= BF_MAX_GAMMA:
             raise ProtocolError(f"peer declared {gamma} index functions, not 1 to {BF_MAX_GAMMA}")
-        self.peer_public = public
         self.peer_claimed_id = claimed_id
         self.peer_beta = beta
         self.peer_gamma = gamma
-        initiator_public = public if self.role == ROLE_RESPONDER else self.own_keypair.public
+        own = self.own_keypair.public
+        binding = public + own if self.role == ROLE_RESPONDER else own + public
         try:
-            key = establish_session(self.own_keypair, public, initiator_public)
+            key = establish_session(self.own_keypair, public, binding[:32])
         except ValueError as exc:
             raise ProtocolError(f"key agreement failed: {exc}") from exc
         self._aead = ChaCha20Poly1305(key)
-        responder_public = public if self.role == ROLE_INITIATOR else self.own_keypair.public
-        self._binding = initiator_public + responder_public
-        self._tag1_prefix.update(self._binding)
+        self._binding = binding
+        self._tag1_prefix.update(binding)
 
     def _on_initiator_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_INITIATOR)
@@ -418,8 +400,6 @@ class PsiSession:
         nonce = self._nonce(self.role, self._send_counter)
         self._send_counter += 1
         ciphertext = self._aead.encrypt(nonce, plaintext, self._aad(msg_type))
-        if self.transcript_plaintexts is not None:
-            self.transcript_plaintexts.append(("sent", msg_type, plaintext))
         return build_frame(msg_type, self.session_id, ciphertext)
 
     def _open(self, msg_type: int, ciphertext: bytes) -> bytes:
@@ -431,8 +411,6 @@ class PsiSession:
         except InvalidTag as exc:
             raise ProtocolError("message failed to authenticate") from exc
         self._recv_counter += 1
-        if self.transcript_plaintexts is not None:
-            self.transcript_plaintexts.append(("received", msg_type, plaintext))
         return plaintext
 
 

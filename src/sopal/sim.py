@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import itertools
 import logging
 import random
@@ -45,7 +46,6 @@ logger = logging.getLogger(__name__)
 class SimConfig:
     """Parameters for one coverage run."""
 
-    graph_source: str | None = None
     member_fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8)
     path_lengths: Sequence[int] = (2, 3, 4)
     pairs_per_cell: int = 200
@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError(f"path lengths must lie in [1, {limit}] for d_max={self.d_max}")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if self.pairs_per_cell < 1 or self.min_pairs < 1:
+            raise ValueError("pairs per cell and minimum pairs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,9 @@ class CoverageReport:
                 return c
         return None
 
-    def write_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj, lineterminator="\n")
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
             ["fraction", "length", "ersatz", "mean_coverage", "std", "pairs_sampled", "seed"]
         )
@@ -103,12 +106,6 @@ class CoverageReport:
                     c.seed,
                 ]
             )
-
-    def to_csv(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        self.write_csv(buf)
         return buf.getvalue()
 
 
@@ -226,8 +223,8 @@ def _reach_masks(nbrs: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
     return masks
 
 
-def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> CoverageReport:
-    """Run the full sampling procedure of :class:`SimConfig`.
+def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
+    """Run the full sampling procedure of :class:`SimConfig` on ``adjacency``.
 
     Deterministic for a fixed seed: repetitions draw their member sets
     and pair samples from child generators keyed off the master seed.
@@ -246,10 +243,6 @@ def run_coverage(config: SimConfig, adjacency: Adjacency | None = None) -> Cover
     for N nodes; one repetition on ``pa:2000:3`` peaks at about 6 MB of
     Python objects.
     """
-    if adjacency is None:
-        if config.graph_source is None:
-            raise ValueError("config needs a graph source when no adjacency is given")
-        adjacency = load_graph_source(config.graph_source, config.seed)
     nodes = sorted(adjacency)
     named = adjacency.keys() | {v for nbrs in adjacency.values() for v in nbrs}
     index = {node: i for i, node in enumerate(sorted(named))}

@@ -14,6 +14,7 @@ from cryptography.x509.oid import NameOID
 
 from sopal.client import DiscoveryClient, LocalServerHandle
 from sopal.graph import SocialGraph
+from sopal.psi import PsiSession
 from sopal.server import MockOsnConnector
 from sopal.store import CapabilityStore, DistributionResult
 
@@ -97,6 +98,38 @@ def v1_filter_blob(beta: int, gamma: int) -> bytes:
         + secrets.token_bytes(16 * gamma)
         + bytes((beta + 7) // 8)
     )
+
+
+class RecordingSession(PsiSession):
+    """A PSI session that keeps the plaintext of every encrypted message
+    it sends or receives, as (direction, message type, plaintext) triples."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.transcript: list[tuple[str, int, bytes]] = []
+
+    def _seal(self, msg_type, plaintext):
+        self.transcript.append(("sent", msg_type, plaintext))
+        return super()._seal(msg_type, plaintext)
+
+    def _open(self, msg_type, ciphertext):
+        plaintext = super()._open(msg_type, ciphertext)
+        self.transcript.append(("received", msg_type, plaintext))
+        return plaintext
+
+
+def sized_session(beta: int, gamma: int, base=PsiSession):
+    """A subclass of ``base`` whose filter has ``beta`` bits and ``gamma``
+    index functions whatever its input size.  ``start_initiator`` builds
+    its hello from the constructed session, so the size goes on the wire."""
+
+    class SizedSession(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.declared_beta = beta
+            self.declared_gamma = gamma
+
+    return SizedSession
 
 
 def self_signed_cert(directory) -> tuple[str, str]:

@@ -35,7 +35,7 @@ from sopal.sim import (
 )
 from sopal.store import CapabilityStore
 
-from helpers import enrolled_world, random_member_subset
+from helpers import enrolled_world, random_member_subset, sized_session
 from oracles import bfs, brute_intersection, model_protocol_equivalence
 
 
@@ -141,16 +141,11 @@ def test_c04_psi_matches_brute_force_on_random_inputs():
         shared = [rng.randbytes(32) for _ in range(overlap)]
         values_a = shared + [rng.randbytes(32) for _ in range(size_a - overlap)]
         values_b = shared + [rng.randbytes(32) for _ in range(size_b - overlap)]
-        kwargs = {}
+        initiator = PsiSession
         if runs % 5 == 0:
-            kwargs = {
-                "beta_override": rng.choice([8, 16, 32, 64]),
-                "gamma_override": rng.randint(1, 3),
-            }
+            initiator = sized_session(rng.choice([8, 16, 32, 64]), rng.randint(1, 3))
             forced_fp_runs += 1
-        init, frame = PsiSession.start_initiator(
-            values_a, KeyPair.generate(), "a", **kwargs
-        )
+        init, frame = initiator.start_initiator(values_a, KeyPair.generate(), "a")
         resp = PsiSession.start_responder(values_b, KeyPair.generate(), "b")
         hello_b, _ = resp.step(frame)
         bf_frame, _ = init.step(hello_b)

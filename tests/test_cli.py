@@ -92,6 +92,10 @@ class TestSimulate:
         )
         assert code == 5
 
+    def test_zero_pairs_exit_code(self, graph_file, capsys):
+        assert main(["simulate", "--graph", str(graph_file), "--pairs", "0"]) == 5
+        assert "at least 1" in capsys.readouterr().err
+
 
 class TestEnroll:
     def test_empty_membership_is_noop(self, tmp_path, capsys):
@@ -350,44 +354,100 @@ class TestServeExpiry:
         assert codes == [0]
 
 
+def start_serve(graph_file, *extra):
+    """Start ``sopal serve`` in a subprocess; returns it and its URL."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "sopal.cli",
+            "serve",
+            "--graph", str(graph_file),
+            "--addr", "127.0.0.1:0",
+            "--insecure-plaintext",
+            *extra,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    deadline = time.time() + 10
+    url = None
+    while time.time() < deadline and url is None:
+        line = proc.stdout.readline()
+        if not line:
+            break
+        if line.startswith("serving on "):
+            url = line.split()[2]
+    return proc, url
+
+
+def stop_serve(proc) -> None:
+    proc.send_signal(signal.SIGTERM)
+    proc.communicate(timeout=15)
+
+
+def download_body(url, uid) -> bytes:
+    req = urllib.request.Request(
+        f"{url}/v1/capabilities?dmax=1", headers={"Authorization": f"Bearer mock:{uid}"}
+    )
+    with urllib.request.urlopen(req, timeout=5) as resp:
+        return resp.read()
+
+
 class TestServeProcess:
     def test_serves_preenrolls_and_snapshots_on_sigterm(self, tmp_path, graph_file):
         members = tmp_path / "members.txt"
         members.write_text("A\nB\n")
         snapshot = tmp_path / "snap.json"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "sopal.cli",
-                "serve",
-                "--graph", str(graph_file),
-                "--members", str(members),
-                "--addr", "127.0.0.1:0",
-                "--insecure-plaintext",
-                "--out", str(snapshot),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        proc, url = start_serve(graph_file, "--members", str(members), "--state", str(snapshot))
         try:
-            deadline = time.time() + 10
-            url = None
-            while time.time() < deadline and url is None:
-                line = proc.stdout.readline()
-                if line.startswith("serving on "):
-                    url = line.split()[2]
             assert url, "server never announced its address"
             with urllib.request.urlopen(f"{url}/v1/health", timeout=5) as resp:
                 health = json.load(resp)
             assert health["status"] == "ok"
             assert health["records"] >= 2  # A and B pre-enrolled
         finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.communicate(timeout=15)
+            stop_serve(proc)
         assert proc.returncode == 0
         body = json.loads(snapshot.read_text())
         assert body["format_version"] == 3
         assert {r["id"] for r in body["records"]} >= {"A", "B"}
+
+    def test_restart_from_state_serves_the_same_download(self, tmp_path, graph_file):
+        members = tmp_path / "members.txt"
+        members.write_text("A\nB\n")
+        state = tmp_path / "state.json"
+        proc, url = start_serve(graph_file, "--members", str(members), "--state", str(state))
+        try:
+            assert url, "server never announced its address"
+            before = download_body(url, "A")
+        finally:
+            stop_serve(proc)
+        assert proc.returncode == 0
+        # no --members this time: every record comes from the state file,
+        # and the new TTL applies only to records made from now on
+        proc, url = start_serve(graph_file, "--state", str(state), "--ttl-hours", "2")
+        try:
+            assert url, "restarted server never announced its address"
+            assert download_body(url, "A") == before
+        finally:
+            stop_serve(proc)
+        assert proc.returncode == 0
+        body = json.loads(state.read_text())
+        assert body["default_ttl_s"] == 7200.0
+        assert {r["ttl_s"] for r in body["records"]} == {48 * 3600.0}
+
+    def test_malformed_state_file_exit_code(self, tmp_path, graph_file):
+        state = tmp_path / "state.json"
+        state.write_text("{not json")
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        argv += ["--insecure-plaintext", "--state", str(state)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sopal.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 5
+        assert "bad configuration" in proc.stderr
+        assert "serving on" not in proc.stdout
+        assert state.read_text() == "{not json"
 
 
 class TestTlsProcess:

@@ -132,7 +132,6 @@ class TestBloomFilter:
         item = secrets.token_bytes(32)
         bf.insert(item)
         assert item in bf
-        assert bf.inserted_count == 1
 
     def test_fresh_filter_contains_nothing(self):
         bf = BloomFilter(4096, 4)
@@ -295,7 +294,6 @@ class TestBloomFilter:
         for item in items:
             single.insert(item)
         assert batch.to_bytes() == single.to_bytes()
-        assert batch.inserted_count == single.inserted_count == len(items)
         # the packed form round-trips exactly through the parser
         blob = batch.to_bytes()
         assert BloomFilter.from_bytes(blob).to_bytes() == blob
@@ -333,7 +331,6 @@ class TestBloomFilter:
     def test_batch_insert_into_zero_size_filter(self):
         bf = BloomFilter(0, 3)
         bf.insert_all([])
-        assert bf.inserted_count == 0
         assert bf.to_bytes() == BloomFilter(0, 3, bf.salt).to_bytes()
         with pytest.raises(ValueError):
             bf.insert_all([b"x"])

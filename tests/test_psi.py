@@ -19,6 +19,8 @@ from sopal.psi import (
     PHASE_DONE,
     PHASE_FAILED,
     PHASE_REJECTED,
+    ROLE_INITIATOR,
+    ROLE_RESPONDER,
     WIRE_VERSION,
     ProtocolError,
     PsiSession,
@@ -32,7 +34,7 @@ from sopal.psi import (
     recv_frame,
 )
 
-from helpers import v1_filter_blob
+from helpers import RecordingSession, sized_session, v1_filter_blob
 from oracles import brute_intersection
 
 
@@ -40,18 +42,14 @@ def fresh_values(n):
     return [secrets.token_bytes(32) for _ in range(n)]
 
 
-def run_session(values_a, values_b, *, transcript=False, **initiator_kwargs):
-    """Drive a full session; returns (initiator, responder, frames)."""
-    init, frame = PsiSession.start_initiator(
-        values_a,
-        KeyPair.generate(),
-        "user-a",
-        record_transcript=transcript,
-        **initiator_kwargs,
-    )
-    resp = PsiSession.start_responder(
-        values_b, KeyPair.generate(), "user-b", record_transcript=transcript
-    )
+def run_session(values_a, values_b, *, transcript=False, size=None):
+    """Drive a full session; returns (initiator, responder, frames).  With
+    ``transcript`` both ends are :class:`RecordingSession`s; ``size`` is
+    the initiator's filter (beta, gamma)."""
+    cls = RecordingSession if transcript else PsiSession
+    initiator = sized_session(*size, base=cls) if size else cls
+    init, frame = initiator.start_initiator(values_a, KeyPair.generate(), "user-a")
+    resp = cls.start_responder(values_b, KeyPair.generate(), "user-b")
     frames = [frame]
     outbound, done = resp.step(frame)
     while outbound is not None:
@@ -102,9 +100,7 @@ class TestBasicFlows:
         shared = fresh_values(2)
         values_a = shared + fresh_values(10)
         values_b = shared + fresh_values(10)
-        init, resp, _ = run_session(
-            values_a, values_b, beta_override=16, gamma_override=2
-        )
+        init, resp, _ = run_session(values_a, values_b, size=(16, 2))
         expected = brute_intersection(values_a, values_b)
         assert init.matched_values == resp.matched_values == frozenset(expected)
 
@@ -126,8 +122,7 @@ class TestBasicFlows:
         shared = fresh_values(n_shared)
         values_a = shared + fresh_values(n_only_a)
         values_b = shared + fresh_values(n_only_b)
-        kwargs = {"beta_override": 8, "gamma_override": 1} if tiny else {}
-        init, resp, _ = run_session(values_a, values_b, **kwargs)
+        init, resp, _ = run_session(values_a, values_b, size=(8, 1) if tiny else None)
         expected = frozenset(brute_intersection(values_a, values_b))
         assert init.matched_values == expected
         assert resp.matched_values == expected
@@ -143,8 +138,6 @@ class TestHello:
         assert beta == bf_optimal_size(3, 0.01) == init.declared_beta
 
     def test_index_function_count_is_bounded(self):
-        with pytest.raises(ValueError, match="16"):
-            PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u", gamma_override=17)
         init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
         resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
         hello_b, _ = resp.step(hello)
@@ -164,9 +157,24 @@ class TestHello:
             digests.append(BloomFilter(64, 2, salt, context=binding).insert_all(values))
         assert set(digests[0]).isdisjoint(digests[1])
 
+    def test_sized_session_puts_its_size_on_the_wire(self):
+        # the test seam must change what a peer sees, not only an attribute
+        values = fresh_values(5)
+        plain, _ = PsiSession.start_initiator(values, KeyPair.generate(), "u")
+        assert (plain.declared_beta, plain.declared_gamma) != (40, 3)
+        init, hello = sized_session(40, 3).start_initiator(values, KeyPair.generate(), "u")
+        assert _unpack_hello(parse_frame(hello)[2])[3:] == (40, 3)
+        resp = RecordingSession.start_responder(values, KeyPair.generate(), "v")
+        hello_b, _ = resp.step(hello)
+        bf_frame, _ = init.step(hello_b)
+        resp.step(bf_frame)
+        [(_, _, plaintext)] = [t for t in resp.transcript if t[1] == MSG_BF]
+        bf = BloomFilter.from_bytes(plaintext)
+        assert (bf.beta, bf.gamma) == (40, 3)
+
     def test_oversized_declared_filter_fails_responder(self):
-        init, frame = PsiSession.start_initiator(
-            fresh_values(2), KeyPair.generate(), "u", beta_override=2**25
+        init, frame = sized_session(2**25, 16).start_initiator(
+            fresh_values(2), KeyPair.generate(), "u"
         )
         resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
         with pytest.raises(ProtocolError, match="oversized"):
@@ -210,6 +218,35 @@ class TestFailureModes:
         resp = PsiSession.start_responder(fresh_values(1), KeyPair.generate(), "v")
         with pytest.raises(ProtocolError, match="wire version"):
             resp.step(b"\x09" + build_frame(MSG_HELLO, bytes(16), b"")[1:])
+
+    def test_all_zero_public_key_fails_key_agreement(self):
+        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        payload = _pack_hello(ROLE_INITIATOR, bytes(32), "u", 64, 2)
+        with pytest.raises(ProtocolError, match="key agreement failed"):
+            resp.step(build_frame(MSG_HELLO, bytes(16), payload))
+        assert resp.phase == PHASE_FAILED
+
+    def test_wrong_role_byte_fails(self):
+        # a responder's hello sent to a responder
+        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        payload = _pack_hello(ROLE_RESPONDER, KeyPair.generate().public, "u", 64, 2)
+        with pytest.raises(ProtocolError, match="unexpected role byte 2"):
+            resp.step(build_frame(MSG_HELLO, bytes(16), payload))
+        assert resp.phase == PHASE_FAILED
+
+    def test_unknown_message_type_fails(self):
+        init, hello = PsiSession.start_initiator(fresh_values(2), KeyPair.generate(), "u")
+        with pytest.raises(ProtocolError, match="unknown message type 9"):
+            init.step(build_frame(9, init.session_id, b""))
+        assert init.phase == PHASE_FAILED
+
+    def test_matched_values_before_completion_raises(self):
+        init, hello = PsiSession.start_initiator(fresh_values(2), KeyPair.generate(), "u")
+        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        init.step(resp.step(hello)[0])
+        for session in (init, resp):
+            with pytest.raises(ProtocolError, match="not completed"):
+                session.matched_values
 
     def test_step_after_termination_raises(self):
         init, resp, frames = run_session(fresh_values(2), fresh_values(2))
@@ -345,11 +382,11 @@ class TestTranscriptPrivacy:
                 assert value not in frame
         # the decrypted payloads visible to the peer contain no raw
         # non-shared values either (they hold only filter bits and tags)
-        for _, _, plaintext in init.transcript_plaintexts + resp.transcript_plaintexts:
+        for _, _, plaintext in init.transcript + resp.transcript:
             for value in non_shared:
                 assert value not in plaintext
         # and the transmitted frames differ from their plaintexts
-        plaintexts = [p for _, _, p in init.transcript_plaintexts]
+        plaintexts = [p for _, _, p in init.transcript]
         for frame in post_hello:
             assert frame[22:] not in plaintexts
 
@@ -366,7 +403,7 @@ class TestTagOrder:
         sent = {
             msg_type: plaintext
             for session in (init, resp)
-            for direction, msg_type, plaintext in session.transcript_plaintexts
+            for direction, msg_type, plaintext in session.transcript
             if direction == "sent"
         }
         for msg_type in (MSG_CHAL, MSG_RESP):
@@ -385,14 +422,12 @@ class TestChallengeTags:
         values_a = shared + fresh_values(20)
         values_b = fresh_values(20) + shared
         # a small filter, so that false positives reach the challenge
-        init, resp, _ = run_session(
-            values_a, values_b, transcript=True, beta_override=256, gamma_override=gamma
-        )
+        init, resp, _ = run_session(values_a, values_b, transcript=True, size=(256, gamma))
         assert init.matched_values == resp.matched_values == frozenset(shared)
         sent = {
             msg_type: plaintext
             for session in (init, resp)
-            for direction, msg_type, plaintext in session.transcript_plaintexts
+            for direction, msg_type, plaintext in session.transcript
             if direction == "sent"
         }
         salt = BloomFilter.from_bytes(sent[MSG_BF]).salt

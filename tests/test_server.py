@@ -240,6 +240,27 @@ class TestEndpoints:
         assert store.record_of("A").cap != cap
 
 
+    def test_token_without_the_mock_prefix_rejected(self, world):
+        _, _, server = world
+        status, body = request(server, "GET", "/v1/capabilities", token="oauth:A")
+        assert status == 401
+        assert json.loads(body) == {"error": "unknown token"}
+
+    def test_connector_failure_answers_502_and_stores_nothing(self):
+        class FailingConnector(MockOsnConnector):
+            def friends_of(self, uid):
+                raise ConnectorError("OSN unavailable")
+
+        connector = FailingConnector(GROUND)
+        store = CapabilityStore(SocialGraph(), connector)
+        with SopalHttpServer(store, connector, insecure_plaintext=True) as server:
+            body = new_capability().hex().encode()
+            status, body = request(server, "POST", "/v1/capability", token="mock:A", body=body)
+        assert status == 502
+        assert json.loads(body) == {"error": "connector failure: OSN unavailable"}
+        assert store.record_count() == 0
+
+
 class TestPersistentConnections:
     def test_one_connection_per_calling_thread(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)

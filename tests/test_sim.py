@@ -107,11 +107,11 @@ class TestRunCoverage:
 
     def test_generated_sources_ignore_the_hash_seed(self):
         code = (
-            "from sopal.sim import SimConfig, run_coverage\n"
+            "from sopal.sim import SimConfig, load_graph_source, run_coverage\n"
             "for source in ('pa:300:3', 'ff:300:0.35'):\n"
-            "    config = SimConfig(graph_source=source, member_fractions=(0.5,),"
+            "    config = SimConfig(member_fractions=(0.5,),"
             " pairs_per_cell=50, repetitions=1, seed=3)\n"
-            "    print(run_coverage(config).to_csv())\n"
+            "    print(run_coverage(config, load_graph_source(source, 3)).to_csv())\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = [
@@ -177,8 +177,13 @@ class TestRunCoverage:
             SimConfig(path_lengths=(9,), d_max=1)
         with pytest.raises(ValueError):
             SimConfig(repetitions=0)
-        with pytest.raises(ValueError):
-            run_coverage(SimConfig())
+
+    @pytest.mark.parametrize("field", ["pairs_per_cell", "min_pairs"])
+    def test_pair_counts_below_one_refused(self, field):
+        # zero pairs per cell, or a zero minimum with an empty pool, would
+        # divide by a sample of no pairs
+        with pytest.raises(ValueError, match="at least 1"):
+            SimConfig(**{field: 0})
 
 
 def _with_unlisted_neighbours(adjacency, seed):

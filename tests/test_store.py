@@ -605,6 +605,24 @@ class TestSnapshot:
         store.save_snapshot(path)
         assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
+    def test_failed_write_leaves_the_old_snapshot_and_no_temp(self, tmp_path, monkeypatch):
+        store, _ = make_store(path_adjacency("A", "B"))
+        store.upload_capability("A", new_capability())
+        path = tmp_path / "snap.json"
+        store.save_snapshot(path)
+        before = path.read_bytes()
+        store.upload_capability("B", new_capability())
+
+        def dump_then_fail(body, fh, **kwargs):
+            fh.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sopal.store.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.save_snapshot(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "corrupt, reason",
         [
