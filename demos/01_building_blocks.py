@@ -4,9 +4,10 @@ and session keys.
 Run:  python demos/01_building_blocks.py
 """
 
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
 from sopal.crypto import (
     BloomFilter,
-    KeyPair,
     bf_false_positive_estimate,
     bf_optimal_size,
     establish_session,
@@ -54,9 +55,13 @@ print("=" * 64)
 print("3. Session key agreement")
 print("=" * 64)
 
-alice, bob = KeyPair.generate(), KeyPair.generate()
-k_alice = establish_session(alice, bob.public, initiator_public=alice.public)
-k_bob = establish_session(bob, alice.public, initiator_public=alice.public)
+alice, bob = X25519PrivateKey.generate(), X25519PrivateKey.generate()
+alice_public = alice.public_key().public_bytes_raw()
+bob_public = bob.public_key().public_bytes_raw()
+# the binding: both public keys, the initiator's (alice's) first
+binding = alice_public + bob_public
+k_alice = establish_session(alice, bob_public, binding)
+k_bob = establish_session(bob, alice_public, binding)
 print(f"alice derives {k_alice.hex()[:32]}...")
 print(f"bob   derives {k_bob.hex()[:32]}...")
 assert k_alice == k_bob

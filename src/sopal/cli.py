@@ -5,9 +5,9 @@ capabilities for listed users), ``discover`` (two local clients over a
 socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
 report).  Error classes map to distinct exit codes: 3 for missing files,
 4 for a server that cannot be reached, fails certificate checks or
-answers with an unexpected status, 5 for malformed configuration or an
-address ``serve`` cannot listen on, 6 for authentication or enrollment
-failures.
+answers with an unexpected status, 5 for malformed configuration, a
+state file ``serve`` cannot use or an address it cannot listen on, 6 for
+authentication or enrollment failures.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow serving without TLS (test mode only)",
     )
     serve.add_argument(
-        "--state", help="store snapshot: loaded at start when present, saved on shutdown"
+        "--state",
+        help="store snapshot: loaded at start when present, written at start and on shutdown",
     )
 
     enroll = sub.add_parser("enroll", help="upload capabilities for listed users")
@@ -110,11 +111,19 @@ def cmd_serve(args) -> int:
     adjacency = load_edge_list(args.graph)
     connector = MockOsnConnector(adjacency)
     ttl_s = args.ttl_hours * 3600.0
-    if args.state and os.path.exists(args.state):
-        store = CapabilityStore.load_snapshot(args.state, connector)
-        store.default_ttl_s = ttl_s
-    else:
-        store = CapabilityStore(connector=connector, default_ttl_s=ttl_s)
+    try:
+        if args.state and os.path.exists(args.state):
+            store = CapabilityStore.load_snapshot(args.state, connector)
+            store.default_ttl_s = ttl_s
+        else:
+            store = CapabilityStore(connector=connector, default_ttl_s=ttl_s)
+        if args.state:
+            # Written once before serving, so a path that cannot hold the
+            # snapshot fails now instead of losing the records at shutdown.
+            store.save_snapshot(args.state)
+    except OSError as exc:
+        print(f"error: cannot use state file {args.state}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     if args.members:
         for uid in load_membership(args.members):
             store.upload_capability(uid, new_capability())
@@ -177,12 +186,8 @@ def _addr_url(addr: str) -> str:
 
 def cmd_discover(args) -> int:
     handle = HttpServerHandle(_addr_url(args.addr))
-    client_a = DiscoveryClient(
-        args.uid_a, handle, d_max=args.dmax, fp_target=args.fp_target
-    )
-    client_b = DiscoveryClient(
-        args.uid_b, handle, d_max=args.dmax, fp_target=args.fp_target
-    )
+    client_a = DiscoveryClient(args.uid_a, handle, d_max=args.dmax, fp_target=args.fp_target)
+    client_b = DiscoveryClient(args.uid_b, handle, d_max=args.dmax, fp_target=args.fp_target)
     with contextlib.closing(handle):
         for client in (client_a, client_b):
             client.renew_capability()

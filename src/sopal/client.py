@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from sopal.crypto import KeyPair, hash_chain, new_capability
+from sopal.crypto import hash_chain, new_capability
 from sopal.psi import (
     DEFAULT_FP_TARGET,
     MSG_HELLO,
@@ -258,6 +258,8 @@ class DiscoveryClient:
         d_max: int = 1,
         fp_target: float = DEFAULT_FP_TARGET,
     ):
+        if not 0.0 < fp_target < 1.0:
+            raise ValueError(f"false-positive target must lie in (0, 1), got {fp_target}")
         self.uid = uid
         self.d_max = d_max
         self._server = server
@@ -300,9 +302,7 @@ class DiscoveryClient:
     def start_session(self, device_id: str) -> bytes:
         """Open a discovery session toward ``device_id``; returns the first frame."""
         items = self._items
-        psi, hello = PsiSession.start_initiator(
-            items, KeyPair.generate(), self.uid, fp_target=self._fp_target
-        )
+        psi, hello = PsiSession.start_initiator(items, self.uid, fp_target=self._fp_target)
         session = _ClientSession(psi, items)
         with self._lock:
             if self._sessions.setdefault(device_id, session) is not session:
@@ -316,9 +316,7 @@ class DiscoveryClient:
             if data[1:2] != bytes((MSG_HELLO,)):
                 return None, True
             items = self._items
-            psi = PsiSession.start_responder(
-                items, KeyPair.generate(), self.uid, fp_target=self._fp_target
-            )
+            psi = PsiSession.start_responder(items, self.uid, fp_target=self._fp_target)
             with self._lock:
                 # Another thread may have opened one meanwhile; use it.
                 session = self._sessions.setdefault(device_id, _ClientSession(psi, items))

@@ -21,7 +21,6 @@ import hashlib
 import math
 import secrets
 import struct
-from dataclasses import dataclass
 from typing import Iterable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -30,7 +29,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 CAPABILITY_BITS = 256
-PUBLIC_KEY_BYTES = 32
 DIGEST_BYTES = 32
 BF_SALT_BYTES = 16
 BF_WIRE_VERSION = 4
@@ -277,44 +275,18 @@ class BloomFilter:
         return bf
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    """Raw X25519 key pair (32-byte private and public keys)."""
-
-    private: bytes
-    public: bytes
-
-    @classmethod
-    def generate(cls) -> "KeyPair":
-        priv = X25519PrivateKey.generate()
-        return cls(
-            private=priv.private_bytes_raw(),
-            public=priv.public_key().public_bytes_raw(),
-        )
-
-
 def establish_session(
-    own_keypair: KeyPair, peer_key: bytes, initiator_public: bytes
+    private_key: X25519PrivateKey, peer_public: bytes, binding: bytes
 ) -> bytes:
     """Run X25519 with the peer and derive the 32-byte symmetric session key.
 
-    The shared key is the hash of the agreement output concatenated with
-    both public keys in initiator-first order, so both endpoints derive
-    the identical value and the key is bound to this key-pair pairing.
-    ``initiator_public`` must be one of the two endpoint public keys.
+    The key is ``SHA-256(0x03 || shared secret || binding)``.  The PSI's
+    binding is both public keys, initiator first, so both endpoints
+    derive the identical value and the key is bound to this pairing.
 
     Raises ValueError for malformed or degenerate peer public keys.
     """
-    if len(peer_key) != PUBLIC_KEY_BYTES:
-        raise ValueError(f"peer public key must be {PUBLIC_KEY_BYTES} bytes")
-    if initiator_public == own_keypair.public:
-        responder_public = peer_key
-    elif initiator_public == peer_key:
-        responder_public = own_keypair.public
-    else:
-        raise ValueError("initiator public key matches neither endpoint")
-    private = X25519PrivateKey.from_private_bytes(own_keypair.private)
-    secret = private.exchange(X25519PublicKey.from_public_bytes(peer_key))
+    secret = private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
     if secret == bytes(len(secret)):
         raise ValueError("degenerate peer public key")
-    return hashlib.sha256(_KDF_LABEL + secret + initiator_public + responder_public).digest()
+    return hashlib.sha256(_KDF_LABEL + secret + binding).digest()

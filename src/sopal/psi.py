@@ -37,6 +37,7 @@ import struct
 from typing import Iterable
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from sopal.crypto import (
@@ -44,7 +45,6 @@ from sopal.crypto import (
     BF_MAX_GAMMA,
     DIGEST_BYTES,
     BloomFilter,
-    KeyPair,
     bf_hash_count,
     bf_optimal_size,
     establish_session,
@@ -200,14 +200,15 @@ class PsiSession:
         self,
         role: int,
         values: Iterable[bytes],
-        keypair: KeyPair,
         claimed_id: str,
         *,
         fp_target: float = DEFAULT_FP_TARGET,
     ):
         self.role = role
         self.phase = PHASE_HELLO
-        self.own_keypair = keypair
+        # A fresh X25519 key per session; only its public half leaves.
+        self._private_key = X25519PrivateKey.generate()
+        self.public_key = self._private_key.public_key().public_bytes_raw()
         self.claimed_id = claimed_id
         self.failure_reason: str | None = None
         self.peer_claimed_id: str | None = None
@@ -240,24 +241,24 @@ class PsiSession:
 
     @classmethod
     def start_initiator(
-        cls, values: Iterable[bytes], keypair: KeyPair, claimed_id: str, **kwargs
+        cls, values: Iterable[bytes], claimed_id: str, **kwargs
     ) -> tuple["PsiSession", bytes]:
         """Create the initiating endpoint; returns the session and its Hello frame."""
-        session = cls(ROLE_INITIATOR, values, keypair, claimed_id, **kwargs)
+        session = cls(ROLE_INITIATOR, values, claimed_id, **kwargs)
         hello = build_frame(MSG_HELLO, session.session_id, session._own_hello())
         return session, hello
 
     @classmethod
     def start_responder(
-        cls, values: Iterable[bytes], keypair: KeyPair, claimed_id: str, **kwargs
+        cls, values: Iterable[bytes], claimed_id: str, **kwargs
     ) -> "PsiSession":
         """Create the responding endpoint; it speaks only via :meth:`step`."""
-        return cls(ROLE_RESPONDER, values, keypair, claimed_id, **kwargs)
+        return cls(ROLE_RESPONDER, values, claimed_id, **kwargs)
 
     def _own_hello(self) -> bytes:
         return _pack_hello(
             self.role,
-            self.own_keypair.public,
+            self.public_key,
             self.claimed_id,
             self.declared_beta,
             self.declared_gamma,
@@ -332,10 +333,10 @@ class PsiSession:
         self.peer_claimed_id = claimed_id
         self.peer_beta = beta
         self.peer_gamma = gamma
-        own = self.own_keypair.public
+        own = self.public_key
         binding = public + own if self.role == ROLE_RESPONDER else own + public
         try:
-            key = establish_session(self.own_keypair, public, binding[:32])
+            key = establish_session(self._private_key, public, binding)
         except ValueError as exc:
             raise ProtocolError(f"key agreement failed: {exc}") from exc
         self._aead = ChaCha20Poly1305(key)

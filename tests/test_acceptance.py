@@ -17,7 +17,6 @@ import mpmath
 from sopal.client import run_discovery_pair
 from sopal.crypto import (
     BloomFilter,
-    KeyPair,
     bf_false_positive_estimate,
     bf_optimal_size,
     hash_chain,
@@ -145,8 +144,8 @@ def test_c04_psi_matches_brute_force_on_random_inputs():
         if runs % 5 == 0:
             initiator = sized_session(rng.choice([8, 16, 32, 64]), rng.randint(1, 3))
             forced_fp_runs += 1
-        init, frame = initiator.start_initiator(values_a, KeyPair.generate(), "a")
-        resp = PsiSession.start_responder(values_b, KeyPair.generate(), "b")
+        init, frame = initiator.start_initiator(values_a, "a")
+        resp = PsiSession.start_responder(values_b, "b")
         hello_b, _ = resp.step(frame)
         bf_frame, _ = init.step(hello_b)
         chal, _ = resp.step(bf_frame)

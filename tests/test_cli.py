@@ -175,6 +175,13 @@ class TestDiscover:
         assert "A: Dist=3" in out
         assert "D: Dist=3" in out
 
+    @pytest.mark.parametrize("fp_target", ["0", "1"])
+    def test_fp_target_outside_unit_interval_changes_nothing(self, live_server, fp_target, capsys):
+        store, addr = live_server
+        assert main(["discover", "A", "B", "--addr", addr, "--fp-target", fp_target]) == 5
+        assert "false-positive target" in capsys.readouterr().err
+        assert store.record_of("A") is None and store.record_of("B") is None
+
 
 class TestLoadProbe:
     def test_probe_against_live_server(self, live_server, tmp_path, capsys):
@@ -305,6 +312,11 @@ class TestServeParser:
         missing = str(tmp_path / "absent.pem")
         argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
         assert main(argv + ["--tls-cert", missing, "--tls-key", missing]) == 3
+
+    def test_missing_members_file_exit_code_with_state(self, graph_file, tmp_path, capsys):
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        argv += ["--insecure-plaintext", "--members", str(tmp_path / "absent.txt")]
+        assert main(argv + ["--state", str(tmp_path / "state.json")]) == 3
 
 
 class TestServeExpiry:
@@ -448,6 +460,18 @@ class TestServeProcess:
         assert "bad configuration" in proc.stderr
         assert "serving on" not in proc.stdout
         assert state.read_text() == "{not json"
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unusable_state_path_exit_code(self, tmp_path, graph_file, where):
+        state = tmp_path / "nodir" / "s.json" if where == "missing-directory" else tmp_path
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        argv += ["--insecure-plaintext", "--state", str(state)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sopal.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 5
+        assert f"cannot use state file {state}" in proc.stderr
+        assert "serving on" not in proc.stdout
 
 
 class TestTlsProcess:

@@ -16,8 +16,17 @@ from sopal.client import (
     build_input_set,
     run_discovery_pair,
 )
-from sopal.crypto import KeyPair, hash_chain, new_capability
-from sopal.psi import MSG_BF, MSG_HELLO, WIRE_VERSION, PsiSession, make_reject, recv_frame
+from sopal.crypto import hash_chain, new_capability
+from sopal.psi import (
+    MSG_BF,
+    MSG_HELLO,
+    WIRE_VERSION,
+    PsiSession,
+    _unpack_hello,
+    make_reject,
+    parse_frame,
+    recv_frame,
+)
 from sopal.sim import gnp_graph
 
 from helpers import (
@@ -369,6 +378,18 @@ class TestSessionApi:
         _, _, _, clients = enrolled_world(ground, ["A", "B"])
         return clients["A"], clients["B"]
 
+    def test_each_session_draws_its_own_key(self):
+        a, b = self.make_pair()
+        hellos = {dev: a.start_session(dev) for dev in ("dev-b", "dev-c")}
+        keys = {dev: a._sessions[dev].psi.public_key for dev in hellos}
+        assert keys["dev-b"] != keys["dev-c"]
+        for dev, hello in hellos.items():
+            assert _unpack_hello(parse_frame(hello)[2])[1] == keys[dev]
+        reply, _ = b.handle_message("dev-a", hellos["dev-b"])
+        responder_key = b._sessions["dev-a"].psi.public_key
+        assert _unpack_hello(parse_frame(reply)[2])[1] == responder_key
+        assert responder_key not in keys.values()
+
     def test_canonical_method_names(self):
         a, b = self.make_pair()
         frame = a.startSoPaLSession("dev-b")
@@ -467,12 +488,12 @@ class TestSessionApi:
 
     def test_only_a_hello_opens_a_responder_session(self, monkeypatch):
         a, _ = self.make_pair()
-        generated = []
-        monkeypatch.setattr(KeyPair, "generate", lambda: generated.append(1))
+        started = []
+        monkeypatch.setattr(PsiSession, "start_responder", lambda *args, **kw: started.append(1))
         for i in range(1000):
             assert a.handle_message(f"junk-{i}", b"junk") == (None, True)
             assert a.handle_message(f"reject-{i}", make_reject()) == (None, True)
-        assert a._sessions == {} and generated == []
+        assert a._sessions == {} and started == []
         with pytest.raises(SessionError, match="no session"):
             a.get_result("junk-0")
 
@@ -519,7 +540,7 @@ class TestSessionApi:
         alice, bob = clients["user-alice"], clients["user-bob"]
         values = list(alice.input_items())
         # a peer speaking the version-1 filter format, over a valid session
-        init, hello = PsiSession.start_initiator(values, KeyPair.generate(), "user-alice")
+        init, hello = PsiSession.start_initiator(values, "user-alice")
         hello_b, _ = bob.handle_message("dev-a", hello)
         init.step(hello_b)
         init._send_counter = 0

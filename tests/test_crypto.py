@@ -6,13 +6,13 @@ import secrets
 
 import mpmath
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopal.crypto import (
     BF_WIRE_VERSION,
     BloomFilter,
-    KeyPair,
     bf_false_positive_estimate,
     bf_hash_count,
     bf_optimal_size,
@@ -365,34 +365,34 @@ class TestBloomFilter:
         assert BloomFilter(8, 2, b"\x00" * 16).salt == b"\x00" * 16
 
 
+def _public(key: X25519PrivateKey) -> bytes:
+    return key.public_key().public_bytes_raw()
+
+
 class TestKeyAgreement:
     def test_shared_key_symmetry(self):
-        a, b = KeyPair.generate(), KeyPair.generate()
-        ka = establish_session(a, b.public, initiator_public=a.public)
-        kb = establish_session(b, a.public, initiator_public=a.public)
+        a, b = X25519PrivateKey.generate(), X25519PrivateKey.generate()
+        binding = _public(a) + _public(b)
+        ka = establish_session(a, _public(b), binding)
+        kb = establish_session(b, _public(a), binding)
         assert ka == kb
         assert len(ka) == 32
 
     def test_initiator_ordering_matters(self):
-        a, b = KeyPair.generate(), KeyPair.generate()
-        as_initiator = establish_session(a, b.public, initiator_public=a.public)
-        as_responder = establish_session(a, b.public, initiator_public=b.public)
+        a, b = X25519PrivateKey.generate(), X25519PrivateKey.generate()
+        as_initiator = establish_session(a, _public(b), _public(a) + _public(b))
+        as_responder = establish_session(a, _public(b), _public(b) + _public(a))
         assert as_initiator != as_responder
 
     def test_degenerate_peer_key_rejected(self):
-        a = KeyPair.generate()
+        a = X25519PrivateKey.generate()
         with pytest.raises(ValueError):
-            establish_session(a, bytes(32), initiator_public=a.public)
+            establish_session(a, bytes(32), _public(a) + bytes(32))
 
     def test_wrong_length_peer_key_rejected(self):
-        a = KeyPair.generate()
+        a = X25519PrivateKey.generate()
         with pytest.raises(ValueError):
-            establish_session(a, b"\x01" * 31, initiator_public=a.public)
-
-    def test_unrelated_initiator_key_rejected(self):
-        a, b = KeyPair.generate(), KeyPair.generate()
-        with pytest.raises(ValueError):
-            establish_session(a, b.public, initiator_public=KeyPair.generate().public)
+            establish_session(a, b"\x01" * 31, _public(a) + b"\x01" * 31)
 
     def test_matches_independent_x25519(self):
         # fixed RFC 7748 test keys, crossed through both endpoints
@@ -403,9 +403,12 @@ class TestKeyAgreement:
             "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"
         )
         base = (9).to_bytes(32, "little")
-        a = KeyPair(a_priv, pure_x25519(a_priv, base))
-        b = KeyPair(b_priv, pure_x25519(b_priv, base))
-        agreement = pure_x25519(a_priv, b.public)
-        expected = hashlib.sha256(b"\x03" + agreement + a.public + b.public).digest()
-        assert establish_session(a, b.public, initiator_public=a.public) == expected
-        assert establish_session(b, a.public, initiator_public=a.public) == expected
+        a_public = pure_x25519(a_priv, base)
+        b_public = pure_x25519(b_priv, base)
+        agreement = pure_x25519(a_priv, b_public)
+        expected = hashlib.sha256(b"\x03" + agreement + a_public + b_public).digest()
+        binding = a_public + b_public
+        a = X25519PrivateKey.from_private_bytes(a_priv)
+        b = X25519PrivateKey.from_private_bytes(b_priv)
+        assert establish_session(a, b_public, binding) == expected
+        assert establish_session(b, a_public, binding) == expected

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopal.crypto import BloomFilter, KeyPair, bf_optimal_size
+from sopal.crypto import BloomFilter, bf_optimal_size
 from sopal.psi import (
     DEFAULT_BETA_CAP,
     MSG_BF,
@@ -48,8 +48,8 @@ def run_session(values_a, values_b, *, transcript=False, size=None):
     the initiator's filter (beta, gamma)."""
     cls = RecordingSession if transcript else PsiSession
     initiator = sized_session(*size, base=cls) if size else cls
-    init, frame = initiator.start_initiator(values_a, KeyPair.generate(), "user-a")
-    resp = cls.start_responder(values_b, KeyPair.generate(), "user-b")
+    init, frame = initiator.start_initiator(values_a, "user-a")
+    resp = cls.start_responder(values_b, "user-b")
     frames = [frame]
     outbound, done = resp.step(frame)
     while outbound is not None:
@@ -87,9 +87,9 @@ class TestBasicFlows:
         values = fresh_values(3)
         for bad in (bytearray(values[0]), values[0].hex()):
             with pytest.raises(TypeError):
-                PsiSession.start_initiator([*values, bad], KeyPair.generate(), "u")
+                PsiSession.start_initiator([*values, bad], "u")
             with pytest.raises(TypeError):
-                PsiSession.start_responder([bad], KeyPair.generate(), "v")
+                PsiSession.start_responder([bad], "v")
         init, resp, _ = run_session(dict.fromkeys(values), values)
         assert init.matched_values == frozenset(values)
 
@@ -130,16 +130,14 @@ class TestBasicFlows:
 
 class TestHello:
     def test_declared_size_follows_sizing_formula(self):
-        init, frame = PsiSession.start_initiator(
-            fresh_values(3), KeyPair.generate(), "u", fp_target=0.01
-        )
+        init, frame = PsiSession.start_initiator(fresh_values(3), "u", fp_target=0.01)
         _, _, payload = parse_frame(frame)
         beta = int.from_bytes(payload[35 + 1 : 39 + 1], "big")
         assert beta == bf_optimal_size(3, 0.01) == init.declared_beta
 
     def test_index_function_count_is_bounded(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
+        resp = PsiSession.start_responder(fresh_values(3), "v")
         hello_b, _ = resp.step(hello)
         forged = bytearray(hello_b)
         forged[-1] = 17  # the responder's declared gamma
@@ -153,18 +151,18 @@ class TestHello:
         digests = []
         for _ in range(2):
             init, resp, _ = run_session(values, list(values))
-            binding = init.own_keypair.public + resp.own_keypair.public
+            binding = init.public_key + resp.public_key
             digests.append(BloomFilter(64, 2, salt, context=binding).insert_all(values))
         assert set(digests[0]).isdisjoint(digests[1])
 
     def test_sized_session_puts_its_size_on_the_wire(self):
         # the test seam must change what a peer sees, not only an attribute
         values = fresh_values(5)
-        plain, _ = PsiSession.start_initiator(values, KeyPair.generate(), "u")
+        plain, _ = PsiSession.start_initiator(values, "u")
         assert (plain.declared_beta, plain.declared_gamma) != (40, 3)
-        init, hello = sized_session(40, 3).start_initiator(values, KeyPair.generate(), "u")
+        init, hello = sized_session(40, 3).start_initiator(values, "u")
         assert _unpack_hello(parse_frame(hello)[2])[3:] == (40, 3)
-        resp = RecordingSession.start_responder(values, KeyPair.generate(), "v")
+        resp = RecordingSession.start_responder(values, "v")
         hello_b, _ = resp.step(hello)
         bf_frame, _ = init.step(hello_b)
         resp.step(bf_frame)
@@ -173,10 +171,8 @@ class TestHello:
         assert (bf.beta, bf.gamma) == (40, 3)
 
     def test_oversized_declared_filter_fails_responder(self):
-        init, frame = sized_session(2**25, 16).start_initiator(
-            fresh_values(2), KeyPair.generate(), "u"
-        )
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        init, frame = sized_session(2**25, 16).start_initiator(fresh_values(2), "u")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
         with pytest.raises(ProtocolError, match="oversized"):
             resp.step(frame)
         assert resp.phase == PHASE_FAILED
@@ -185,15 +181,15 @@ class TestHello:
 
 class TestFailureModes:
     def test_out_of_order_message_fails(self):
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
         bogus = build_frame(MSG_BF, bytes(16), b"junk")
         with pytest.raises(ProtocolError):
             resp.step(bogus)
         assert resp.phase == PHASE_FAILED
 
     def test_tampered_ciphertext_fails(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
+        resp = PsiSession.start_responder(fresh_values(3), "v")
         hello_b, _ = resp.step(hello)
         bf_frame, _ = init.step(hello_b)
         flipped = bytearray(bf_frame)
@@ -203,8 +199,8 @@ class TestFailureModes:
         assert resp.phase == PHASE_FAILED
 
     def test_wrong_session_id_fails(self):
-        init, hello = PsiSession.start_initiator(fresh_values(2), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(2), "u")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
         hello_b, _ = resp.step(hello)
         forged = bytearray(hello_b)
         forged[2] ^= 0xFF
@@ -212,15 +208,15 @@ class TestFailureModes:
             init.step(bytes(forged))
 
     def test_malformed_frames_fail(self):
-        resp = PsiSession.start_responder(fresh_values(1), KeyPair.generate(), "v")
+        resp = PsiSession.start_responder(fresh_values(1), "v")
         with pytest.raises(ProtocolError):
             resp.step(b"\x01\x01short")
-        resp = PsiSession.start_responder(fresh_values(1), KeyPair.generate(), "v")
+        resp = PsiSession.start_responder(fresh_values(1), "v")
         with pytest.raises(ProtocolError, match="wire version"):
             resp.step(b"\x09" + build_frame(MSG_HELLO, bytes(16), b"")[1:])
 
     def test_all_zero_public_key_fails_key_agreement(self):
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
         payload = _pack_hello(ROLE_INITIATOR, bytes(32), "u", 64, 2)
         with pytest.raises(ProtocolError, match="key agreement failed"):
             resp.step(build_frame(MSG_HELLO, bytes(16), payload))
@@ -228,21 +224,22 @@ class TestFailureModes:
 
     def test_wrong_role_byte_fails(self):
         # a responder's hello sent to a responder
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
-        payload = _pack_hello(ROLE_RESPONDER, KeyPair.generate().public, "u", 64, 2)
+        resp = PsiSession.start_responder(fresh_values(2), "v")
+        other = PsiSession.start_responder(fresh_values(2), "u")
+        payload = _pack_hello(ROLE_RESPONDER, other.public_key, "u", 64, 2)
         with pytest.raises(ProtocolError, match="unexpected role byte 2"):
             resp.step(build_frame(MSG_HELLO, bytes(16), payload))
         assert resp.phase == PHASE_FAILED
 
     def test_unknown_message_type_fails(self):
-        init, hello = PsiSession.start_initiator(fresh_values(2), KeyPair.generate(), "u")
+        init, hello = PsiSession.start_initiator(fresh_values(2), "u")
         with pytest.raises(ProtocolError, match="unknown message type 9"):
             init.step(build_frame(9, init.session_id, b""))
         assert init.phase == PHASE_FAILED
 
     def test_matched_values_before_completion_raises(self):
-        init, hello = PsiSession.start_initiator(fresh_values(2), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(2), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(2), "u")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
         init.step(resp.step(hello)[0])
         for session in (init, resp):
             with pytest.raises(ProtocolError, match="not completed"):
@@ -254,8 +251,8 @@ class TestFailureModes:
             init.step(frames[1])
 
     def test_filter_must_match_declared_parameters(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
+        resp = PsiSession.start_responder(fresh_values(3), "v")
         hello_b, _ = resp.step(hello)
         init.step(hello_b)
         wrong = BloomFilter(8, 1)
@@ -265,8 +262,8 @@ class TestFailureModes:
             resp.step(forged)
 
     def test_version_one_filter_fails_responder(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(3), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
+        resp = PsiSession.start_responder(fresh_values(3), "v")
         hello_b, _ = resp.step(hello)
         init.step(hello_b)
         init._send_counter = 0  # seal into the message slot the responder expects
@@ -279,15 +276,15 @@ class TestFailureModes:
 
 class TestReject:
     def test_reject_before_keys_terminates_cleanly(self):
-        init, hello = PsiSession.start_initiator(fresh_values(4), KeyPair.generate(), "u")
+        init, hello = PsiSession.start_initiator(fresh_values(4), "u")
         out, done = init.step(make_reject())
         assert out is None and done
         assert init.phase == PHASE_REJECTED
         assert init.matched_values == frozenset()
 
     def test_reject_midway_terminates_cleanly(self):
-        init, hello = PsiSession.start_initiator(fresh_values(4), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(4), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(4), "u")
+        resp = PsiSession.start_responder(fresh_values(4), "v")
         resp.step(hello)
         out, done = resp.step(make_reject(resp.session_id))
         assert out is None and done
@@ -316,8 +313,8 @@ class TestFrameLimits:
             parse_frame(header + limit.to_bytes(4, "big") + b"\x00")
 
     def test_largest_filter_fits_its_frame(self):
-        init, hello = PsiSession.start_initiator(fresh_values(1), KeyPair.generate(), "u")
-        resp = PsiSession.start_responder(fresh_values(1), KeyPair.generate(), "v")
+        init, hello = PsiSession.start_initiator(fresh_values(1), "u")
+        resp = PsiSession.start_responder(fresh_values(1), "v")
         init.step(resp.step(hello)[0])
         frame = init._seal(MSG_BF, BloomFilter(DEFAULT_BETA_CAP, 1).to_bytes())
         assert parse_frame(frame)[0] == MSG_BF
@@ -344,12 +341,12 @@ class TestSessionBinding:
         # session 2: same input values, fresh keys; splice session 1's
         # filter (re-sealed under session 2's own key, as a key-holding
         # replayer would have to) into the slot where the filter belongs
-        init2, hello2 = PsiSession.start_initiator(values, KeyPair.generate(), "u")
-        resp2 = PsiSession.start_responder(list(values), KeyPair.generate(), "v")
+        init2, hello2 = PsiSession.start_initiator(values, "u")
+        resp2 = PsiSession.start_responder(list(values), "v")
         hello_b, _ = resp2.step(hello2)
         init2.step(hello_b)
 
-        binding1 = init1.own_keypair.public + resp1.own_keypair.public
+        binding1 = init1.public_key + resp1.public_key
         stale_bf = BloomFilter(bf_optimal_size(6, 0.001), 10, context=binding1)
         for value in values:
             stale_bf.insert(value)
@@ -431,7 +428,7 @@ class TestChallengeTags:
             if direction == "sent"
         }
         salt = BloomFilter.from_bytes(sent[MSG_BF]).salt
-        binding = init.own_keypair.public + resp.own_keypair.public
+        binding = init.public_key + resp.public_key
         prefixes = set()
         for value in values_b:
             hasher = hashlib.blake2b(key=salt, digest_size=max(32, 4 * gamma))
