@@ -5,9 +5,10 @@ capabilities for listed users), ``discover`` (two local clients over a
 socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
 report).  Error classes map to distinct exit codes: 3 for missing files,
 4 for a server that cannot be reached, fails certificate checks or
-answers with an unexpected status, 5 for malformed configuration, a
-state file ``serve`` cannot use or an address it cannot listen on, 6 for
-authentication or enrollment failures.
+answers with an unexpected status, 5 for malformed configuration, an
+``--out`` path that cannot be written, a state file ``serve`` cannot use
+or an address it cannot listen on, 6 for authentication or enrollment
+failures.
 """
 
 from __future__ import annotations
@@ -193,31 +194,21 @@ def cmd_discover(args) -> int:
             client.renew_capability()
             client.update_capabilities()
 
-    sock_a, sock_b = socket.socketpair()
-    results = {}
+    results = [None, None]
 
-    def respond():
-        results["b"] = client_b.run_discovery(
-            args.uid_a,
-            sock_b.sendall,
-            lambda: recv_frame(sock_b),
-            initiate=False,
+    def run(side, client, peer, sock):
+        results[side] = client.run_discovery(
+            peer, sock.sendall, lambda: recv_frame(sock), initiate=side == 0
         )
 
-    responder = threading.Thread(target=respond)
-    responder.start()
-    results["a"] = client_a.run_discovery(
-        args.uid_b,
-        sock_a.sendall,
-        lambda: recv_frame(sock_a),
-        initiate=True,
-    )
-    responder.join()
-    sock_a.close()
-    sock_b.close()
+    sock_a, sock_b = socket.socketpair()
+    with sock_a, sock_b:
+        responder = threading.Thread(target=run, args=(1, client_b, args.uid_a, sock_b))
+        responder.start()
+        run(0, client_a, args.uid_b, sock_a)
+        responder.join()
 
-    for label, uid in (("a", args.uid_a), ("b", args.uid_b)):
-        res = results[label]
+    for uid, res in zip((args.uid_a, args.uid_b), results):
         dist = res.dist if res.dist is not None else "none"
         print(f"{uid}: Dist={dist} matches={res.match_count}", end="")
         if res.common_friend_ids:
@@ -225,6 +216,15 @@ def cmd_discover(args) -> int:
         else:
             print()
     return 0
+
+
+def _open_out(path: str | None):
+    """The ``--out`` file, opened before the command's work so that an
+    unusable path costs no run; stdout when there is none."""
+    try:
+        return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -240,32 +240,23 @@ def cmd_simulate(args) -> int:
         ersatz_modes=modes,
         seed=args.seed,
     )
-    report = run_coverage(config, load_graph_source(args.graph, args.seed))
+    adjacency = load_graph_source(args.graph, args.seed)
+    with _open_out(args.out) as out:
+        report = run_coverage(config, adjacency)
+        out.write(report.to_csv())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
         print(f"wrote {len(report.cells)} cells to {args.out}")
-    else:
-        sys.stdout.write(report.to_csv())
     return 0
 
 
 def cmd_loadprobe(args) -> int:
     rates = [int(x) for x in args.rates.split(",")]
-    report = load_probe(
-        _addr_url(args.addr),
-        f"mock:{args.uid}",
-        rates,
-        args.duration,
-        dmax=args.dmax,
-    )
-    text = report.to_text()
+    url = _addr_url(args.addr)
+    with _open_out(args.out) as out:
+        report = load_probe(url, f"mock:{args.uid}", rates, args.duration, dmax=args.dmax)
+        out.write(report.to_text() + "\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
         print(f"wrote report to {args.out}")
-    else:
-        print(text)
     return 0
 
 

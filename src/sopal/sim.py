@@ -12,11 +12,12 @@ per-node reach bitmasks: one Python int per node and hop count whose bit
 hops.  The attested graph never leaves that index space: an edge is
 attestable, both ways, when it is listed under its lower endpoint, and a
 member set keeps the attestable edges that touch a member (ersatz on) or
-join two (ersatz off).  A member pair's ground distance and a common node
-within ``d_max + 1`` attested hops are then a few big-int ANDs, and the
-pairs at one distance form a lazy sequence that ``random.sample`` draws
-from exactly as from the full list, so the sampling is exact, not an
-approximation.
+join two (ersatz off); the first attested level is then one AND per
+node on the closed attestable neighbourhoods.  A sampled pair is found
+when its ends' masks at ``d_max + 1`` attested hops share a third node,
+and the pairs at one ground distance form a lazy sequence that
+``random.sample`` draws from exactly as from the full list: the sampling
+is exact.
 
 The original evaluation graphs are not redistributable, so the module
 ships synthetic generators (forest-fire style, preferential attachment,
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from sopal.graph import Adjacency, hop_layers, load_edge_list
 
 logger = logging.getLogger(__name__)
+_SKIP_WARNING = "skipping cell (fraction=%.2f, length=%d, rep=%d): only %d qualifying pairs"
 
 
 @dataclass
@@ -234,14 +236,15 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
     The sampling is exact: each cell draws uniformly, without
     replacement, from every member pair at exactly that ground distance.
     Per-node reach bitmasks (:func:`_reach_masks`) stand in for a BFS per
-    member and a scan of all member pairs.  Once per call, the ground masks
-    are built to the longest path length and the attestable edges become
-    index lists; each repetition, fraction and ersatz mode keeps the
-    attestable edges its members let the server attest, by a flag per
-    node, and builds the attested masks to ``d_max + 1`` hops from them,
-    with no name-keyed graph.  Masks cost at most N²/8 bytes per level
-    for N nodes; one repetition on ``pa:2000:3`` peaks at about 6 MB of
-    Python objects.
+    member and a scan of all member pairs.  Once per call, the ground
+    masks are built to the longest path length, and ``closed`` holds each
+    node and its attestable neighbours.  Per fraction and ersatz mode,
+    attested level 1 is one AND of ``closed`` per node; each further level
+    follows the kept edges, for every node up to level ``d_max`` and at
+    level ``d_max + 1`` only for the ends of the sampled pairs, the only
+    masks read (at ``d_max`` 0, level 1 is that last level).  Masks cost
+    at most N²/8 bytes per level for N nodes; one repetition on
+    ``pa:2000:3`` peaks at about 6 MB of Python objects.
     """
     nodes = sorted(adjacency)
     named = adjacency.keys() | {v for nbrs in adjacency.values() for v in nbrs}
@@ -261,6 +264,8 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
     # is read of the ground masks
     rings = {n: [a ^ b for a, b in zip(ground[n], ground[n - 1])] for n in config.path_lengths}
     del ground
+    # closed[i]: node i and every node one attestable edge away
+    closed = _reach_masks(attestable, 1)[1]
     per_cell: dict[tuple[float, int, bool], list[float]] = {}
     pairs_seen: dict[tuple[float, int, bool], int] = {}
 
@@ -280,39 +285,39 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
                 rows = [(i, mask) for i, bits in zip(member_idx, later) if (mask := ring[i] & bits)]
                 pool = _PairPool(rows)
                 if len(pool) < config.min_pairs:
-                    logger.warning(
-                        "skipping cell (fraction=%.2f, length=%d, rep=%d): "
-                        "only %d qualifying pairs",
-                        fraction,
-                        n,
-                        rep,
-                        len(pool),
-                    )
+                    logger.warning(_SKIP_WARNING, fraction, n, rep, len(pool))
                     continue
-                if len(pool) > config.pairs_per_cell:
-                    samples[n] = rng.sample(pool, config.pairs_per_cell)
-                else:
-                    samples[n] = pool
+                k = config.pairs_per_cell
+                samples[n] = rng.sample(pool, k) if len(pool) > k else pool
+            # the members whose last-level masks the pairs below read
+            ends = {x for n, pairs in samples.items() if n > 1 for pair in pairs for x in pair}
             for ersatz_on in config.ersatz_modes:
-                # Ersatz records let the server attest an edge with a
-                # member at either end; without them both must be members.
-                kept = [
-                    js
-                    if flag and ersatz_on
-                    else [j for j in js if flags[j]]
-                    if flag or ersatz_on
-                    else []
-                    for js, flag in zip(attestable, flags)
+                # Ersatz records let the server attest an edge with a member
+                # at either end; without them both must be members.  Level 1
+                # applies that rule to closed, one expression per node.
+                level = [
+                    reach if flag and ersatz_on
+                    else reach & member_bits | 1 << i if flag or ersatz_on
+                    else 1 << i
+                    for i, (reach, flag) in enumerate(zip(closed, flags))
                 ]
-                within = _reach_masks(kept, config.d_max + 1)[-1]
+
+                def hop(i: int, prev: list[int]) -> int:
+                    reach = prev[i]
+                    for j in attestable[i]:
+                        if (flags[i] or flags[j]) if ersatz_on else (flags[i] and flags[j]):
+                            reach |= prev[j]
+                    return reach
+
+                for _ in range(config.d_max - 1):
+                    level = [hop(i, level) for i in range(len(level))]
+                within = {u: hop(u, level) for u in ends} if config.d_max else level
                 for n, pairs in samples.items():
                     # A pair at ground distance 1 is adjacent and always
                     # found; any other pair needs a third node within
                     # d_max + 1 known hops of both, as in discoverable.
                     found = sum(
-                        1
-                        for u, v in pairs
-                        if n == 1 or within[u] & within[v] & ~((1 << u) | (1 << v))
+                        1 for u, v in pairs if n == 1 or within[u] & within[v] & ~(1 << u | 1 << v)
                     )
                     key = (fraction, n, ersatz_on)
                     per_cell.setdefault(key, []).append(found / len(pairs))

@@ -96,6 +96,18 @@ class TestSimulate:
         assert main(["simulate", "--graph", str(graph_file), "--pairs", "0"]) == 5
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unusable_out_path_fails_before_the_run(
+        self, tmp_path, graph_file, monkeypatch, capsys, where
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulation ran before --out was opened")
+
+        monkeypatch.setattr(sopal.cli, "run_coverage", refuse)
+        out = tmp_path / "nodir" / "c.csv" if where == "missing-directory" else tmp_path
+        assert main(["simulate", "--graph", str(graph_file), "--out", str(out)]) == 5
+        assert f"cannot write output file {out}" in capsys.readouterr().err
+
 
 class TestEnroll:
     def test_empty_membership_is_noop(self, tmp_path, capsys):
@@ -217,6 +229,15 @@ class TestLoadProbeArguments:
         args = ["loadprobe", "--addr", addr, "--rates", "1", "--duration", "1"]
         assert main(args + ["--uid", "nobody"]) == 6
         assert "authentication failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unusable_out_path_exit_code(self, tmp_path, capsys, where):
+        # nothing listens on the discard port, so a probe that ran first
+        # would exit 4 for an unreachable server
+        args = ["loadprobe", "--addr", "127.0.0.1:9", "--uid", "A", "--rates", "1"]
+        out = tmp_path / "nodir" / "r.txt" if where == "missing-directory" else tmp_path
+        assert main(args + ["--duration", "1", "--out", str(out)]) == 5
+        assert f"cannot write output file {out}" in capsys.readouterr().err
 
     def test_rate_below_one_exit_code(self, live_server, capsys):
         _, addr = live_server

@@ -156,6 +156,27 @@ class TestRunCoverage:
                 assert on is not None
                 assert on.mean_coverage >= cell.mean_coverage
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ersatz_modes_share_no_state(self, seed):
+        """A mode's rows do not depend on the other mode running in the
+        same call, though both read the sampled pairs' ends of one
+        fraction.  The seeds run at d_max 0, 1 and 2, so every level shape
+        of the attested step is covered."""
+        adjacency = preferential_attachment_graph(400, 3, seed=seed)
+        d_max = seed
+        config = dict(
+            member_fractions=(0.2, 0.5, 0.8),
+            path_lengths=tuple(range(1, 2 * d_max + 3)),
+            repetitions=2,
+            d_max=d_max,
+            seed=seed,
+        )
+        both = run_coverage(SimConfig(ersatz_modes=(True, False), **config), adjacency).cells
+        assert len(both) > 4
+        for mode in (True, False):
+            alone = run_coverage(SimConfig(ersatz_modes=(mode,), **config), adjacency).cells
+            assert alone == [c for c in both if c.ersatz == mode]
+
     def test_sparse_cells_skipped_with_warning(self, caplog):
         adjacency = path_adjacency("a", "b", "c")
         config = SimConfig(
@@ -234,6 +255,13 @@ class TestCoverageMatchesReference:
             {},
         ),
         "one-way-edges": (lambda: _one_way(gnp_graph(200, 0.03, seed=8), 8), {}),
+        # level 1 is the last level: no further hop is followed
+        "dmax0": (lambda: gnp_graph(200, 0.03, seed=9), {"d_max": 0}),
+        # levels 2 and 3 for every node, then level 4 at the pairs' ends
+        "one-way-dmax3": (
+            lambda: _one_way(preferential_attachment_graph(250, 2, seed=10), 10),
+            {"d_max": 3},
+        ),
     }
 
     def config_for(self, overrides):
@@ -316,7 +344,7 @@ def odd_gnp_graphs(draw):
 
 @st.composite
 def small_configs(draw):
-    d_max = draw(st.sampled_from((1, 2)))
+    d_max = draw(st.sampled_from((0, 1, 2, 3)))
     return SimConfig(
         member_fractions=tuple(
             draw(st.lists(st.sampled_from((0.2, 0.5, 1.0)), min_size=1, max_size=3, unique=True))
