@@ -3,19 +3,16 @@
 Subcommands: ``serve`` (run the capability server), ``enroll`` (upload
 capabilities for listed users), ``discover`` (two local clients over a
 socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
-report).  Error classes map to distinct exit codes: 3 for missing files,
-4 for a server that cannot be reached, fails certificate checks or
-answers with an unexpected status, 5 for malformed configuration, an
-``--out`` path that cannot be written, a state file ``serve`` cannot use
-or an address it cannot listen on, 6 for authentication or enrollment
-failures.
+report).  Each error class has one exit code: 3 for a missing file, 4
+for any failure on the server's side (``ServerError``), 5 for malformed
+configuration or a local file or address that cannot be used, 6 for a
+refused token or an unenrolled user.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import http.client
 import logging
 import os
 import signal
@@ -23,11 +20,11 @@ import socket
 import sys
 import threading
 
-from sopal.client import DiscoveryClient, HttpServerHandle, ServerError
+from sopal.client import AuthError, DiscoveryClient, HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import load_edge_list, load_membership
 from sopal.psi import recv_frame
-from sopal.server import AuthError, MockOsnConnector, SopalHttpServer, load_probe
+from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import SimConfig, load_graph_source, run_coverage
 from sopal.store import CapabilityStore, NotEnrolledError
 
@@ -123,8 +120,7 @@ def cmd_serve(args) -> int:
             # snapshot fails now instead of losing the records at shutdown.
             store.save_snapshot(args.state)
     except OSError as exc:
-        print(f"error: cannot use state file {args.state}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ValueError(f"cannot use state file {args.state}: {exc}") from exc
     if args.members:
         for uid in load_membership(args.members):
             store.upload_capability(uid, new_capability())
@@ -143,10 +139,7 @@ def cmd_serve(args) -> int:
     except FileNotFoundError:
         raise
     except OSError as exc:
-        # a busy or forbidden address, or an unusable certificate: no
-        # server is involved, so this is not "unreachable"
-        print(f"error: cannot listen on {host}:{port}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ValueError(f"cannot listen on {host}:{port}: {exc}") from exc
     server.start()
     print(f"serving on {server.url} (dmax={args.dmax}, records={store.record_count()})", flush=True)
     stop = threading.Event()
@@ -277,15 +270,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (AuthError, NotEnrolledError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DENIED
-    # Must follow the two clauses above, since FileNotFoundError and
-    # PermissionError are OSErrors; so is ssl's refusal of a certificate.
-    except (OSError, http.client.HTTPException, ServerError) as exc:
+    except ServerError as exc:
         print(f"error: server unreachable: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except ValueError as exc:
+    except (AuthError, NotEnrolledError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DENIED
+    except (OSError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

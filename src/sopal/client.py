@@ -50,7 +50,13 @@ class SessionError(Exception):
 
 
 class ServerError(RuntimeError):
-    """The server answered with an unexpected status."""
+    """A failure on the server's side: no connection, a TLS refusal, a
+    timeout, a broken HTTP exchange, a status other than 2xx, 401 and
+    403, or a malformed download body; ``__cause__`` holds the original."""
+
+
+class AuthError(Exception):
+    """The presented token does not authenticate any OSN user."""
 
 
 class AnnotatedItem(NamedTuple):
@@ -161,6 +167,8 @@ class HttpServerHandle:
     ``https`` URLs get an ``HTTPSConnection`` with the default TLS
     context, which verifies the server's certificate against the system
     trust store, or against the file that ``SSL_CERT_FILE`` names.
+    A request raises :class:`AuthError` on a 401, ``NotEnrolledError`` on
+    a 403 and :class:`ServerError` on any other failure of the server.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
@@ -183,7 +191,7 @@ class HttpServerHandle:
         if conn is not None:
             conn.close()
 
-    def _exchange(self, method: str, path: str, token: str, body: bytes | None):
+    def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._new_connection()
@@ -201,13 +209,12 @@ class HttpServerHandle:
                 conn.close()
                 conn.request(method, url, body, headers)
                 resp = conn.getresponse()
-            return resp.status, resp.read()
-        except BaseException:
+            status, data = resp.status, resp.read()
+        except BaseException as exc:
             conn.close()
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise ServerError(str(exc)) from exc
             raise
-
-    def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
-        status, data = self._exchange(method, path, token, body)
         if 200 <= status < 300:
             return data
         detail = ""
@@ -216,7 +223,7 @@ class HttpServerHandle:
         except (ValueError, AttributeError):
             pass
         if status == 401:
-            raise PermissionError(f"authentication failed: {detail}")
+            raise AuthError(f"authentication failed: {detail}")
         if status == 403:
             raise NotEnrolledError(detail or "not enrolled")
         raise ServerError(f"server returned {status}: {detail}")
@@ -226,7 +233,10 @@ class HttpServerHandle:
 
     def download(self, token: str, d_max: int) -> DistributionResult:
         data = self._request("GET", f"/v1/capabilities?dmax={d_max}", token)
-        return DistributionResult.from_json(data.decode("utf-8"))
+        try:
+            return DistributionResult.from_json(data.decode("utf-8"))
+        except ValueError as exc:
+            raise ServerError(f"malformed download: {exc}") from exc
 
 
 class _ClientSession:
@@ -312,14 +322,17 @@ class DiscoveryClient:
     def handle_message(self, device_id: str, data: bytes) -> tuple[bytes | None, bool]:
         """Feed one frame; only a HELLO opens a session.  Returns (reply or None, finished)."""
         session = self._sessions.get(device_id)
-        if session is None:
+        if session is None or session.psi is None:
+            # A HELLO from a device whose session has finished replaces it.
             if data[1:2] != bytes((MSG_HELLO,)):
                 return None, True
             items = self._items
             psi = PsiSession.start_responder(items, self.uid, fp_target=self._fp_target)
             with self._lock:
                 # Another thread may have opened one meanwhile; use it.
-                session = self._sessions.setdefault(device_id, _ClientSession(psi, items))
+                session = self._sessions.get(device_id)
+                if session is None or session.psi is None:
+                    session = self._sessions[device_id] = _ClientSession(psi, items)
         psi = session.psi
         if psi is None:
             return None, True

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
-from sopal.client import HttpServerHandle
+from sopal.client import AuthError, HttpServerHandle
 from sopal.store import CapabilityStore, NotEnrolledError
 
 logger = logging.getLogger(__name__)
@@ -70,10 +70,6 @@ PROBE_TIMEOUT_S = 30.0
 # is dropped and waits on the client's connect retries; 512 holds the
 # load probe's largest burst.
 LISTEN_BACKLOG = 512
-
-
-class AuthError(Exception):
-    """The presented token does not authenticate any OSN user."""
 
 
 class ConnectorError(Exception):

@@ -58,6 +58,9 @@ class SimConfig:
     min_pairs: int = 10
 
     def __post_init__(self):
+        for name in ("member_fractions", "path_lengths", "ersatz_modes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if any(not 0.0 < f <= 1.0 for f in self.member_fractions):
             raise ValueError("member fractions must lie in (0, 1]")
         limit = 2 * self.d_max + 2

@@ -10,12 +10,13 @@ import sys
 import threading
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 import sopal.cli
 from sopal.cli import main
-from sopal.client import HttpServerHandle
+from sopal.client import HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector, SopalHttpServer
@@ -303,6 +304,74 @@ class TestClientAddresses:
         assert main(probe) == 0
         report = capsys.readouterr().out.splitlines()
         assert report[3].split()[:4] == ["2", "2", "2", "0"]
+
+
+class HtmlEverywhere(BaseHTTPRequestHandler):
+    """Answers every request with 200 and a body that is not a download."""
+
+    protocol_version = "HTTP/1.1"
+    body = b"<html></html>"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    do_GET = do_POST
+
+
+class TestErrorClasses:
+    """Each failure exits with its class's code, whichever command meets it."""
+
+    @pytest.mark.parametrize(
+        "command", ["serve --graph", "serve --members", "enroll --members", "simulate --graph"]
+    )
+    def test_a_directory_as_input_is_bad_configuration(
+        self, tmp_path, graph_file, command, capsys
+    ):
+        name, flag = command.split()
+        argv = [name, flag, str(tmp_path)]
+        if name == "serve":
+            argv += ["--addr", "127.0.0.1:0", "--insecure-plaintext"]
+            if flag == "--members":
+                argv += ["--graph", str(graph_file)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert "bad configuration" in err and "unreachable" not in err
+
+    def test_unreadable_local_file_is_bad_configuration(self, tmp_path, monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(sopal.cli, "load_membership", refuse)
+        assert main(["enroll", "--members", str(tmp_path / "members.txt")]) == 5
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_malformed_download_body_is_a_server_failure(self, capsys):
+        with ThreadingHTTPServer(("127.0.0.1", 0), HtmlEverywhere) as httpd:
+            thread = threading.Thread(target=httpd.serve_forever, args=(0.05,))
+            thread.start()
+            try:
+                addr = "127.0.0.1:%d" % httpd.server_address[1]
+                assert main(["discover", "A", "B", "--addr", addr]) == 4
+            finally:
+                httpd.shutdown()
+                thread.join(timeout=10)
+        err = capsys.readouterr().err
+        assert "server unreachable: malformed download" in err
+
+    def test_silent_server_times_out_as_a_server_failure(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            handle = HttpServerHandle(f"http://{host}:{port}", timeout_s=0.2)
+            with pytest.raises(ServerError) as raised:
+                handle.download("mock:A", 1)
+        assert isinstance(raised.value.__cause__, TimeoutError)
 
 
 class TestServeParser:

@@ -427,6 +427,15 @@ class TestSessionApi:
             a.get_result("dev-c")
         assert a.end_session("dev-c")
 
+    def test_hello_after_a_finished_session_starts_a_new_one(self):
+        a, b = self.make_pair()
+        first = run_discovery_pair(a, b)
+        assert a.end_session("B")
+        # B has not ended its finished session with A; A's new HELLO replaces it
+        second = run_discovery_pair(a, b)
+        assert [r.dist for r in first + second] == [2, 2, 2, 2]
+        assert b._sessions["A"].psi is None
+
     def test_result_before_completion_raises(self):
         a, b = self.make_pair()
         a.start_session("peer")

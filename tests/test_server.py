@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopal.client import HttpServerHandle
+import sopal.client
+from sopal.client import HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import (
@@ -119,6 +120,9 @@ class TestConnector:
         connector = MockOsnConnector(GROUND)
         with pytest.raises(AuthError):
             connector.authenticate("mock:nobody")
+
+    def test_one_auth_error_class_for_server_and_client(self):
+        assert AuthError is sopal.client.AuthError
 
     def test_friends_of_unknown_user(self):
         connector = MockOsnConnector(GROUND)
@@ -312,13 +316,14 @@ class TestPersistentConnections:
         start = time.perf_counter()
         fresh_server.stop()
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ConnectionError):
+        with pytest.raises(ServerError) as raised:
             handle.download("mock:A", 1)
+        assert isinstance(raised.value.__cause__, ConnectionError)
 
     def test_error_statuses_on_a_reused_connection(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)
         handle.download("mock:A", 1)
-        with pytest.raises(PermissionError, match="authentication failed"):
+        with pytest.raises(AuthError, match="authentication failed"):
             handle.download("mock:nobody", 1)
         with pytest.raises(NotEnrolledError):
             handle.download("mock:E", 1)
@@ -363,8 +368,9 @@ class TestPersistentConnections:
         store.upload_capability("A", new_capability())
         with SopalHttpServer(store, connector, tls_cert=cert, tls_key=key) as server:
             assert server.url.startswith("https://")
-            with pytest.raises(ssl.SSLCertVerificationError):
+            with pytest.raises(ServerError) as raised:
                 HttpServerHandle(server.url).download("mock:A", 1)
+            assert isinstance(raised.value.__cause__, ssl.SSLCertVerificationError)
             monkeypatch.setattr(
                 ssl,
                 "_create_default_https_context",
@@ -530,7 +536,7 @@ class TestLoadProbeClient:
         assert connects == []
 
     @pytest.mark.parametrize(
-        "token, error", [("mock:nobody", PermissionError), ("mock:B", NotEnrolledError)]
+        "token, error", [("mock:nobody", AuthError), ("mock:B", NotEnrolledError)]
     )
     def test_refused_baseline_closes_its_connection(self, fresh_server, token, error):
         with no_resource_warnings():

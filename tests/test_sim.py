@@ -198,6 +198,9 @@ class TestRunCoverage:
             SimConfig(path_lengths=(9,), d_max=1)
         with pytest.raises(ValueError):
             SimConfig(repetitions=0)
+        for name in ("member_fractions", "path_lengths", "ersatz_modes"):
+            with pytest.raises(ValueError, match=name):
+                SimConfig(**{name: ()})
 
     @pytest.mark.parametrize("field", ["pairs_per_cell", "min_pairs"])
     def test_pair_counts_below_one_refused(self, field):
