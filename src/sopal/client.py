@@ -270,6 +270,8 @@ class DiscoveryClient:
     ):
         if not 0.0 < fp_target < 1.0:
             raise ValueError(f"false-positive target must lie in (0, 1), got {fp_target}")
+        if d_max < 0:
+            raise ValueError(f"d_max must be at least 0, got {d_max}")
         self.uid = uid
         self.d_max = d_max
         self._server = server
@@ -299,7 +301,10 @@ class DiscoveryClient:
         if self._own_cap is None:
             raise RuntimeError("renew_capability must run before update_capabilities")
         distribution = self._server.download(self._token, self.d_max)
-        items = build_input_set(distribution, self._own_cap, self.d_max)
+        try:
+            items = build_input_set(distribution, self._own_cap, self.d_max)
+        except ValueError as exc:
+            raise ServerError(f"malformed download: {exc}") from exc
         with self._lock:
             self._items = items
 

@@ -2,13 +2,13 @@
 
 The protocol runs between an initiator and a responder:
 
-1. Hello exchange.  Each side sends its role, a fresh X25519 public key,
-   its claimed OSN identifier and the Bloom filter parameters it intends
-   to use, then derives the shared session key.  Both public keys,
-   initiator first, form the session binding.
+1. Hello exchange.  Each side sends its role, a fresh X25519 public key
+   and its claimed OSN identifier, then derives the shared session key.
+   Both public keys, initiator first, form the session binding.
 2. The initiator inserts its items into a salted Bloom filter whose
    keyed hash absorbs the binding before each item, so a filter captured
    in one session matches nothing in another, and sends it, encrypted.
+   The filter's own header states its size and index-function count.
 3. The responder answers with challenge tags for its items that hit the
    filter, sorted by byte value.  An item's challenge tag is the first
    32 bytes of the keyed digest that sets or probes its filter bits, so
@@ -42,7 +42,6 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from sopal.crypto import (
     BF_HEADER_BYTES,
-    BF_MAX_GAMMA,
     DIGEST_BYTES,
     BloomFilter,
     bf_hash_count,
@@ -50,7 +49,7 @@ from sopal.crypto import (
     establish_session,
 )
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 MSG_HELLO = 1
 MSG_BF = 2
@@ -66,18 +65,17 @@ HEADER_LEN = 22
 TAG_BYTES = DIGEST_BYTES
 
 DEFAULT_FP_TARGET = 0.001
-# Bound on the filter size a peer may declare, against hostile memory blowup.
+# The largest filter a peer may send, in bits, against hostile memory
+# blowup.  Its one use is the BF frame's payload limit below.
 DEFAULT_BETA_CAP = 2**24
 _MAX_PAYLOAD = 2**26
 _MAX_ID_BYTES = 65535
 # AEAD tag appended to every encrypted payload.
 _AEAD_TAG_BYTES = 16
 # The largest payload each message type's format allows, checked against
-# the declared length before anything is read or authenticated.  The BF
-# limit fits a filter of DEFAULT_BETA_CAP bits, the largest a peer's hello
-# may declare.
+# the declared length before anything is read or authenticated.
 _MAX_PAYLOAD_BY_TYPE = {
-    MSG_HELLO: 1 + 32 + 2 + _MAX_ID_BYTES + 5,
+    MSG_HELLO: 1 + 32 + 2 + _MAX_ID_BYTES,
     MSG_BF: _AEAD_TAG_BYTES + BF_HEADER_BYTES + DEFAULT_BETA_CAP // 8,
     MSG_CHAL: _MAX_PAYLOAD,
     MSG_RESP: _MAX_PAYLOAD,
@@ -138,35 +136,26 @@ def make_reject(session_id: bytes | None = None) -> bytes:
     return build_frame(MSG_REJECT, session_id or bytes(SESSION_ID_BYTES), b"")
 
 
-def _pack_hello(role: int, public: bytes, claimed_id: str, beta: int, gamma: int) -> bytes:
+def _pack_hello(role: int, public: bytes, claimed_id: str) -> bytes:
     encoded = claimed_id.encode("utf-8")
     if len(encoded) > _MAX_ID_BYTES:
         raise ValueError("claimed identifier too long")
-    return (
-        bytes([role])
-        + public
-        + len(encoded).to_bytes(2, "big")
-        + encoded
-        + beta.to_bytes(4, "big")
-        + bytes([gamma])
-    )
+    return bytes([role]) + public + len(encoded).to_bytes(2, "big") + encoded
 
 
-def _unpack_hello(payload: bytes) -> tuple[int, bytes, str, int, int]:
-    if len(payload) < 1 + 32 + 2 + 4 + 1:
+def _unpack_hello(payload: bytes) -> tuple[int, bytes, str]:
+    if len(payload) < 1 + 32 + 2:
         raise ProtocolError("hello payload truncated")
     role = payload[0]
     public = payload[1:33]
     id_len = int.from_bytes(payload[33:35], "big")
-    if len(payload) != 35 + id_len + 5:
+    if len(payload) != 35 + id_len:
         raise ProtocolError("hello payload length mismatch")
     try:
-        claimed_id = payload[35 : 35 + id_len].decode("utf-8")
+        claimed_id = payload[35:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError("claimed identifier is not valid UTF-8") from exc
-    beta = int.from_bytes(payload[35 + id_len : 39 + id_len], "big")
-    gamma = payload[39 + id_len]
-    return role, public, claimed_id, beta, gamma
+    return role, public, claimed_id
 
 
 def _pack_tags(tags: list[bytes]) -> bytes:
@@ -225,11 +214,10 @@ class PsiSession:
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
 
+        # Sized here, so a bad fp_target fails at construction.
         alpha = len(self._values)
-        self.declared_beta = bf_optimal_size(alpha, fp_target)
-        self.declared_gamma = bf_hash_count(alpha, self.declared_beta)
-        self.peer_beta: int | None = None
-        self.peer_gamma: int | None = None
+        self.filter_beta = bf_optimal_size(alpha, fp_target)
+        self.filter_gamma = bf_hash_count(alpha, self.filter_beta)
 
         self.session_id = (
             secrets.token_bytes(SESSION_ID_BYTES) if role == ROLE_INITIATOR else b""
@@ -256,13 +244,7 @@ class PsiSession:
         return cls(ROLE_RESPONDER, values, claimed_id, **kwargs)
 
     def _own_hello(self) -> bytes:
-        return _pack_hello(
-            self.role,
-            self.public_key,
-            self.claimed_id,
-            self.declared_beta,
-            self.declared_gamma,
-        )
+        return _pack_hello(self.role, self.public_key, self.claimed_id)
 
     # -- results ----------------------------------------------------------
 
@@ -321,18 +303,10 @@ class PsiSession:
             self.failure_reason = reason
 
     def _accept_peer_hello(self, payload: bytes, expected_role: int) -> None:
-        role, public, claimed_id, beta, gamma = _unpack_hello(payload)
+        role, public, claimed_id = _unpack_hello(payload)
         if role != expected_role:
             raise ProtocolError(f"unexpected role byte {role} in hello")
-        if beta > DEFAULT_BETA_CAP:
-            raise ProtocolError(
-                f"peer declared an oversized filter ({beta} bits > cap {DEFAULT_BETA_CAP})"
-            )
-        if not 1 <= gamma <= BF_MAX_GAMMA:
-            raise ProtocolError(f"peer declared {gamma} index functions, not 1 to {BF_MAX_GAMMA}")
         self.peer_claimed_id = claimed_id
-        self.peer_beta = beta
-        self.peer_gamma = gamma
         own = self.public_key
         binding = public + own if self.role == ROLE_RESPONDER else own + public
         try:
@@ -350,7 +324,7 @@ class PsiSession:
 
     def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_RESPONDER)
-        bf = BloomFilter(self.declared_beta, self.declared_gamma, context=self._binding)
+        bf = BloomFilter(self.filter_beta, self.filter_gamma, context=self._binding)
         self._digests = bf.insert_all(self._values)
         self.phase = PHASE_BF_SENT
         return self._seal(MSG_BF, bf.to_bytes()), False
@@ -361,8 +335,6 @@ class PsiSession:
             bf = BloomFilter.from_bytes(plaintext, context=self._binding)
         except ValueError as exc:
             raise ProtocolError(f"malformed filter: {exc}") from exc
-        if bf.beta != self.peer_beta or bf.gamma != self.peer_gamma:
-            raise ProtocolError("filter does not match the declared parameters")
         self._candidates = {d[:TAG_BYTES]: v for d, v in bf.probe_all(self._values)}
         self.phase = PHASE_CHALLENGED
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False

@@ -12,9 +12,9 @@ Routes:
   body format 2 (:meth:`DistributionResult.to_json`): the id-bearing
   entries one object each, the higher-order values as one hex run per
   stretch of equal degree
-* ``GET /v1/health``
+* ``GET /v1/health``, the one route that needs no token
 
-All routes take ``Authorization: Bearer <token>``.  The server runs over
+The other two take ``Authorization: Bearer <token>``.  The server runs over
 TLS when given a certificate, loaded before the port is bound so that a
 bad one leaves no socket open, or in loudly flagged plaintext test mode.
 Connections are persistent HTTP/1.1: a client may send many requests on
@@ -233,6 +233,8 @@ class SopalHttpServer(ThreadingHTTPServer):
         tls_key: str | None = None,
         insecure_plaintext: bool = False,
     ):
+        if d_max < 0:
+            raise ValueError(f"d_max must be at least 0, got {d_max}")
         if not tls_cert and not insecure_plaintext:
             raise ValueError(
                 "refusing to start without TLS; pass insecure_plaintext=True for test use"

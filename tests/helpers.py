@@ -120,14 +120,15 @@ class RecordingSession(PsiSession):
 
 def sized_session(beta: int, gamma: int, base=PsiSession):
     """A subclass of ``base`` whose filter has ``beta`` bits and ``gamma``
-    index functions whatever its input size.  ``start_initiator`` builds
-    its hello from the constructed session, so the size goes on the wire."""
+    index functions whatever its input size.  As an initiator it builds
+    that filter once the hellos are exchanged, so the size goes on the
+    wire in the filter's own header, the one place a peer reads it."""
 
     class SizedSession(base):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.declared_beta = beta
-            self.declared_gamma = gamma
+            self.filter_beta = beta
+            self.filter_gamma = gamma
 
     return SizedSession
 

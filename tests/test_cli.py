@@ -188,11 +188,20 @@ class TestDiscover:
         assert "A: Dist=3" in out
         assert "D: Dist=3" in out
 
-    @pytest.mark.parametrize("fp_target", ["0", "1"])
-    def test_fp_target_outside_unit_interval_changes_nothing(self, live_server, fp_target, capsys):
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            pytest.param(["--fp-target", "0"], "false-positive target", id="0"),
+            pytest.param(["--fp-target", "1"], "false-positive target", id="1"),
+            pytest.param(["--dmax", "-1"], "d_max must be at least 0", id="dmax-1"),
+        ],
+    )
+    def test_fp_target_outside_unit_interval_changes_nothing(
+        self, live_server, option, message, capsys
+    ):
         store, addr = live_server
-        assert main(["discover", "A", "B", "--addr", addr, "--fp-target", fp_target]) == 5
-        assert "false-positive target" in capsys.readouterr().err
+        assert main(["discover", "A", "B", "--addr", addr, *option]) == 5
+        assert message in capsys.readouterr().err
         assert store.record_of("A") is None and store.record_of("B") is None
 
 
@@ -352,7 +361,19 @@ class TestErrorClasses:
         assert main(["enroll", "--members", str(tmp_path / "members.txt")]) == 5
         assert "Permission denied" in capsys.readouterr().err
 
-    def test_malformed_download_body_is_a_server_failure(self, capsys):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"<html></html>", id="html"),
+            # parses, but carries a run above the requested d_max of 1
+            pytest.param(
+                b'{"format_version":2,"r_h":[[3,"%s"]],"r_u":[]}' % (b"ab" * 32),
+                id="degree-out-of-range",
+            ),
+        ],
+    )
+    def test_malformed_download_body_is_a_server_failure(self, body, monkeypatch, capsys):
+        monkeypatch.setattr(HtmlEverywhere, "body", body)
         with ThreadingHTTPServer(("127.0.0.1", 0), HtmlEverywhere) as httpd:
             thread = threading.Thread(target=httpd.serve_forever, args=(0.05,))
             thread.start()
@@ -382,6 +403,11 @@ class TestServeParser:
 
     def test_bad_addr_exit_code(self, graph_file, capsys):
         assert main(["serve", "--graph", str(graph_file), "--addr", "nope"]) == 5
+
+    def test_negative_dmax_exit_code(self, graph_file, capsys):
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        assert main(argv + ["--insecure-plaintext", "--dmax", "-1"]) == 5
+        assert "d_max must be at least 0" in capsys.readouterr().err
 
     def test_plaintext_refused_without_flag(self, graph_file, capsys):
         code = main(["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"])

@@ -553,7 +553,7 @@ class TestSessionApi:
         hello_b, _ = bob.handle_message("dev-a", hello)
         init.step(hello_b)
         init._send_counter = 0
-        v1_frame = init._seal(MSG_BF, v1_filter_blob(init.declared_beta, init.declared_gamma))
+        v1_frame = init._seal(MSG_BF, v1_filter_blob(init.filter_beta, init.filter_gamma))
         assert bob.handle_message("dev-a", v1_frame) == (None, True)
         with pytest.raises(SessionError) as info:
             bob.get_result("dev-a")

@@ -130,19 +130,36 @@ class TestBasicFlows:
 
 class TestHello:
     def test_declared_size_follows_sizing_formula(self):
-        init, frame = PsiSession.start_initiator(fresh_values(3), "u", fp_target=0.01)
-        _, _, payload = parse_frame(frame)
-        beta = int.from_bytes(payload[35 + 1 : 39 + 1], "big")
-        assert beta == bf_optimal_size(3, 0.01) == init.declared_beta
+        # the filter's own header is where its size goes on the wire
+        init, hello = RecordingSession.start_initiator(fresh_values(3), "u", fp_target=0.01)
+        resp = PsiSession.start_responder(fresh_values(3), "v")
+        init.step(resp.step(hello)[0])
+        [(_, _, plaintext)] = [t for t in init.transcript if t[1] == MSG_BF]
+        bf = BloomFilter.from_bytes(plaintext)
+        assert bf.beta == bf_optimal_size(3, 0.01) == init.filter_beta
+        assert bf.gamma == init.filter_gamma
 
     def test_index_function_count_is_bounded(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
-        resp = PsiSession.start_responder(fresh_values(3), "v")
-        hello_b, _ = resp.step(hello)
-        forged = bytearray(hello_b)
-        forged[-1] = 17  # the responder's declared gamma
-        with pytest.raises(ProtocolError, match="17 index functions"):
-            init.step(bytes(forged))
+        for gamma in (0, 17):
+            init, hello = PsiSession.start_initiator(fresh_values(3), "u")
+            resp = PsiSession.start_responder(fresh_values(3), "v")
+            init.step(resp.step(hello)[0])
+            blob = bytearray(BloomFilter(64, 2).to_bytes())
+            blob[5] = gamma  # the filter header's index-function count
+            init._send_counter = 0  # seal into the message slot the responder expects
+            with pytest.raises(ProtocolError, match="malformed filter"):
+                resp.step(init._seal(MSG_BF, bytes(blob)))
+            assert resp.phase == PHASE_FAILED
+            assert "index-function count" in resp.failure_reason
+
+    def test_hello_does_not_reveal_input_size(self):
+        # a hello is role, key and id alone, whatever the set behind it
+        _, hello = PsiSession.start_initiator(fresh_values(2), "u")
+        for n in (3, 1500):
+            _, own = PsiSession.start_initiator(fresh_values(n), "u")
+            assert len(parse_frame(own)[2]) == 35 + len("u")
+            reply, _ = PsiSession.start_responder(fresh_values(n), "responder").step(hello)
+            assert len(parse_frame(reply)[2]) == 35 + len("responder")
 
     def test_fresh_keys_give_fresh_filter_digests(self):
         # one salt for both sessions, so only their public keys differ
@@ -159,9 +176,8 @@ class TestHello:
         # the test seam must change what a peer sees, not only an attribute
         values = fresh_values(5)
         plain, _ = PsiSession.start_initiator(values, "u")
-        assert (plain.declared_beta, plain.declared_gamma) != (40, 3)
+        assert (plain.filter_beta, plain.filter_gamma) != (40, 3)
         init, hello = sized_session(40, 3).start_initiator(values, "u")
-        assert _unpack_hello(parse_frame(hello)[2])[3:] == (40, 3)
         resp = RecordingSession.start_responder(values, "v")
         hello_b, _ = resp.step(hello)
         bf_frame, _ = init.step(hello_b)
@@ -171,12 +187,16 @@ class TestHello:
         assert (bf.beta, bf.gamma) == (40, 3)
 
     def test_oversized_declared_filter_fails_responder(self):
-        init, frame = sized_session(2**25, 16).start_initiator(fresh_values(2), "u")
+        # refused on the frame's declared length, before a byte is opened
+        init, hello = PsiSession.start_initiator(fresh_values(2), "u")
         resp = PsiSession.start_responder(fresh_values(2), "v")
-        with pytest.raises(ProtocolError, match="oversized"):
-            resp.step(frame)
+        init.step(resp.step(hello)[0])
+        init._send_counter = 0  # seal into the message slot the responder expects
+        oversized = init._seal(MSG_BF, BloomFilter(DEFAULT_BETA_CAP + 8, 1).to_bytes())
+        with pytest.raises(ProtocolError, match="limit"):
+            resp.step(oversized)
         assert resp.phase == PHASE_FAILED
-        assert "oversized" in resp.failure_reason
+        assert "limit" in resp.failure_reason
 
 
 class TestFailureModes:
@@ -215,9 +235,21 @@ class TestFailureModes:
         with pytest.raises(ProtocolError, match="wire version"):
             resp.step(b"\x09" + build_frame(MSG_HELLO, bytes(16), b"")[1:])
 
+    def test_version_three_hello_is_refused(self):
+        # frame version 3 carried the filter size and index-function count
+        # in the hello
+        _, hello = PsiSession.start_initiator(fresh_values(2), "u")
+        v3 = bytearray(hello + (64).to_bytes(4, "big") + bytes([2]))
+        v3[0] = 3
+        v3[18:22] = (len(v3) - 22).to_bytes(4, "big")
+        resp = PsiSession.start_responder(fresh_values(2), "v")
+        with pytest.raises(ProtocolError, match="unsupported wire version 3"):
+            resp.step(bytes(v3))
+        assert resp.phase == PHASE_FAILED
+
     def test_all_zero_public_key_fails_key_agreement(self):
         resp = PsiSession.start_responder(fresh_values(2), "v")
-        payload = _pack_hello(ROLE_INITIATOR, bytes(32), "u", 64, 2)
+        payload = _pack_hello(ROLE_INITIATOR, bytes(32), "u")
         with pytest.raises(ProtocolError, match="key agreement failed"):
             resp.step(build_frame(MSG_HELLO, bytes(16), payload))
         assert resp.phase == PHASE_FAILED
@@ -226,7 +258,7 @@ class TestFailureModes:
         # a responder's hello sent to a responder
         resp = PsiSession.start_responder(fresh_values(2), "v")
         other = PsiSession.start_responder(fresh_values(2), "u")
-        payload = _pack_hello(ROLE_RESPONDER, other.public_key, "u", 64, 2)
+        payload = _pack_hello(ROLE_RESPONDER, other.public_key, "u")
         with pytest.raises(ProtocolError, match="unexpected role byte 2"):
             resp.step(build_frame(MSG_HELLO, bytes(16), payload))
         assert resp.phase == PHASE_FAILED
@@ -250,24 +282,13 @@ class TestFailureModes:
         with pytest.raises(ProtocolError, match="terminated"):
             init.step(frames[1])
 
-    def test_filter_must_match_declared_parameters(self):
-        init, hello = PsiSession.start_initiator(fresh_values(3), "u")
-        resp = PsiSession.start_responder(fresh_values(3), "v")
-        hello_b, _ = resp.step(hello)
-        init.step(hello_b)
-        wrong = BloomFilter(8, 1)
-        init._send_counter = 0  # seal into the message slot the responder expects
-        forged = init._seal(MSG_BF, wrong.to_bytes())
-        with pytest.raises(ProtocolError, match="declared"):
-            resp.step(forged)
-
     def test_version_one_filter_fails_responder(self):
         init, hello = PsiSession.start_initiator(fresh_values(3), "u")
         resp = PsiSession.start_responder(fresh_values(3), "v")
         hello_b, _ = resp.step(hello)
         init.step(hello_b)
         init._send_counter = 0  # seal into the message slot the responder expects
-        forged = init._seal(MSG_BF, v1_filter_blob(init.declared_beta, init.declared_gamma))
+        forged = init._seal(MSG_BF, v1_filter_blob(init.filter_beta, init.filter_gamma))
         with pytest.raises(ProtocolError, match="malformed filter"):
             resp.step(forged)
         assert resp.phase == PHASE_FAILED
@@ -296,7 +317,7 @@ class TestFrameLimits:
     length before any of the payload is read."""
 
     LIMITS = {
-        MSG_HELLO: 1 + 32 + 2 + 65535 + 5,
+        MSG_HELLO: 1 + 32 + 2 + 65535,
         MSG_BF: 16 + 22 + DEFAULT_BETA_CAP // 8,
         MSG_CHAL: 2**26,
         MSG_RESP: 2**26,
@@ -491,12 +512,10 @@ class TestParsersOnArbitraryBytes:
         role=st.integers(0, 255),
         public=st.binary(min_size=32, max_size=32),
         claimed_id=st.text(max_size=40),
-        beta=st.integers(0, 2**32 - 1),
-        gamma=st.integers(0, 255),
     )
-    def test_hello_round_trip(self, role, public, claimed_id, beta, gamma):
-        payload = _pack_hello(role, public, claimed_id, beta, gamma)
-        assert _unpack_hello(payload) == (role, public, claimed_id, beta, gamma)
+    def test_hello_round_trip(self, role, public, claimed_id):
+        payload = _pack_hello(role, public, claimed_id)
+        assert _unpack_hello(payload) == (role, public, claimed_id)
         for cut in (payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 _unpack_hello(cut)
