@@ -240,12 +240,11 @@ class HttpServerHandle:
 
 
 class _ClientSession:
-    """A live session's protocol state and input set; once it ends, only
-    its outcome: the result, or the text that :meth:`get_result` raises."""
+    """A live session's protocol state, which holds its input set; once it
+    ends, only its outcome: the result, or the text :meth:`get_result` raises."""
 
-    def __init__(self, psi: PsiSession, items: dict[bytes, AnnotatedItem]):
+    def __init__(self, psi: PsiSession):
         self.psi: PsiSession | None = psi
-        self.items: dict[bytes, AnnotatedItem] | None = items
         self.outcome: DistResult | str | None = None
 
 
@@ -316,42 +315,27 @@ class DiscoveryClient:
 
     def start_session(self, device_id: str) -> bytes:
         """Open a discovery session toward ``device_id``; returns the first frame."""
-        items = self._items
-        psi, hello = PsiSession.start_initiator(items, self.uid, fp_target=self._fp_target)
-        session = _ClientSession(psi, items)
-        with self._lock:
-            if self._sessions.setdefault(device_id, session) is not session:
-                raise SessionError(f"session with {device_id!r} already open")
+        psi, hello = PsiSession.start_initiator(self._items, self.uid, fp_target=self._fp_target)
+        if self._open(device_id, psi).psi is not psi:
+            raise SessionError(f"session with {device_id!r} already open")
         return hello
 
     def handle_message(self, device_id: str, data: bytes) -> tuple[bytes | None, bool]:
         """Feed one frame; only a HELLO opens a session.  Returns (reply or None, finished)."""
         session = self._sessions.get(device_id)
         if session is None or session.psi is None:
-            # A HELLO from a device whose session has finished replaces it.
             if data[1:2] != bytes((MSG_HELLO,)):
                 return None, True
-            items = self._items
-            psi = PsiSession.start_responder(items, self.uid, fp_target=self._fp_target)
-            with self._lock:
-                # Another thread may have opened one meanwhile; use it.
-                session = self._sessions.get(device_id)
-                if session is None or session.psi is None:
-                    session = self._sessions[device_id] = _ClientSession(psi, items)
+            psi = PsiSession.start_responder(self._items, self.uid, fp_target=self._fp_target)
+            session = self._open(device_id, psi)
         psi = session.psi
-        if psi is None:
-            return None, True
         try:
             reply, finished = psi.step(data)
         except ProtocolError:
             reply, finished = None, True
         if finished:
-            if psi.phase == PHASE_DONE:
-                session.outcome = self._compute_result(psi, session.items)
-            else:
-                detail = f": {psi.failure_reason}" if psi.failure_reason else ""
-                session.outcome = f"session with {device_id!r} is {psi.phase}{detail}"
-            session.psi = session.items = None
+            session.outcome = self._outcome(device_id, psi)
+            session.psi = None
         return reply, finished
 
     def get_result(self, device_id: str) -> DistResult:
@@ -383,24 +367,34 @@ class DiscoveryClient:
 
     # -- internals -----------------------------------------------------------
 
-    def _compute_result(self, psi: PsiSession, items: dict[bytes, AnnotatedItem]) -> DistResult:
+    def _open(self, device_id: str, psi: PsiSession) -> _ClientSession:
+        """The live session with ``device_id``, else a new one running
+        ``psi``, which replaces a finished one."""
+        with self._lock:
+            session = self._sessions.get(device_id)
+            if session is None or session.psi is None:
+                session = self._sessions[device_id] = _ClientSession(psi)
+            return session
+
+    def _outcome(self, device_id: str, psi: PsiSession) -> DistResult | str:
+        """A finished session's result, or the text that :meth:`get_result` raises."""
+        if psi.phase != PHASE_DONE:
+            detail = f": {psi.failure_reason}" if psi.failure_reason else ""
+            return f"session with {device_id!r} is {psi.phase}{detail}"
         peer_id = psi.peer_claimed_id
         lengths = []
         common: set[str] = set()
         for value in psi.matched_values:
-            item = items[value]
+            item = psi.values[value]
+            # Only the self item and r_u items have received degree 0; r_u items carry ids.
             direct = item.is_self or (
                 item.received_degree == 0
                 and item.item_degree == 0
-                and item.friend_id is not None
                 and item.friend_id == peer_id
             )
-            if direct:
-                lengths.append(1)
-                continue
-            length = item.received_degree + item.item_degree + 2
+            length = 1 if direct else item.received_degree + item.item_degree + 2
             lengths.append(length)
-            if length == 2 and item.friend_id is not None:
+            if length == 2:
                 common.add(item.friend_id)
         dist = min(lengths) if lengths else None
         return DistResult(
@@ -432,13 +426,8 @@ def run_discovery_pair(a: DiscoveryClient, b: DiscoveryClient) -> tuple[DistResu
     """Run one full discovery between two in-process clients.
 
     ``a`` initiates; returns both end results."""
-    frame = a.start_session(b.uid)
-    while True:
-        frame_b, done_b = b.handle_message(a.uid, frame)
-        if frame_b is None:
-            break
-        frame_a, done_a = a.handle_message(b.uid, frame_b)
-        if frame_a is None:
-            break
-        frame = frame_a
+    frame, sender, receiver = a.start_session(b.uid), a, b
+    while frame is not None:
+        frame, _ = receiver.handle_message(sender.uid, frame)
+        sender, receiver = receiver, sender
     return a.get_result(b.uid), b.get_result(a.uid)

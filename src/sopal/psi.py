@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import struct
-from typing import Iterable
+from typing import Collection
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -182,13 +182,14 @@ class PsiSession:
     terminates cleanly at any point.
 
     A session is single-threaded state; run concurrent discoveries with
-    independent sessions.
+    independent sessions.  It iterates ``values`` as given, without a
+    copy, so the collection must not change while the session runs.
     """
 
     def __init__(
         self,
         role: int,
-        values: Iterable[bytes],
+        values: Collection[bytes],
         claimed_id: str,
         *,
         fp_target: float = DEFAULT_FP_TARGET,
@@ -203,9 +204,11 @@ class PsiSession:
         self.peer_claimed_id: str | None = None
         self._aead: ChaCha20Poly1305 | None = None
 
-        self._values = list(values)
-        if not set(map(type, self._values)) <= {bytes}:
+        # len() first, so a one-shot iterator fails before anything consumes it.
+        alpha = len(values)
+        if not set(map(type, values)) <= {bytes}:
             raise TypeError("PSI input values must be bytes")
+        self.values = values
         # Both public keys, initiator first, once the hellos are exchanged,
         # and the response-tag hash state that has absorbed them.
         self._binding = b""
@@ -215,7 +218,6 @@ class PsiSession:
         self._intersection: set[bytes] | None = None
 
         # Sized here, so a bad fp_target fails at construction.
-        alpha = len(self._values)
         self.filter_beta = bf_optimal_size(alpha, fp_target)
         self.filter_gamma = bf_hash_count(alpha, self.filter_beta)
 
@@ -229,7 +231,7 @@ class PsiSession:
 
     @classmethod
     def start_initiator(
-        cls, values: Iterable[bytes], claimed_id: str, **kwargs
+        cls, values: Collection[bytes], claimed_id: str, **kwargs
     ) -> tuple["PsiSession", bytes]:
         """Create the initiating endpoint; returns the session and its Hello frame."""
         session = cls(ROLE_INITIATOR, values, claimed_id, **kwargs)
@@ -238,7 +240,7 @@ class PsiSession:
 
     @classmethod
     def start_responder(
-        cls, values: Iterable[bytes], claimed_id: str, **kwargs
+        cls, values: Collection[bytes], claimed_id: str, **kwargs
     ) -> "PsiSession":
         """Create the responding endpoint; it speaks only via :meth:`step`."""
         return cls(ROLE_RESPONDER, values, claimed_id, **kwargs)
@@ -325,7 +327,7 @@ class PsiSession:
     def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
         self._accept_peer_hello(payload, ROLE_RESPONDER)
         bf = BloomFilter(self.filter_beta, self.filter_gamma, context=self._binding)
-        self._digests = bf.insert_all(self._values)
+        self._digests = bf.insert_all(self.values)
         self.phase = PHASE_BF_SENT
         return self._seal(MSG_BF, bf.to_bytes()), False
 
@@ -335,13 +337,13 @@ class PsiSession:
             bf = BloomFilter.from_bytes(plaintext, context=self._binding)
         except ValueError as exc:
             raise ProtocolError(f"malformed filter: {exc}") from exc
-        self._candidates = {d[:TAG_BYTES]: v for d, v in bf.probe_all(self._values)}
+        self._candidates = {d[:TAG_BYTES]: v for d, v in bf.probe_all(self.values)}
         self.phase = PHASE_CHALLENGED
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
         received = _unpack_tags(self._open(MSG_CHAL, ciphertext))
-        matched = [v for v, d in zip(self._values, self._digests) if d[:TAG_BYTES] in received]
+        matched = [v for v, d in zip(self.values, self._digests) if d[:TAG_BYTES] in received]
         self._intersection = set(matched)
         proof = sorted(map(self._tag1, matched))
         self.phase = PHASE_DONE

@@ -152,12 +152,15 @@ class _Handler(BaseHTTPRequestHandler):
         d_max = self.server.d_max
         for part in query.split("&"):
             if part.startswith("dmax="):
+                asked = part[len("dmax=") :]
                 try:
-                    d_max = int(part[len("dmax=") :])
-                except ValueError:
-                    self._send_json(400, {"error": "dmax must be an integer"})
+                    if not (asked.isascii() and asked.isdigit()):
+                        raise ValueError(asked)
+                    d_max = int(asked)
+                except ValueError:  # also for more digits than int() reads
+                    self._send_json(400, {"error": "dmax must be a non-negative integer"})
                     return
-        d_max = max(0, min(d_max, self.server.d_max))
+        d_max = min(d_max, self.server.d_max)
         try:
             result = self.server.store.distribute(uid, d_max)
         except NotEnrolledError as exc:
@@ -388,6 +391,8 @@ def load_probe(
     """
     if any(rate < 1 for rate in rates):
         raise ValueError(f"rates must be at least 1, got {list(rates)}")
+    if dmax < 0:
+        raise ValueError(f"dmax must be at least 0, got {dmax}")
     handle = HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)
 
     def timed_download() -> tuple[float, float]:

@@ -255,6 +255,13 @@ class TestLoadProbeArguments:
         assert main(args + ["--rates", "0"]) == 5
         assert "at least 1" in capsys.readouterr().err
 
+    def test_negative_dmax_exit_code(self, capsys):
+        # nothing listens on the discard port, so a probe that sent a
+        # request would exit 4 for an unreachable server
+        args = ["loadprobe", "--addr", "127.0.0.1:9", "--uid", "A", "--rates", "1"]
+        assert main(args + ["--duration", "1", "--dmax", "-1"]) == 5
+        assert "dmax must be at least 0" in capsys.readouterr().err
+
 
 class TestClientAddresses:
     def client_commands(self, tmp_path, addr):

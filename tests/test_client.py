@@ -1,8 +1,10 @@
 """Discovery client: input sets, path lengths, refresh, session API."""
 
+import gc
 import random
 import socket
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -449,6 +451,41 @@ class TestSessionApi:
         a.start_session("peer")
         with pytest.raises(SessionError, match="already open"):
             a.start_session("peer")
+
+    def test_start_after_a_finished_session_starts_a_new_one(self):
+        a, b = self.make_pair()
+        first = run_discovery_pair(a, b)
+        # neither side ended its finished session: A's start and HELLO replace both
+        second = run_discovery_pair(a, b)
+        assert [r.dist for r in first + second] == [2, 2, 2, 2]
+
+    def test_unauthenticated_hellos_keep_no_copy_of_the_input_set(self):
+        class FixedDownload:
+            def upload(self, token, cap):
+                pass
+
+            def download(self, token, d_max):
+                return fake_distribution(300, 500)
+
+        client = DiscoveryClient("A", FixedDownload(), d_max=2)
+        client.renew_capability()
+        client.update_capabilities()
+        assert len(client.input_items()) == 300 * 3 + 500 * 2 + 1
+        _, hello = PsiSession.start_initiator([new_capability()], "stranger")
+        client.handle_message("warm-up", hello)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                reply, finished = client.handle_message(f"device-{i}", hello)
+                assert reply is not None and not finished
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a copy of the 1901 values would keep about 15 kB per HELLO
+        assert kept / 200 < 2048
 
     @staticmethod
     def run_together(*calls):

@@ -93,6 +93,15 @@ class TestBasicFlows:
         init, resp, _ = run_session(dict.fromkeys(values), values)
         assert init.matched_values == frozenset(values)
 
+    def test_one_shot_iterator_refused_before_it_is_consumed(self):
+        """A session iterates its values once per phase, so it takes a
+        sized collection and refuses a generator without reading it."""
+        values = fresh_values(3)
+        generator = (v for v in values)
+        with pytest.raises(TypeError):
+            PsiSession.start_initiator(generator, "u")
+        assert list(generator) == values
+
     def test_overlap_with_forced_false_positives(self):
         # a deliberately tiny filter makes responder-side candidate hits
         # near-certain for non-common items; the challenge round must

@@ -214,6 +214,15 @@ class TestEndpoints:
         status, _ = request(server, "GET", "/v1/capabilities?dmax=x", token="mock:A")
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "dmax", ["-1", "1_0", "+1", "", pytest.param("1" * 5000, id="5000-digits")]
+    )
+    def test_dmax_must_be_ascii_digits(self, world, dmax):
+        _, _, server = world
+        status, body = request(server, "GET", f"/v1/capabilities?dmax={dmax}", token="mock:A")
+        assert status == 400
+        assert json.loads(body) == {"error": "dmax must be a non-negative integer"}
+
     def test_unknown_route_404(self, world):
         _, _, server = world
         assert request(server, "GET", "/v1/nothing", token="mock:A")[0] == 404
@@ -533,6 +542,11 @@ class TestLoadProbeClient:
             load_probe(fresh_server.url, "mock:A", rates=[-1, 0])
         with pytest.raises(ValueError, match="at least 1"):
             load_probe(fresh_server.url, "mock:A", rates=[2, 0])
+        assert connects == []
+
+    def test_negative_dmax_is_refused_before_any_request(self, fresh_server, connects):
+        with pytest.raises(ValueError, match="dmax must be at least 0"):
+            load_probe(fresh_server.url, "mock:A", rates=[1], dmax=-1)
         assert connects == []
 
     @pytest.mark.parametrize(
