@@ -36,9 +36,9 @@ class SocialGraph:
 
     Every edge is added by :meth:`record_member` (or restored from a
     snapshot by :meth:`from_parts`), so every edge has at least one
-    member endpoint.  Edges are never removed: a member re-registering
-    with a different friend list unions the new edges with the ones
-    already observed.
+    member endpoint and none is a self loop.  Edges are never removed: a
+    member re-registering with a different friend list unions the new
+    edges with the ones already observed.
 
     Not synchronized: a caller that shares the graph between threads
     holds its own lock around every read and write.
@@ -50,10 +50,12 @@ class SocialGraph:
     @classmethod
     def from_parts(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SocialGraph":
         """Rebuild a graph from its nodes and edges; raises ValueError for
-        an edge with an endpoint that is not among ``nodes``."""
+        a self loop or an edge with an endpoint that is not among ``nodes``."""
         graph = cls()
         adj = graph._adj = {uid: set() for uid in nodes}
         for u, v in edges:
+            if u == v:
+                raise ValueError(f"edge {u!r}-{v!r} is a self loop")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge {u!r}-{v!r} has an endpoint that is not a node")
             adj[u].add(v)
@@ -81,12 +83,9 @@ class SocialGraph:
         return set(self._adj)
 
     def edges(self) -> list[tuple[str, str]]:
-        """All known edges as sorted (low, high) pairs."""
-        seen = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                seen.add((u, v) if u < v else (v, u))
-        return sorted(seen)
+        """All known edges as sorted (low, high) pairs, each taken once from
+        its lower endpoint: the graph has no self loops."""
+        return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 
     def __len__(self) -> int:
         return len(self._adj)

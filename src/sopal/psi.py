@@ -86,15 +86,10 @@ _HEADER = struct.Struct(">BB16sI")
 
 _TAG1_LABEL = b"chal1"
 
-PHASE_HELLO = "hello"
-PHASE_BF_SENT = "bf_sent"
-PHASE_BF_AWAITED = "bf_awaited"
-PHASE_CHALLENGED = "challenged"
+PHASE_ACTIVE = "active"
 PHASE_DONE = "done"
 PHASE_FAILED = "failed"
 PHASE_REJECTED = "rejected"
-
-_TERMINAL = (PHASE_DONE, PHASE_FAILED, PHASE_REJECTED)
 
 
 class ProtocolError(Exception):
@@ -176,10 +171,12 @@ class PsiSession:
 
     Construct with :meth:`start_initiator` or :meth:`start_responder`,
     then feed every inbound frame to :meth:`step`, sending whatever it
-    returns.  Phase transitions are monotone along the fixed flow: any
-    out-of-order, malformed or unauthenticated frame moves the session to
-    the failed phase and raises :class:`ProtocolError`.  A Reject frame
-    terminates cleanly at any point.
+    returns.  A running session is in the one active phase and waits for
+    exactly one message type: the initiator for a Hello, then a
+    Challenge; the responder for a Hello, then a Filter, then a Response.
+    Any other type, or a malformed or unauthenticated frame, moves the
+    session to the failed phase and raises :class:`ProtocolError`.  A
+    Reject frame terminates cleanly at any point.
 
     A session is single-threaded state; run concurrent discoveries with
     independent sessions.  It iterates ``values`` as given, without a
@@ -195,7 +192,10 @@ class PsiSession:
         fp_target: float = DEFAULT_FP_TARGET,
     ):
         self.role = role
-        self.phase = PHASE_HELLO
+        self._peer_role = ROLE_RESPONDER if role == ROLE_INITIATOR else ROLE_INITIATOR
+        self.phase = PHASE_ACTIVE
+        # The one message type this session accepts next.
+        self._expect = MSG_HELLO
         # A fresh X25519 key per session; only its public half leaves.
         self._private_key = X25519PrivateKey.generate()
         self.public_key = self._private_key.public_key().public_bytes_raw()
@@ -266,7 +266,7 @@ class PsiSession:
         :class:`ProtocolError` and parks the session in the failed phase
         when the frame cannot be processed.
         """
-        if self.phase in _TERMINAL:
+        if self.phase != PHASE_ACTIVE:
             raise ProtocolError(f"session already terminated ({self.phase})")
         try:
             msg_type, session_id, payload = parse_frame(data)
@@ -274,39 +274,21 @@ class PsiSession:
                 self.phase = PHASE_REJECTED
                 self._intersection = set()
                 return None, True
-            if self.role == ROLE_RESPONDER and self.phase == PHASE_HELLO:
+            if msg_type != self._expect:
+                raise ProtocolError(f"unexpected message type {msg_type}")
+            if self.role == ROLE_RESPONDER and msg_type == MSG_HELLO:
                 self.session_id = session_id
             elif session_id != self.session_id:
                 raise ProtocolError("frame carries a different session id")
-            return self._dispatch(msg_type, payload)
+            return self._HANDLERS[msg_type](self, payload)
         except ProtocolError as exc:
-            self._fail(str(exc))
+            self.phase = PHASE_FAILED
+            self.failure_reason = str(exc)
             raise
 
-    def _dispatch(self, msg_type: int, payload: bytes) -> tuple[bytes | None, bool]:
-        key = (self.role, self.phase, msg_type)
-        if key == (ROLE_RESPONDER, PHASE_HELLO, MSG_HELLO):
-            return self._on_initiator_hello(payload)
-        if key == (ROLE_INITIATOR, PHASE_HELLO, MSG_HELLO):
-            return self._on_responder_hello(payload)
-        if key == (ROLE_RESPONDER, PHASE_BF_AWAITED, MSG_BF):
-            return self._on_filter(payload)
-        if key == (ROLE_INITIATOR, PHASE_BF_SENT, MSG_CHAL):
-            return self._on_challenge(payload)
-        if key == (ROLE_RESPONDER, PHASE_CHALLENGED, MSG_RESP):
-            return self._on_response(payload)
-        raise ProtocolError(
-            f"message type {msg_type} not valid in phase {self.phase} for role {self.role}"
-        )
-
-    def _fail(self, reason: str) -> None:
-        if self.phase != PHASE_FAILED:
-            self.phase = PHASE_FAILED
-            self.failure_reason = reason
-
-    def _accept_peer_hello(self, payload: bytes, expected_role: int) -> None:
+    def _on_hello(self, payload: bytes) -> tuple[bytes, bool]:
         role, public, claimed_id = _unpack_hello(payload)
-        if role != expected_role:
+        if role != self._peer_role:
             raise ProtocolError(f"unexpected role byte {role} in hello")
         self.peer_claimed_id = claimed_id
         own = self.public_key
@@ -318,17 +300,12 @@ class PsiSession:
         self._aead = ChaCha20Poly1305(key)
         self._binding = binding
         self._tag1_prefix.update(binding)
-
-    def _on_initiator_hello(self, payload: bytes) -> tuple[bytes, bool]:
-        self._accept_peer_hello(payload, ROLE_INITIATOR)
-        self.phase = PHASE_BF_AWAITED
-        return build_frame(MSG_HELLO, self.session_id, self._own_hello()), False
-
-    def _on_responder_hello(self, payload: bytes) -> tuple[bytes, bool]:
-        self._accept_peer_hello(payload, ROLE_RESPONDER)
+        if self.role == ROLE_RESPONDER:
+            self._expect = MSG_BF
+            return build_frame(MSG_HELLO, self.session_id, self._own_hello()), False
         bf = BloomFilter(self.filter_beta, self.filter_gamma, context=self._binding)
         self._digests = bf.insert_all(self.values)
-        self.phase = PHASE_BF_SENT
+        self._expect = MSG_CHAL
         return self._seal(MSG_BF, bf.to_bytes()), False
 
     def _on_filter(self, ciphertext: bytes) -> tuple[bytes, bool]:
@@ -338,7 +315,7 @@ class PsiSession:
         except ValueError as exc:
             raise ProtocolError(f"malformed filter: {exc}") from exc
         self._candidates = {d[:TAG_BYTES]: v for d, v in bf.probe_all(self.values)}
-        self.phase = PHASE_CHALLENGED
+        self._expect = MSG_RESP
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
@@ -350,12 +327,22 @@ class PsiSession:
         return self._seal(MSG_RESP, _pack_tags(proof)), True
 
     def _on_response(self, ciphertext: bytes) -> tuple[None, bool]:
+        # At most one response tag per challenge sent, checked before decrypting.
+        if len(ciphertext) > _AEAD_TAG_BYTES + 4 + TAG_BYTES * len(self._candidates):
+            raise ProtocolError("response holds more tags than the challenges sent")
         received = _unpack_tags(self._open(MSG_RESP, ciphertext))
         self._intersection = {
             v for v in self._candidates.values() if self._tag1(v) in received
         }
         self.phase = PHASE_DONE
         return None, True
+
+    _HANDLERS = {
+        MSG_HELLO: _on_hello,
+        MSG_BF: _on_filter,
+        MSG_CHAL: _on_challenge,
+        MSG_RESP: _on_response,
+    }
 
     def _tag1(self, value: bytes) -> bytes:
         hasher = self._tag1_prefix.copy()
@@ -379,8 +366,7 @@ class PsiSession:
 
     def _open(self, msg_type: int, ciphertext: bytes) -> bytes:
         assert self._aead is not None
-        peer_role = ROLE_RESPONDER if self.role == ROLE_INITIATOR else ROLE_INITIATOR
-        nonce = self._nonce(peer_role, self._recv_counter)
+        nonce = self._nonce(self._peer_role, self._recv_counter)
         try:
             plaintext = self._aead.decrypt(nonce, ciphertext, self._aad(msg_type))
         except InvalidTag as exc:

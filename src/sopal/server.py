@@ -175,13 +175,14 @@ class _Handler(BaseHTTPRequestHandler):
         if not (declared.isascii() and declared.isdigit()):
             self._send_json(400, {"error": "Content-Length required"}, close=True)
             return None
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
+        # The digit count goes first: int() refuses more than 4300 digits.
+        digits = declared.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             self._send_json(
                 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True
             )
             return None
-        return self.rfile.read(length)
+        return self.rfile.read(int(digits))
 
     def do_POST(self):
         body = self._read_body()

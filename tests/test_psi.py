@@ -16,6 +16,7 @@ from sopal.psi import (
     MSG_HELLO,
     MSG_REJECT,
     MSG_RESP,
+    PHASE_ACTIVE,
     PHASE_DONE,
     PHASE_FAILED,
     PHASE_REJECTED,
@@ -302,6 +303,73 @@ class TestFailureModes:
             resp.step(forged)
         assert resp.phase == PHASE_FAILED
         assert "unsupported filter version 1" in resp.failure_reason
+
+
+class TestTransitions:
+    """Each side waits for one message type at a time.  Any other type
+    fails it, even well formed, under its own session id and sealed in
+    the slot it would open next."""
+
+    VALUES = fresh_values(3)
+
+    @staticmethod
+    def forge(sender, receiver, msg_type, session_id):
+        if msg_type == MSG_HELLO:
+            payload = _pack_hello(sender.role, sender.public_key, "x")
+            return build_frame(MSG_HELLO, session_id, payload)
+        if sender._aead is None:  # nothing can be sealed before the hellos
+            return build_frame(msg_type, session_id, b"")
+        sender._send_counter = receiver._recv_counter
+        plaintext = BloomFilter(64, 2).to_bytes() if msg_type == MSG_BF else _pack_tags([])
+        return sender._seal(msg_type, plaintext)
+
+    # The message type due after each prefix of a clean transcript; frame k
+    # goes to the responder when k is even, else to the initiator.
+    @pytest.mark.parametrize(
+        "point, due", enumerate([MSG_HELLO, MSG_HELLO, MSG_BF, MSG_CHAL, MSG_RESP])
+    )
+    def test_only_the_message_type_due_is_accepted(self, point, due):
+        for msg_type in sorted({MSG_HELLO, MSG_BF, MSG_CHAL, MSG_RESP} - {due}):
+            init, frame = PsiSession.start_initiator(self.VALUES, "u")
+            resp = PsiSession.start_responder(list(self.VALUES), "v")
+            sessions = (resp, init)
+            for k in range(point):
+                frame, _ = sessions[k % 2].step(frame)
+            receiver, sender = sessions[point % 2], sessions[1 - point % 2]
+            assert receiver.phase == PHASE_ACTIVE
+            forged = self.forge(sender, receiver, msg_type, init.session_id)
+            with pytest.raises(ProtocolError, match=f"unexpected message type {msg_type}"):
+                receiver.step(forged)
+            assert receiver.phase == PHASE_FAILED
+
+    @pytest.mark.parametrize("receiver_role", [ROLE_INITIATOR, ROLE_RESPONDER])
+    @pytest.mark.parametrize("role_byte", [0, 7, "own"])
+    def test_hello_must_carry_the_peers_role(self, receiver_role, role_byte):
+        init, hello = PsiSession.start_initiator(self.VALUES, "u")
+        resp = PsiSession.start_responder(list(self.VALUES), "v")
+        receiver, sender = (init, resp) if receiver_role == ROLE_INITIATOR else (resp, init)
+        role = receiver.role if role_byte == "own" else role_byte
+        payload = _pack_hello(role, sender.public_key, "x")
+        with pytest.raises(ProtocolError, match=f"unexpected role byte {role}"):
+            receiver.step(build_frame(MSG_HELLO, init.session_id, payload))
+        assert receiver.phase == PHASE_FAILED
+
+    def test_response_may_not_outnumber_the_challenges(self):
+        def respond_with(extra):
+            init, hello = PsiSession.start_initiator(self.VALUES, "u")
+            resp = PsiSession.start_responder(list(self.VALUES), "v")
+            init.step(resp.step(init.step(resp.step(hello)[0])[0])[0])
+            init._send_counter -= 1  # reseal into the slot of the response just sent
+            tags = [secrets.token_bytes(32)] * (len(resp._candidates) + extra)
+            return resp, init._seal(MSG_RESP, _pack_tags(tags))
+
+        resp, forged = respond_with(0)
+        assert resp.step(forged) == (None, True)
+        assert resp.matched_values == frozenset()
+        resp, forged = respond_with(1)
+        with pytest.raises(ProtocolError, match="more tags than the challenges"):
+            resp.step(forged)
+        assert resp.phase == PHASE_FAILED
 
 
 class TestReject:

@@ -370,6 +370,21 @@ class TestPersistentConnections:
             assert resp.getheader("Connection") == "close"
             assert sock.recv(1) == b""
 
+    @pytest.mark.parametrize("declared", ["9" * 5000, "0" * 5000 + str(MAX_BODY_BYTES + 1)])
+    def test_overlong_content_length_answers_413(self, fresh_server, capsys, declared):
+        # more digits than int() converts: refused on the digit count alone
+        with socket.create_connection(fresh_server.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/capability HTTP/1.1\r\nHost: sopal\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            resp.read()
+            assert (resp.version, resp.status) == (11, 413)
+            assert resp.getheader("Connection") == "close"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_https_url_gets_verified_tls(self, tmp_path, connects, monkeypatch):
         cert, key = self_signed_cert(tmp_path)
         connector = MockOsnConnector(GROUND)

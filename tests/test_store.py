@@ -637,6 +637,11 @@ class TestSnapshot:
                 id="edge-to-unlisted-node",
             ),
             pytest.param(
+                lambda body: body["edges"].append(["A", "A"]),
+                "self loop",
+                id="self-loop",
+            ),
+            pytest.param(
                 lambda body: body["records"][0].update(cap="00" * 16),
                 "256 bits",
                 id="short-capability",
