@@ -19,9 +19,15 @@ TLS when given a certificate, loaded before the port is bound so that a
 bad one leaves no socket open, or in loudly flagged plaintext test mode.
 Connections are persistent HTTP/1.1: a client may send many requests on
 one connection, which the server closes after ``IDLE_TIMEOUT_S`` without
-a request.  A POST body must carry ``Content-Length`` and be at most
-``MAX_BODY_BYTES`` long; the server reads it before answering, so an
-error reply never leaves it to be parsed as the next request.
+a request.  Request framing follows RFC 9112 and is read in one pass;
+each refusal closes the connection, so no unread body is read as a request:
+
+* a body comes by ``Content-Length`` alone, at most ``MAX_BODY_BYTES``
+  (413 above, 400 on a POST without one), and repeated values must be
+  identical (400); any ``Transfer-Encoding`` gets 501
+* at most ``MAX_HEADER_LINES`` header lines of ``MAX_LINE_BYTES`` each (431)
+* a malformed request line, whitespace before a colon or an obs-fold
+  line gets 400, an HTTP version other than 1.x 505
 
 :func:`load_probe` is the matching measurement client: it fires bursts
 of downloads per second at a running ``http`` or ``https`` server
@@ -37,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import re
 import socket
 import ssl
 import statistics
@@ -61,6 +68,12 @@ IDLE_TIMEOUT_S = 5.0
 # Largest POST body read, well above the 64 hex digits of a capability.
 # A longer body is refused with 413.
 MAX_BODY_BYTES = 4096
+# The stdlib's own bounds on a request's header section (431 beyond).
+MAX_HEADER_LINES = 100
+MAX_LINE_BYTES = 65536
+# RFC 9112's request line, and its field line: a token name, no obs-fold.
+_REQUEST_LINE = re.compile(r"(\S+) (\S+) (HTTP/(\d)\.(\d))")
+_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([\t\x20-\x7e\x80-\xff]*)\r?\n")
 # How often serve_forever checks for a shutdown request; stop() waits
 # for at most one interval.
 POLL_INTERVAL_S = 0.05
@@ -114,6 +127,55 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         logger.debug("%s " + fmt, self.address_string(), *args)
 
+    def parse_request(self) -> bool:
+        """Read the request line and fields in one pass: ``self.headers``
+        maps lower-cased names to values (repeats joined by ", ") and
+        ``self.body_length`` is the Content-Length or None.  False after a refusal."""
+        # Not the stdlib's default "HTTP/0.9", for which a refusal gets no status line.
+        self.command, self.request_version, self.close_connection = None, "HTTP/1.1", True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        request = _REQUEST_LINE.fullmatch(self.requestline)
+        if request is None:
+            return self._refuse(400, "malformed request line")
+        if request[4] != "1":
+            return self._refuse(505, "only HTTP/1.x is served")
+        self.command, self.path, self.request_version = request.group(1, 2, 3)
+        if self.path.startswith("//"):  # as the stdlib does, against open redirects
+            self.path = "/" + self.path.lstrip("/")
+        self.headers = fields = {}
+        for count in range(MAX_HEADER_LINES + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > MAX_LINE_BYTES or count == MAX_HEADER_LINES:
+                return self._refuse(431, "request header fields too large")
+            field = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
+            if field is None:
+                return self._refuse(400, "malformed header field")
+            name, value = field[1].lower(), field[2].strip(" \t")
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+        if "transfer-encoding" in fields:
+            return self._refuse(501, "Transfer-Encoding is not supported")
+        self.body_length = None
+        if "content-length" in fields:
+            value, *others = {v.strip(" \t") for v in fields["content-length"].split(",")}
+            if others or not (value.isascii() and value.isdigit()):
+                return self._refuse(400, "Content-Length must be one decimal number")
+            # The digit count goes first: int() refuses more than 4300 digits.
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+                return self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            self.body_length = int(digits)
+        connection, http10 = fields.get("connection", "").lower(), request[5] == "0"
+        self.close_connection = connection == "close" or (http10 and connection != "keep-alive")
+        if not http10 and fields.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def _refuse(self, code: int, error: str) -> bool:
+        self._send_json(code, {"error": error}, close=True)
+        return False
+
     def _send_json(self, code: int, body: dict, *, close: bool = False) -> None:
         data = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         self._send(code, data, close=close)
@@ -128,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _authenticate(self) -> str | None:
-        header = self.headers.get("Authorization", "")
+        header = self.headers.get("authorization", "")
         if not header.startswith("Bearer "):
             self._send_json(401, {"error": "missing bearer token"})
             return None
@@ -139,6 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
             return None
 
     def do_GET(self):
+        self.rfile.read(self.body_length or 0)  # so a GET's body is not read as a request
         path, _, query = self.path.partition("?")
         if path == "/v1/health":
             self._send_json(200, {"status": "ok", "records": self.server.store.record_count()})
@@ -168,26 +231,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(200, result.to_json().encode("utf-8"))
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after answering 400 or 413 and
-        closing the connection, since the body stays unread."""
-        declared = self.headers.get("Content-Length", "")
-        if not (declared.isascii() and declared.isdigit()):
-            self._send_json(400, {"error": "Content-Length required"}, close=True)
-            return None
-        # The digit count goes first: int() refuses more than 4300 digits.
-        digits = declared.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-            self._send_json(
-                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True
-            )
-            return None
-        return self.rfile.read(int(digits))
-
     def do_POST(self):
-        body = self._read_body()
-        if body is None:
-            return
+        if self.body_length is None:
+            return self._refuse(400, "Content-Length required")
+        body = self.rfile.read(self.body_length)
         if self.path.partition("?")[0] != "/v1/capability":
             self._send_json(404, {"error": "no such route"})
             return
@@ -222,7 +269,6 @@ class SopalHttpServer(ThreadingHTTPServer):
     starts and stops it.
     """
 
-    daemon_threads = True
     request_queue_size = LISTEN_BACKLOG
 
     def __init__(
@@ -252,7 +298,7 @@ class SopalHttpServer(ThreadingHTTPServer):
         self.store = store
         self.connector = connector
         self.d_max = d_max
-        self._open: set[socket.socket] = set()
+        self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
         self._serve_thread: threading.Thread | None = None
         if tls:
@@ -278,13 +324,16 @@ class SopalHttpServer(ThreadingHTTPServer):
         return f"{scheme}://{host}:{port}"
 
     def process_request(self, request, client_address):
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._open_lock:  # so stop() sees only started threads
+            self._open[request] = thread
+            thread.start()
 
     def shutdown_request(self, request):
         with self._open_lock:
-            self._open.discard(request)
+            self._open.pop(request, None)
         super().shutdown_request(request)
 
     def handle_error(self, request, client_address):
@@ -302,17 +351,20 @@ class SopalHttpServer(ThreadingHTTPServer):
         self._serve_thread.start()
 
     def stop(self) -> None:
-        """Stop accepting and shut down every open connection, which ends
-        its handler thread, so no client is answered after this returns."""
+        """Stop accepting, shut down every open connection and wait for its
+        handler thread to end, so no client is answered after this returns."""
         if self._serve_thread:  # shutdown() would wait for a serve_forever never run
             self.shutdown()
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
         with self._open_lock:
-            live = list(self._open)
+            live = dict(self._open)
         for conn in live:
             with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
+        # Joined: a handler thread alive at interpreter exit slows the exit.
+        for thread in live.values():
+            thread.join(timeout=5)
         self.server_close()
 
     # BaseServer's context manager only closes the socket.

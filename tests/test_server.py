@@ -9,6 +9,7 @@ import re
 import socket
 import ssl
 import statistics
+import string
 import threading
 import time
 import urllib.error
@@ -16,7 +17,7 @@ import urllib.request
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sopal.client
@@ -24,7 +25,10 @@ from sopal.client import HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import (
+    IDLE_TIMEOUT_S,
     MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
     AuthError,
     ConnectorError,
     MockOsnConnector,
@@ -109,6 +113,53 @@ def exchange(conn, method, path, token=None, body=None):
     conn.request(method, path, body=body, headers=headers)
     resp = conn.getresponse()
     return resp.status, resp.read()
+
+
+@contextlib.contextmanager
+def raw_connection(server):
+    """A socket to ``server`` and a binary file that reads from it.  Reads
+    time out before the server's idle close, which would pass for a close
+    after the reply."""
+    with socket.create_connection(server.address, timeout=IDLE_TIMEOUT_S / 2) as sock:
+        with sock.makefile("rb") as reader:
+            yield sock, reader
+
+
+def read_reply(reader):
+    """One reply read without http.client: (status, headers keyed by
+    lower-cased name, body), or None when the connection closed first."""
+    status_line = reader.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def raw_request(start, *fields, end=b"\r\n"):
+    """A request's bytes: its request line and field lines, then ``end``
+    (the blank line and any body)."""
+    return "".join(f"{line}\r\n" for line in (start, *fields)).encode("latin-1") + end
+
+
+DOWNLOAD = ("GET /v1/capabilities?dmax=1 HTTP/1.1", "Host: sopal", "Authorization: Bearer mock:A")
+
+
+def upload(uid, *fields, cap=None):
+    """An upload request for ``uid`` with ``fields``, the hex body last."""
+    body = (cap or new_capability()).hex().encode()
+    start = ("POST /v1/capability HTTP/1.1", "Host: sopal", f"Authorization: Bearer mock:{uid}")
+    return raw_request(*start, *fields, end=b"\r\n" + body)
+
+
+def assert_refused_and_closed(reader, code):
+    status, headers, body = read_reply(reader)
+    assert (status, headers["connection"]) == (code, "close")
+    assert set(json.loads(body)) == {"error"}
+    assert reader.read(1) == b""
 
 
 class TestConnector:
@@ -329,6 +380,21 @@ class TestPersistentConnections:
             handle.download("mock:A", 1)
         assert isinstance(raised.value.__cause__, ConnectionError)
 
+    def test_stop_waits_for_the_handler_threads(self, fresh_server, monkeypatch):
+        finish = _Handler.finish
+
+        def slow_finish(handler):
+            time.sleep(0.2)
+            finish(handler)
+
+        monkeypatch.setattr(_Handler, "finish", slow_finish)
+        before = set(threading.enumerate())
+        handle = HttpServerHandle(fresh_server.url)
+        handle.download("mock:A", 1)
+        fresh_server.stop()
+        assert [t for t in threading.enumerate() if t not in before] == []
+        handle.close()
+
     def test_error_statuses_on_a_reused_connection(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)
         handle.download("mock:A", 1)
@@ -422,6 +488,189 @@ class TestPersistentConnections:
                 handle = HttpServerHandle(server.url, timeout_s=3)
                 assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
                 handle.close()
+
+
+class TestRequestFraming:
+    """The server's own one-pass read of a request's framing (RFC 9112),
+    driven over raw sockets."""
+
+    # RFC 9110 token names, but those the server reads other than Connection,
+    # which leaves a one-request connection's reply as it is
+    field_name = st.text(
+        "!#$%&'*+-.^_`|~" + string.digits + string.ascii_letters, min_size=1, max_size=12
+    ).filter(
+        lambda name: name.lower()
+        not in {"authorization", "content-length", "transfer-encoding", "expect"}
+    )
+    visible = "".join(map(chr, range(0x20, 0x7F)))  # with SP, which values may hold
+    field_value = st.text(visible, max_size=30)
+    extra_fields = st.lists(st.builds("{}: {}".format, field_name, field_value), max_size=12)
+    whitespace = st.text(" \t", min_size=1, max_size=3)
+    bad_line = st.one_of(
+        st.text(visible.replace(":", ""), min_size=1, max_size=30),
+        st.builds("{}{}: {}".format, field_name, whitespace, field_value),
+        st.builds("{}{}".format, whitespace, field_value),
+    )
+
+    @staticmethod
+    def records(server):
+        return [server.store.record_of(uid) for uid in sorted(GROUND)]
+
+    @pytest.mark.parametrize("uid", ["A", "E"])
+    def test_differing_content_lengths_are_refused_and_close(self, fresh_server, uid):
+        before = self.records(fresh_server)
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(upload(uid, "Content-Length: 64", "Content-Length: 0"))
+            assert_refused_and_closed(reader, 400)
+        assert self.records(fresh_server) == before
+        assert request(fresh_server, "GET", "/v1/capabilities?dmax=1", token="mock:A")[0] == 200
+
+    @pytest.mark.parametrize("lengths", [("64", "64"), ("64, 64",), ("64 , 64", "64")])
+    def test_repeated_equal_content_lengths_are_accepted(self, fresh_server, lengths):
+        cap = new_capability()
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(upload("A", *(f"Content-Length: {n}" for n in lengths), cap=cap))
+            assert read_reply(reader)[0] == 200
+        assert fresh_server.store.record_of("A").cap == cap
+
+    def test_chunked_post_is_refused_and_closes(self, fresh_server):
+        before = self.records(fresh_server)
+        with raw_connection(fresh_server) as (sock, reader):
+            head = upload("E", "Transfer-Encoding: chunked")[:-64]
+            sock.sendall(head + b"40\r\n" + new_capability().hex().encode() + b"\r\n0\r\n\r\n")
+            assert_refused_and_closed(reader, 501)
+        assert self.records(fresh_server) == before
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(["X-Fill: v"] * (MAX_HEADER_LINES - 2), id="100-lines"),
+            pytest.param(["X-Long: " + "a" * (MAX_LINE_BYTES - 10)], id="65536-byte-line"),
+        ],
+    )
+    def test_header_section_at_its_bounds_is_read(self, fresh_server, fields):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(*DOWNLOAD, *fields))
+            assert read_reply(reader)[0] == 200
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [
+            pytest.param(["X-Fill: v"] * (MAX_HEADER_LINES - 1), 431, id="101-lines"),
+            pytest.param(["X-Long: " + "a" * (MAX_LINE_BYTES - 9)], 431, id="65537-byte-line"),
+            *(
+                pytest.param([line], 400, id=repr(line))
+                for line in ["X-Spaced : v", "X-Tabbed\t: v", " folded", "\tfolded", "no colon"]
+            ),
+        ],
+    )
+    def test_refused_header_section_closes(self, fresh_server, fields, code):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(*DOWNLOAD, *fields))
+            assert_refused_and_closed(reader, code)
+
+    @pytest.mark.parametrize(
+        "start, code",
+        [
+            ("garbage", 400),
+            ("GET /v1/health", 400),  # HTTP/0.9
+            ("GET /v1/health HTTP/1", 400),
+            ("GET  /v1/health HTTP/1.1", 400),
+            ("GET /v1/health HTTP/2.0", 505),
+            ("GET /v1/health HTTP/0.9", 505),
+        ],
+    )
+    def test_malformed_request_line_is_refused_and_closes(self, fresh_server, start, code):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(start))
+            assert_refused_and_closed(reader, code)
+
+    @pytest.mark.parametrize("name", ["authorization", "AUTHORIZATION", "aUtHoRiZaTiOn"])
+    def test_field_names_are_case_insensitive(self, fresh_server, name):
+        start, host, _ = DOWNLOAD
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(start, host, f"{name}: Bearer mock:A"))
+            status, _, body = read_reply(reader)
+        assert status == 200
+        assert [e["id"] for e in json.loads(body)["r_u"]] == ["B", "C"]
+
+    @pytest.mark.parametrize(
+        "version, fields, stays_open",
+        [
+            ("HTTP/1.0", [], False),
+            ("HTTP/1.0", ["Connection: keep-alive"], True),
+            ("HTTP/1.1", [], True),
+            ("HTTP/1.1", ["Connection: close"], False),
+        ],
+    )
+    def test_keep_alive_rules(self, fresh_server, version, fields, stays_open):
+        start = DOWNLOAD[0].replace("HTTP/1.1", version)
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(start, *DOWNLOAD[1:], *fields))
+            assert read_reply(reader)[0] == 200
+            if stays_open:
+                sock.sendall(raw_request(start, *DOWNLOAD[1:], *fields))
+                assert read_reply(reader)[0] == 200
+            else:
+                assert reader.read(1) == b""
+
+    def test_a_get_body_is_not_read_as_the_next_request(self, fresh_server):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(*DOWNLOAD, "Content-Length: 5", end=b"\r\nhello"))
+            status, _, body = read_reply(reader)
+            sock.sendall(raw_request(*DOWNLOAD))
+            assert read_reply(reader)[::2] == (status, body)
+        assert status == 200
+
+    def test_expect_100_continue_is_answered_before_the_body_is_read(self, fresh_server):
+        cap = new_capability()
+        request_bytes = upload("A", "Content-Length: 64", "Expect: 100-continue", cap=cap)
+        head, body = request_bytes[:-64], request_bytes[-64:]
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(head)
+            assert read_reply(reader) == (100, {}, b"")
+            sock.sendall(body)
+            assert read_reply(reader)[0] == 200
+        assert fresh_server.store.record_of("A").cap == cap
+
+    def test_no_request_goes_through_the_email_parser(self, fresh_server, monkeypatch):
+        # http.server parses headers by calling http.client.parse_headers
+        def email_parse(*args, **kwargs):
+            raise AssertionError("http.client.parse_headers called")
+
+        monkeypatch.setattr(http.client, "parse_headers", email_parse)
+        cap = new_capability()
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(upload("A", "Content-Length: 64", cap=cap))
+            assert read_reply(reader)[0] == 200
+            sock.sendall(raw_request(*DOWNLOAD))
+            assert read_reply(reader)[0] == 200
+        assert fresh_server.store.record_of("A").cap == cap
+
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(extra=extra_fields)
+    def test_extra_fields_leave_a_download_as_it_is(self, fresh_server, extra):
+        replies = []
+        for fields in ([], extra):
+            with raw_connection(fresh_server) as (sock, reader):
+                sock.sendall(raw_request(*DOWNLOAD, *fields))
+                status, _, body = read_reply(reader)
+                replies.append((status, body))
+        assert replies[0][0] == 200
+        assert replies[1] == replies[0]
+
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(extra=extra_fields, bad=bad_line, data=st.data())
+    def test_a_malformed_line_anywhere_is_refused_and_closes(self, fresh_server, extra, bad, data):
+        at = data.draw(st.integers(0, len(extra)), label="at")
+        fields = [*extra[:at], bad, *extra[at:]]
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(*DOWNLOAD, *fields))
+            assert_refused_and_closed(reader, 400)
 
 
 class TestServerUrl:
