@@ -9,6 +9,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from sopal.crypto import (
     BloomFilter,
     bf_false_positive_estimate,
+    bf_hash_count,
     bf_optimal_size,
     establish_session,
     hash_chain,
@@ -39,7 +40,8 @@ for alpha, p in [(100, 0.01), (1000, 0.001), (35000, 0.001)]:
           f"({beta // 8 / 1024:.1f} KiB)")
 
 alpha, p = 1000, 0.01
-bf = BloomFilter.sized_for(alpha, p)
+beta = bf_optimal_size(alpha, p)
+bf = BloomFilter(beta, bf_hash_count(alpha, beta))
 items = [new_capability() for _ in range(alpha)]
 for item in items:
     bf.insert(item)

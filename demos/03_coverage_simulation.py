@@ -23,14 +23,14 @@ config = SimConfig(
     seed=42,
 )
 report = run_coverage(config, ground)
+cells = {(c.fraction, c.length, c.ersatz): c for c in report.cells}
 
 print()
 print(f"{'fraction':>8} {'length':>6} | {'with ersatz':>16} | {'without':>16}")
 print("-" * 56)
 for fraction in config.member_fractions:
     for length in config.path_lengths:
-        on = report.cell(fraction, length, True)
-        off = report.cell(fraction, length, False)
+        on, off = cells[fraction, length, True], cells[fraction, length, False]
         print(
             f"{fraction:8.0%} {length:6d} | "
             f"{on.mean_coverage:7.1%} (std {on.std:5.3f}) | "

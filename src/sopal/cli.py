@@ -140,10 +140,11 @@ def cmd_serve(args) -> int:
         raise
     except OSError as exc:
         raise ValueError(f"cannot listen on {host}:{port}: {exc}") from exc
-    server.start()
-    print(f"serving on {server.url} (dmax={args.dmax}, records={store.record_count()})", flush=True)
+    # Set before the announcement, so a SIGTERM sent on reading it stops cleanly.
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+    server.start()
+    print(f"serving on {server.url} (dmax={args.dmax}, records={store.record_count()})", flush=True)
     try:
         while not stop.wait(EXPIRY_SWEEP_S):
             store.expire_and_refresh()

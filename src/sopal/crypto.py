@@ -160,12 +160,6 @@ class BloomFilter:
         self._digest_words = digest_size // 4
         self._positions = struct.Struct(f">{gamma}I").unpack_from
 
-    @classmethod
-    def sized_for(cls, alpha: int, p: float) -> "BloomFilter":
-        """Build an empty filter sized for ``alpha`` items at target rate ``p``."""
-        beta = bf_optimal_size(alpha, p)
-        return cls(beta, bf_hash_count(alpha, beta))
-
     def insert(self, item: bytes) -> None:
         self.insert_all((item,))
 

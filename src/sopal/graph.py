@@ -76,12 +76,6 @@ class SocialGraph:
             self._adj[uid].add(friend)
             self._adj[friend].add(uid)
 
-    def neighbors(self, uid: str) -> set[str]:
-        return set(self._adj.get(uid, ()))
-
-    def nodes(self) -> set[str]:
-        return set(self._adj)
-
     def edges(self) -> list[tuple[str, str]]:
         """All known edges as sorted (low, high) pairs, each taken once from
         its lower endpoint: the graph has no self loops."""

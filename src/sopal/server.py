@@ -19,15 +19,13 @@ TLS when given a certificate, loaded before the port is bound so that a
 bad one leaves no socket open, or in loudly flagged plaintext test mode.
 Connections are persistent HTTP/1.1: a client may send many requests on
 one connection, which the server closes after ``IDLE_TIMEOUT_S`` without
-a request.  Request framing follows RFC 9112 and is read in one pass;
-each refusal closes the connection, so no unread body is read as a request:
-
-* a body comes by ``Content-Length`` alone, at most ``MAX_BODY_BYTES``
-  (413 above, 400 on a POST without one), and repeated values must be
-  identical (400); any ``Transfer-Encoding`` gets 501
-* at most ``MAX_HEADER_LINES`` header lines of ``MAX_LINE_BYTES`` each (431)
-* a malformed request line, whitespace before a colon or an obs-fold
-  line gets 400, an HTTP version other than 1.x 505
+a request.  Each connection's handler reads a request in one pass,
+routes it and sends the whole reply, always JSON, in one write.  It
+refuses what README's "Request framing" lists (RFC 9112: the request
+line, ``MAX_HEADER_LINES`` and ``MAX_LINE_BYTES``, ``Content-Length``
+up to ``MAX_BODY_BYTES``, one ``Host``, GET and POST only); a refusal
+before the body is read closes the connection, so no unread body is
+read as a request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
 of downloads per second at a running ``http`` or ``https`` server
@@ -45,14 +43,15 @@ import json
 import logging
 import re
 import socket
+import socketserver
 import ssl
 import statistics
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Mapping, Sequence
 
 from sopal.client import AuthError, HttpServerHandle
@@ -68,11 +67,11 @@ IDLE_TIMEOUT_S = 5.0
 # Largest POST body read, well above the 64 hex digits of a capability.
 # A longer body is refused with 413.
 MAX_BODY_BYTES = 4096
-# The stdlib's own bounds on a request's header section (431 beyond).
+# Python's HTTP server's bounds: 414 for a longer request line, 431 beyond.
 MAX_HEADER_LINES = 100
 MAX_LINE_BYTES = 65536
 # RFC 9112's request line, and its field line: a token name, no obs-fold.
-_REQUEST_LINE = re.compile(r"(\S+) (\S+) (HTTP/(\d)\.(\d))")
+_REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/(\d)\.(\d)")
 _FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([\t\x20-\x7e\x80-\xff]*)\r?\n")
 # How often serve_forever checks for a shutdown request; stop() waits
 # for at most one interval.
@@ -115,103 +114,118 @@ class MockOsnConnector:
         return sorted(self._adjacency[uid])
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "sopal/0.1"
-    protocol_version = "HTTP/1.1"
+class _Refusal(Exception):
+    """A reply other than 200: ``args`` are its status code and JSON body."""
+
+
+def _json(body: dict) -> bytes:
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: reads, routes and answers its requests in turn.
+    Each of ``routes`` returns the 200 reply's body or raises :class:`_Refusal`."""
+
     timeout = IDLE_TIMEOUT_S
-    # A reply goes out as a header write and a body write.  With Nagle
-    # on, the body then waits for the client's delayed ACK on a kept-open
-    # connection, about 40 ms per request.
+    # One write per reply, yet TLS sends a record per 16 kB and a 100
+    # Continue goes first; Nagle would hold the later short segment for
+    # the client's delayed ACK of the earlier one, about 40 ms.
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):
-        logger.debug("%s " + fmt, self.address_string(), *args)
+    def handle(self) -> None:
+        # A dropped connection, a failed TLS handshake or an idle timeout is routine.
+        with contextlib.suppress(ConnectionError, TimeoutError, ssl.SSLError):
+            while line := self.rfile.readline(MAX_LINE_BYTES + 1):
+                self.method, self.close_connection = None, True
+                try:
+                    code, body = 200, self._serve(line)
+                except _Refusal as refusal:
+                    code, body = refusal.args[0], _json(refusal.args[1])
+                self._reply(code, body)
+                if self.close_connection:
+                    return
 
-    def parse_request(self) -> bool:
-        """Read the request line and fields in one pass: ``self.headers``
-        maps lower-cased names to values (repeats joined by ", ") and
-        ``self.body_length`` is the Content-Length or None.  False after a refusal."""
-        # Not the stdlib's default "HTTP/0.9", for which a refusal gets no status line.
-        self.command, self.request_version, self.close_connection = None, "HTTP/1.1", True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+    def _serve(self, line: bytes) -> bytes:
+        """Read the rest of the request that ``line`` starts and route it.
+        ``close_connection`` stays True until the body is read, so a
+        refusal before then closes the connection."""
+        self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refusal(414, {"error": "request line too long"})
         request = _REQUEST_LINE.fullmatch(self.requestline)
         if request is None:
-            return self._refuse(400, "malformed request line")
-        if request[4] != "1":
-            return self._refuse(505, "only HTTP/1.x is served")
-        self.command, self.path, self.request_version = request.group(1, 2, 3)
-        if self.path.startswith("//"):  # as the stdlib does, against open redirects
-            self.path = "/" + self.path.lstrip("/")
-        self.headers = fields = {}
+            raise _Refusal(400, {"error": "malformed request line"})
+        if request[3] != "1":
+            raise _Refusal(505, {"error": "only HTTP/1.x is served"})
+        self.method, http10 = request[1], request[4] == "0"
+        self.fields = fields = {}
+        hosts = 0
         for count in range(MAX_HEADER_LINES + 1):
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if line in (b"\r\n", b"\n"):
                 break
             if len(line) > MAX_LINE_BYTES or count == MAX_HEADER_LINES:
-                return self._refuse(431, "request header fields too large")
+                raise _Refusal(431, {"error": "request header fields too large"})
             field = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
             if field is None:
-                return self._refuse(400, "malformed header field")
+                raise _Refusal(400, {"error": "malformed header field"})
             name, value = field[1].lower(), field[2].strip(" \t")
             fields[name] = f"{fields[name]}, {value}" if name in fields else value
+            hosts += name == "host"
         if "transfer-encoding" in fields:
-            return self._refuse(501, "Transfer-Encoding is not supported")
-        self.body_length = None
+            raise _Refusal(501, {"error": "Transfer-Encoding is not supported"})
+        length = None
         if "content-length" in fields:
             value, *others = {v.strip(" \t") for v in fields["content-length"].split(",")}
             if others or not (value.isascii() and value.isdigit()):
-                return self._refuse(400, "Content-Length must be one decimal number")
+                raise _Refusal(400, {"error": "Content-Length must be one decimal number"})
             # The digit count goes first: int() refuses more than 4300 digits.
             digits = value.lstrip("0") or "0"
             if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-                return self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-            self.body_length = int(digits)
-        connection, http10 = fields.get("connection", "").lower(), request[5] == "0"
-        self.close_connection = connection == "close" or (http10 and connection != "keep-alive")
+                raise _Refusal(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
+            length = int(digits)
+        if hosts > 1 or (hosts == 0 and not http10):  # RFC 9112 section 3.2
+            raise _Refusal(400, {"error": "one Host field required"})
+        if self.method not in ("GET", "POST"):
+            raise _Refusal(501, {"error": f"method {self.method} is not served"})
+        if self.method == "POST" and length is None:
+            raise _Refusal(400, {"error": "Content-Length required"})
         if not http10 and fields.get("expect", "").lower() == "100-continue":
-            return self.handle_expect_100()
-        return True
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length or 0)
+        connection = fields.get("connection", "").lower()
+        self.close_connection = connection == "close" or (http10 and connection != "keep-alive")
+        path, _, query = request[2].partition("?")
+        route = self.routes.get((self.method, path))
+        if route is None:
+            raise _Refusal(404, {"error": "no such route"})
+        return route(self, query, body)
 
-    def _refuse(self, code: int, error: str) -> bool:
-        self._send_json(code, {"error": error}, close=True)
-        return False
+    def _reply(self, code: int, body: bytes) -> None:
+        """Send the status line, fields and body (none to a HEAD) in one write."""
+        logger.debug('%s "%s" %d', self.client_address[0], self.requestline, code)
+        head = (
+            f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\nServer: sopal/0.1\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
+        )
+        self.wfile.write(head.encode() + (b"" if self.method == "HEAD" else body))
 
-    def _send_json(self, code: int, body: dict, *, close: bool = False) -> None:
-        data = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-        self._send(code, data, close=close)
-
-    def _send(self, code: int, data: bytes, *, close: bool = False) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _authenticate(self) -> str | None:
-        header = self.headers.get("authorization", "")
+    def _authenticate(self) -> str:
+        header = self.fields.get("authorization", "")
         if not header.startswith("Bearer "):
-            self._send_json(401, {"error": "missing bearer token"})
-            return None
+            raise _Refusal(401, {"error": "missing bearer token"})
         try:
             return self.server.connector.authenticate(header[len("Bearer ") :].strip())
         except AuthError as exc:
-            self._send_json(401, {"error": str(exc)})
-            return None
+            raise _Refusal(401, {"error": str(exc)}) from None
 
-    def do_GET(self):
-        self.rfile.read(self.body_length or 0)  # so a GET's body is not read as a request
-        path, _, query = self.path.partition("?")
-        if path == "/v1/health":
-            self._send_json(200, {"status": "ok", "records": self.server.store.record_count()})
-            return
-        if path != "/v1/capabilities":
-            self._send_json(404, {"error": "no such route"})
-            return
+    def _health(self, query: str, body: bytes) -> bytes:
+        return _json({"status": "ok", "records": self.server.store.record_count()})
+
+    def _download(self, query: str, body: bytes) -> bytes:
         uid = self._authenticate()
-        if uid is None:
-            return
         d_max = self.server.d_max
         for part in query.split("&"):
             if part.startswith("dmax="):
@@ -221,46 +235,38 @@ class _Handler(BaseHTTPRequestHandler):
                         raise ValueError(asked)
                     d_max = int(asked)
                 except ValueError:  # also for more digits than int() reads
-                    self._send_json(400, {"error": "dmax must be a non-negative integer"})
-                    return
-        d_max = min(d_max, self.server.d_max)
+                    raise _Refusal(400, {"error": "dmax must be a non-negative integer"}) from None
         try:
-            result = self.server.store.distribute(uid, d_max)
+            result = self.server.store.distribute(uid, min(d_max, self.server.d_max))
         except NotEnrolledError as exc:
-            self._send_json(403, {"error": "not-enrolled", "detail": str(exc)})
-            return
-        self._send(200, result.to_json().encode("utf-8"))
+            raise _Refusal(403, {"error": "not-enrolled", "detail": str(exc)}) from None
+        return result.to_json().encode("utf-8")
 
-    def do_POST(self):
-        if self.body_length is None:
-            return self._refuse(400, "Content-Length required")
-        body = self.rfile.read(self.body_length)
-        if self.path.partition("?")[0] != "/v1/capability":
-            self._send_json(404, {"error": "no such route"})
-            return
+    def _upload(self, query: str, body: bytes) -> bytes:
         uid = self._authenticate()
-        if uid is None:
-            return
         try:
             cap = bytes.fromhex(body.decode("ascii").strip())
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "body must be the capability as hex"})
-            return
+        except ValueError:  # UnicodeDecodeError included
+            raise _Refusal(400, {"error": "body must be the capability as hex"}) from None
         try:
             self.server.store.upload_capability(uid, cap)
         except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
+            raise _Refusal(400, {"error": str(exc)}) from None
         except ConnectorError as exc:
-            self._send_json(502, {"error": f"connector failure: {exc}"})
-            return
-        self._send_json(200, {"status": "ok"})
+            raise _Refusal(502, {"error": f"connector failure: {exc}"}) from None
+        return _json({"status": "ok"})
+
+    routes = {
+        ("GET", "/v1/health"): _health,
+        ("GET", "/v1/capabilities"): _download,
+        ("POST", "/v1/capability"): _upload,
+    }
 
 
-class SopalHttpServer(ThreadingHTTPServer):
-    """Single-instance capability server, a ``ThreadingHTTPServer``
-    whose handler reads ``store``, ``connector`` and ``d_max`` from it
-    per request, so ``store`` may be replaced while it serves.
+class SopalHttpServer(socketserver.ThreadingTCPServer):
+    """Single-instance capability server, a threaded TCP server whose
+    handler reads ``store``, ``connector`` and ``d_max`` from it per
+    request, so ``store`` may be replaced while it serves.
 
     Handles each connection on its own thread; the store's one lock
     serializes their reads and writes.  Connections stay open between
@@ -269,6 +275,7 @@ class SopalHttpServer(ThreadingHTTPServer):
     starts and stops it.
     """
 
+    allow_reuse_address = True
     request_queue_size = LISTEN_BACKLOG
 
     def __init__(
@@ -335,14 +342,6 @@ class SopalHttpServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.pop(request, None)
         super().shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        # A client that drops a kept-open connection or fails the TLS
-        # handshake is routine, not a fault.
-        if isinstance(sys.exc_info()[1], (ConnectionError, ssl.SSLError)):
-            logger.debug("connection from %s dropped", client_address[0])
-            return
-        super().handle_error(request, client_address)
 
     def start(self) -> None:
         self._serve_thread = threading.Thread(

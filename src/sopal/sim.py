@@ -87,12 +87,6 @@ class CoverageCell:
 class CoverageReport:
     cells: list[CoverageCell] = field(default_factory=list)
 
-    def cell(self, fraction: float, length: int, ersatz: bool) -> CoverageCell | None:
-        for c in self.cells:
-            if (c.fraction, c.length, c.ersatz) == (fraction, length, ersatz):
-                return c
-        return None
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

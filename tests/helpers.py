@@ -13,9 +13,11 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
 from sopal.client import DiscoveryClient, LocalServerHandle
+from sopal.crypto import BloomFilter, bf_hash_count, bf_optimal_size
 from sopal.graph import SocialGraph
 from sopal.psi import PsiSession
 from sopal.server import MockOsnConnector
+from sopal.sim import CoverageCell, CoverageReport
 from sopal.store import CapabilityStore, DistributionResult
 
 
@@ -29,6 +31,31 @@ def adjacency_from_edges(edges) -> dict[str, set[str]]:
 
 def path_adjacency(*nodes) -> dict[str, set[str]]:
     return adjacency_from_edges(zip(nodes, nodes[1:]))
+
+
+def sized_filter(alpha: int, p: float) -> BloomFilter:
+    """An empty filter sized for ``alpha`` items at target rate ``p``."""
+    beta = bf_optimal_size(alpha, p)
+    return BloomFilter(beta, bf_hash_count(alpha, beta))
+
+
+def graph_nodes(graph: SocialGraph) -> set[str]:
+    """Every node of ``graph``, friendless members included."""
+    return set(graph._adj)
+
+
+def graph_neighbors(graph: SocialGraph, uid: str) -> set[str]:
+    return set(graph._adj.get(uid, ()))
+
+
+def report_cell(
+    report: CoverageReport, fraction: float, length: int, ersatz: bool
+) -> CoverageCell | None:
+    """The report's cell for one fraction, path length and ersatz mode."""
+    for c in report.cells:
+        if (c.fraction, c.length, c.ersatz) == (fraction, length, ersatz):
+            return c
+    return None
 
 
 def distribution(r_u, pairs) -> DistributionResult:

@@ -34,7 +34,13 @@ from sopal.sim import (
 )
 from sopal.store import CapabilityStore
 
-from helpers import enrolled_world, random_member_subset, sized_session
+from helpers import (
+    enrolled_world,
+    random_member_subset,
+    report_cell,
+    sized_filter,
+    sized_session,
+)
 from oracles import bfs, brute_intersection, model_protocol_equivalence
 
 
@@ -175,7 +181,7 @@ def test_c05_bloom_filter_formulas():
     observed = {}
     for p in (0.01, 0.001):
         alpha, probes = 1000, 100_000
-        bf = BloomFilter.sized_for(alpha, p)
+        bf = sized_filter(alpha, p)
         for _ in range(alpha):
             bf.insert(rng.randbytes(32))
         hits = sum(rng.randbytes(32) in bf for _ in range(probes))
@@ -308,12 +314,12 @@ def test_c08_monotonicity_and_dominance():
     report = run_coverage(config, ground)
     for length in (2, 3):
         series = [
-            report.cell(f, length, False).mean_coverage for f in (0.2, 0.4, 0.6, 0.8)
+            report_cell(report, f, length, False).mean_coverage for f in (0.2, 0.4, 0.6, 0.8)
         ]
         assert all(x < y for x, y in zip(series, series[1:])), (length, series)
         for fraction in (0.2, 0.4, 0.6, 0.8):
-            on = report.cell(fraction, length, True).mean_coverage
-            off = report.cell(fraction, length, False).mean_coverage
+            on = report_cell(report, fraction, length, True).mean_coverage
+            off = report_cell(report, fraction, length, False).mean_coverage
             assert on >= off
     announce(
         8,

@@ -21,7 +21,7 @@ from sopal.crypto import (
     new_capability,
 )
 
-from helpers import v1_filter_blob
+from helpers import sized_filter, v1_filter_blob
 from oracles import pure_sha256, pure_x25519
 
 # sha256 of the chain label byte followed by 32 zero bytes, computed with
@@ -128,7 +128,7 @@ class TestSizingFormulas:
 
 class TestBloomFilter:
     def test_insert_then_contains(self):
-        bf = BloomFilter.sized_for(10, 0.01)
+        bf = sized_filter(10, 0.01)
         item = secrets.token_bytes(32)
         bf.insert(item)
         assert item in bf
@@ -140,14 +140,14 @@ class TestBloomFilter:
     @settings(max_examples=40, deadline=None)
     @given(items=st.lists(st.binary(min_size=1, max_size=40), max_size=60))
     def test_no_false_negatives(self, items):
-        bf = BloomFilter.sized_for(max(len(items), 1), 0.05)
+        bf = sized_filter(max(len(items), 1), 0.05)
         for item in items:
             bf.insert(item)
         assert all(item in bf for item in items)
 
     def test_observed_rate_tracks_estimate(self, rng):
         alpha, probes = 400, 20000
-        bf = BloomFilter.sized_for(alpha, 0.01)
+        bf = sized_filter(alpha, 0.01)
         for _ in range(alpha):
             bf.insert(rng.randbytes(32))
         hits = sum(rng.randbytes(32) in bf for _ in range(probes))

@@ -158,6 +158,7 @@ def upload(uid, *fields, cap=None):
 def assert_refused_and_closed(reader, code):
     status, headers, body = read_reply(reader)
     assert (status, headers["connection"]) == (code, "close")
+    assert headers["content-type"] == "application/json"
     assert set(json.loads(body)) == {"error"}
     assert reader.read(1) == b""
 
@@ -500,7 +501,7 @@ class TestRequestFraming:
         "!#$%&'*+-.^_`|~" + string.digits + string.ascii_letters, min_size=1, max_size=12
     ).filter(
         lambda name: name.lower()
-        not in {"authorization", "content-length", "transfer-encoding", "expect"}
+        not in {"authorization", "content-length", "transfer-encoding", "expect", "host"}
     )
     visible = "".join(map(chr, range(0x20, 0x7F)))  # with SP, which values may hold
     field_value = st.text(visible, max_size=30)
@@ -578,12 +579,84 @@ class TestRequestFraming:
             ("GET  /v1/health HTTP/1.1", 400),
             ("GET /v1/health HTTP/2.0", 505),
             ("GET /v1/health HTTP/0.9", 505),
+            pytest.param(f"GET /{'a' * 70_000} HTTP/1.1", 414, id="70000-byte-line"),
         ],
     )
     def test_malformed_request_line_is_refused_and_closes(self, fresh_server, start, code):
         with raw_connection(fresh_server) as (sock, reader):
             sock.sendall(raw_request(start))
             assert_refused_and_closed(reader, code)
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    def test_other_methods_answer_501_and_close(self, fresh_server, method):
+        before = self.records(fresh_server)
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(upload("A", "Content-Length: 64").replace(b"POST", method.encode(), 1))
+            assert_refused_and_closed(reader, 501)
+        assert self.records(fresh_server) == before
+
+    def test_head_answers_501_without_a_body(self, fresh_server):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request("HEAD /v1/health HTTP/1.1", "Host: sopal"))
+            status_line = reader.readline()
+            head = reader.read()
+        assert status_line.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nContent-Type: application/json\r\n" in head
+        assert b"\r\nConnection: close\r\n" in head
+        assert head.endswith(b"\r\n\r\n")
+
+    @pytest.mark.parametrize(
+        "start, hosts",
+        [
+            pytest.param(DOWNLOAD[0], [], id="1.1-without-host"),
+            pytest.param(DOWNLOAD[0], ["Host: sopal", "Host: sopal"], id="1.1-two-hosts"),
+            pytest.param(DOWNLOAD[0].replace("1.1", "1.0"), ["Host: a", "Host: b"], id="1.0-two"),
+        ],
+    )
+    def test_a_missing_or_repeated_host_is_refused_and_closes(self, fresh_server, start, hosts):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request(start, *hosts, "Authorization: Bearer mock:A"))
+            assert_refused_and_closed(reader, 400)
+
+    def test_http10_needs_no_host(self, fresh_server):
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(raw_request("GET /v1/health HTTP/1.0"))
+            assert read_reply(reader)[0] == 200
+
+    def test_framing_is_refused_before_a_missing_host(self, fresh_server):
+        with raw_connection(fresh_server) as (sock, reader):
+            # no Host field, as in CI's one-liner
+            start = "POST /v1/capability HTTP/1.1"
+            sock.sendall(raw_request(start, "Content-Length: " + "9" * 5000))
+            assert_refused_and_closed(reader, 413)
+
+    def test_each_reply_is_one_write(self, fresh_server, monkeypatch):
+        writes = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+            handler.wfile.write = lambda data: (writes.append(bytes(data)), write(data))[1]
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        cap = new_capability()
+        expecting = upload("A", "Content-Length: 64", "Expect: 100-continue", cap=cap)
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(expecting[:-64])
+            assert read_reply(reader)[0] == 100
+            sock.sendall(expecting[-64:])
+            sock.sendall(raw_request(*DOWNLOAD))
+            sock.sendall(raw_request("GET /v1/nothing HTTP/1.1", "Host: sopal"))
+            sock.sendall(raw_request("PUT /v1/capability HTTP/1.1", "Host: sopal"))
+            replies = [read_reply(reader) for _ in range(4)]
+            assert reader.read(1) == b""
+        assert [status for status, _, _ in replies] == [200, 200, 404, 501]
+        assert writes[0] == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert len(writes) == 5
+        for write, (_, headers, body) in zip(writes[1:], replies):
+            head, _, rest = write.partition(b"\r\n\r\n")
+            assert rest == body and int(headers["content-length"]) == len(body)
 
     @pytest.mark.parametrize("name", ["authorization", "AUTHORIZATION", "aUtHoRiZaTiOn"])
     def test_field_names_are_case_insensitive(self, fresh_server, name):

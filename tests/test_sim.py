@@ -24,7 +24,7 @@ from sopal.sim import (
     run_coverage,
 )
 
-from helpers import adjacency_from_edges, path_adjacency, random_member_subset
+from helpers import adjacency_from_edges, path_adjacency, random_member_subset, report_cell
 from oracles import bfs, model_protocol_equivalence, reference_run_coverage
 
 
@@ -152,7 +152,7 @@ class TestRunCoverage:
         report = run_coverage(self.small_config(), adjacency)
         for cell in report.cells:
             if not cell.ersatz:
-                on = report.cell(cell.fraction, cell.length, True)
+                on = report_cell(report, cell.fraction, cell.length, True)
                 assert on is not None
                 assert on.mean_coverage >= cell.mean_coverage
 
