@@ -43,13 +43,12 @@ alpha, p = 1000, 0.01
 beta = bf_optimal_size(alpha, p)
 bf = BloomFilter(beta, bf_hash_count(alpha, beta))
 items = [new_capability() for _ in range(alpha)]
-for item in items:
-    bf.insert(item)
+bf.insert_all(items)
 misses = [new_capability() for _ in range(20000)]
-observed = sum(m in bf for m in misses) / len(misses)
+observed = len(bf.probe_all(misses)) / len(misses)
 estimate = bf_false_positive_estimate(alpha, bf.beta, bf.gamma)
 print(f"inserted {alpha} items into beta={bf.beta}, gamma={bf.gamma}")
-print(f"no false negatives: {all(item in bf for item in items)}")
+print(f"no false negatives: {len(bf.probe_all(items)) == alpha}")
 print(f"observed false-positive rate {observed:.4f} vs estimate {estimate:.4f}")
 
 print()

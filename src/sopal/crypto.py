@@ -44,11 +44,10 @@ _KDF_LABEL = b"\x03"
 
 _LN2 = math.log(2)
 
-# Filter cells (one byte, 0 or 1, per bit) to binary digits, and each
-# packed byte to its eight cells, least significant bit first.
+# Filter cells (one byte, 0 or 1, per bit) to binary digits, and for
+# each bit index i a table from a packed byte to its bit i as a cell.
 _CELLS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_BYTE_TO_CELLS = [bytes((byte >> i) & 1 for i in range(8)) for byte in range(256)]
-_UNPACK_CHUNK = 4096
+_BIT_TO_CELL = [bytes((byte >> i) & 1 for byte in range(256)) for i in range(8)]
 
 
 def new_capability() -> bytes:
@@ -134,9 +133,9 @@ class BloomFilter:
     on the wire, so a filter parsed under another context matches
     nothing it holds.  Empty, ``d`` hashes the bare item.
 
-    In memory the filter keeps one byte per bit (``cells``, each 0 or
-    1), which lets an insert or probe index a position directly; the
-    packed bits exist only in :meth:`to_bytes` and :attr:`bits`.
+    In memory the filter is its wire bits, :attr:`bits` (bit j in byte
+    j // 8 under mask 1 << (j % 8), padding zero); :meth:`insert_all` and
+    :meth:`probe_all` expand them to one byte per bit only while they run.
 
     A single instance is not safe for concurrent mutation.
     """
@@ -153,7 +152,7 @@ class BloomFilter:
         self.beta = beta
         self.gamma = gamma
         self.salt = bytes(salt)
-        self.cells = bytearray(beta)
+        self.bits = bytearray((beta + 7) // 8)
         # Copying a keyed state costs about half of building one per item.
         digest_size = max(DIGEST_BYTES, 4 * gamma)
         self._hasher = hashlib.blake2b(context, key=self.salt, digest_size=digest_size)
@@ -177,7 +176,7 @@ class BloomFilter:
         beta = self.beta
         if beta == 0:
             raise ValueError("cannot insert into a zero-size filter")
-        cells = self.cells
+        cells = self._cells()
         # One code for all the words: a format repeated per digest would
         # leave struct's format cache a compiled copy, tens of kB, for
         # each input-set size.  Word i of each digest is words[i::stride].
@@ -186,6 +185,9 @@ class BloomFilter:
         for i in range(self.gamma):
             for word in words[i::stride]:
                 cells[word % beta] = 1
+        # Reversed, the cells are the binary digits of a little-endian integer.
+        digits = cells[::-1].translate(_CELLS_TO_DIGITS)
+        self.bits[:] = int(digits, 2).to_bytes(len(self.bits), "little")
         return digests
 
     def probe_all(self, items: Iterable[bytes]) -> list[tuple[bytes, bytes]]:
@@ -194,7 +196,7 @@ class BloomFilter:
         beta = self.beta
         if beta == 0:
             return []
-        cells = self.cells
+        cells = self._cells()
         copy = self._hasher.copy
         positions = self._positions
         hits = []
@@ -212,16 +214,13 @@ class BloomFilter:
     def __contains__(self, item: bytes) -> bool:
         return bool(self.probe_all((item,)))
 
-    @property
-    def bits(self) -> bytes:
-        """The packed bits: bit j in byte j // 8 under mask 1 << (j % 8),
-        and the padding bits past beta zero."""
-        if not self.beta:
-            return b""
-        # Reversed, the cells read as the binary digits of a little-endian
-        # integer, most significant first.
-        as_digits = self.cells[::-1].translate(_CELLS_TO_DIGITS)
-        return int(as_digits, 2).to_bytes((self.beta + 7) // 8, "little")
+    def _cells(self) -> bytearray:
+        """The bits one byte per bit, each 0 or 1, padding included."""
+        bits = self.bits
+        cells = bytearray(8 * len(bits))
+        for i, table in enumerate(_BIT_TO_CELL):
+            cells[i::8] = bits.translate(table)
+        return cells
 
     def to_bytes(self) -> bytes:
         """Serialize: version byte, beta (4-byte big-endian), gamma (1 byte),
@@ -252,20 +251,8 @@ class BloomFilter:
             raise ValueError("filter length does not match declared parameters")
         if beta % 8 and data[-1] >> (beta % 8):
             raise ValueError("filter padding bits are set")
-        # Built empty, so no zeroed buffer of beta cells is allocated
-        # only to be replaced.
-        bf = cls(0, gamma, data[6:BF_HEADER_BYTES], context=context)
-        packed = memoryview(data)[BF_HEADER_BYTES:]
-        cells = bytearray(8 * len(packed))
-        # A join keeps an 80-byte buffer record per part, so a whole
-        # 2**24-bit filter in one join would need 160 MiB of them.
-        for start in range(0, len(packed), _UNPACK_CHUNK):
-            part = packed[start : start + _UNPACK_CHUNK]
-            cells[8 * start : 8 * (start + len(part))] = b"".join(
-                map(_BYTE_TO_CELLS.__getitem__, part)
-            )
-        del cells[beta:]
-        bf.beta, bf.cells = beta, cells
+        bf = cls(beta, gamma, data[6:BF_HEADER_BYTES], context=context)
+        bf.bits[:] = memoryview(data)[BF_HEADER_BYTES:]
         return bf
 
 

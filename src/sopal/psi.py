@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import struct
+from operator import itemgetter
 from typing import Collection
 
 from cryptography.exceptions import InvalidTag
@@ -83,6 +84,7 @@ _MAX_PAYLOAD_BY_TYPE = {
 }
 
 _HEADER = struct.Struct(">BB16sI")
+_TAG = struct.Struct(f"{TAG_BYTES}s")
 
 _TAG1_LABEL = b"chal1"
 
@@ -157,13 +159,17 @@ def _pack_tags(tags: list[bytes]) -> bytes:
     return len(tags).to_bytes(4, "big") + b"".join(tags)
 
 
-def _unpack_tags(payload: bytes) -> set[bytes]:
+def _match_tags(payload: bytes, own: dict[bytes, bytes]) -> set[bytes]:
+    """The values of ``own``, a map from tag to value, whose tags the tag
+    list ``payload`` holds.  The tags are read in place, so a long list
+    costs its receiver no more than its own bytes."""
     if len(payload) < 4:
         raise ProtocolError("tag list truncated")
     count = int.from_bytes(payload[:4], "big")
     if len(payload) != 4 + count * TAG_BYTES:
         raise ProtocolError("tag list length mismatch")
-    return {payload[4 + i * TAG_BYTES : 4 + (i + 1) * TAG_BYTES] for i in range(count)}
+    tags = map(itemgetter(0), _TAG.iter_unpack(memoryview(payload)[4:]))
+    return set(map(own.__getitem__, filter(own.__contains__, tags)))
 
 
 class PsiSession:
@@ -213,7 +219,8 @@ class PsiSession:
         # and the response-tag hash state that has absorbed them.
         self._binding = b""
         self._tag1_prefix = hashlib.sha256(_TAG1_LABEL)
-        self._digests: list[bytes] = []
+        # The initiator's own challenge tags, each to its value.
+        self._own_tags: dict[bytes, bytes] = {}
         self._candidates: dict[bytes, bytes] = {}
         self._intersection: set[bytes] | None = None
 
@@ -304,7 +311,8 @@ class PsiSession:
             self._expect = MSG_BF
             return build_frame(MSG_HELLO, self.session_id, self._own_hello()), False
         bf = BloomFilter(self.filter_beta, self.filter_gamma, context=self._binding)
-        self._digests = bf.insert_all(self.values)
+        digests = bf.insert_all(self.values)
+        self._own_tags = dict(zip(map(itemgetter(slice(TAG_BYTES)), digests), self.values))
         self._expect = MSG_CHAL
         return self._seal(MSG_BF, bf.to_bytes()), False
 
@@ -319,10 +327,8 @@ class PsiSession:
         return self._seal(MSG_CHAL, _pack_tags(sorted(self._candidates))), False
 
     def _on_challenge(self, ciphertext: bytes) -> tuple[bytes, bool]:
-        received = _unpack_tags(self._open(MSG_CHAL, ciphertext))
-        matched = [v for v, d in zip(self.values, self._digests) if d[:TAG_BYTES] in received]
-        self._intersection = set(matched)
-        proof = sorted(map(self._tag1, matched))
+        self._intersection = _match_tags(self._open(MSG_CHAL, ciphertext), self._own_tags)
+        proof = sorted(map(self._tag1, self._intersection))
         self.phase = PHASE_DONE
         return self._seal(MSG_RESP, _pack_tags(proof)), True
 
@@ -330,10 +336,8 @@ class PsiSession:
         # At most one response tag per challenge sent, checked before decrypting.
         if len(ciphertext) > _AEAD_TAG_BYTES + 4 + TAG_BYTES * len(self._candidates):
             raise ProtocolError("response holds more tags than the challenges sent")
-        received = _unpack_tags(self._open(MSG_RESP, ciphertext))
-        self._intersection = {
-            v for v in self._candidates.values() if self._tag1(v) in received
-        }
+        own = {self._tag1(v): v for v in self._candidates.values()}
+        self._intersection = _match_tags(self._open(MSG_RESP, ciphertext), own)
         self.phase = PHASE_DONE
         return None, True
 

@@ -28,10 +28,10 @@ before the body is read closes the connection, so no unread body is
 read as a request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
-of downloads per second at a running ``http`` or ``https`` server
-through :class:`~sopal.client.HttpServerHandle` (one kept-open connection
-per worker thread; a request the handle raises on counts as failed) and
-reports per-second response counts, latency and the saturation knee.
+of downloads per second at a running ``http`` or ``https`` server from
+worker threads it owns, one :class:`~sopal.client.HttpServerHandle`
+connection each, closed when the rate ends (a request that raises counts
+as failed), and reports per-second responses, latency and the knee.
 The server adds no cost of its own; to see saturation at desk scale,
 hand it a store whose ``distribute`` is slower, as demo 04 does.
 """
@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import queue
 import re
 import socket
 import socketserver
@@ -48,7 +49,6 @@ import ssl
 import statistics
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from email.utils import formatdate
 from http import HTTPStatus
@@ -461,43 +461,51 @@ def load_probe(
     seconds = max(1, round(duration_s))
     samples = []
     for rate in rates:
-        sent = rate * seconds
-        latencies: list[float] = []
-        finish_times: list[float] = []
-        failed = 0
-        # A worker's connection closes when its thread ends with the pool.
-        with ThreadPoolExecutor(max_workers=min(512, max(8, rate * 2))) as pool:
-            futures = []
-            start = time.perf_counter()
-            for sec in range(seconds):
-                for _ in range(rate):
-                    futures.append(pool.submit(timed_download))
-                next_tick = start + sec + 1
-                pause = next_tick - time.perf_counter()
-                if pause > 0:
-                    time.sleep(pause)
-            for fut in futures:
-                try:
-                    latency, finished_at = fut.result()
-                except Exception:
-                    failed += 1
-                else:
-                    latencies.append(latency)
-                    finish_times.append(finished_at - start)
-        per_second = [0] * (int(max(finish_times, default=0.0)) + 1)
-        for t in finish_times:
-            per_second[int(t)] += 1
-        latencies.sort()
-        samples.append(
-            RateSample(
-                rate=rate,
-                sent=sent,
-                received=len(latencies),
-                failed=failed,
-                latencies_s=latencies,
-                per_second_received=per_second,
-            )
-        )
+        start, outcomes = _bursts(timed_download, handle.close, rate, seconds)
+        done = sorted(outcome for outcome in outcomes if outcome)
+        finished = [int(end - start) for _, end in done]
+        per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
+        latencies = [latency for latency, _ in done]
+        failed = outcomes.count(None)
+        samples.append(RateSample(rate, rate * seconds, len(done), failed, latencies, per_second))
 
     knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
     return LoadReport(baseline, float(seconds), samples, knee)
+
+
+def _bursts(request, close, rate: int, seconds: int) -> tuple[float, list]:
+    """Call ``request`` ``rate`` times a second; return the start time and
+    each result, None where it raised.  Workers start only when none is idle,
+    up to 2 * rate (8 to 512), and each calls ``close`` as it ends."""
+    jobs: queue.SimpleQueue[bool] = queue.SimpleQueue()
+    idle = threading.Semaphore(0)
+    outcomes: list = []
+    workers: list[threading.Thread] = []
+
+    def work() -> None:
+        try:
+            while jobs.get():
+                try:
+                    outcomes.append(request())
+                except Exception:
+                    outcomes.append(None)
+                idle.release()
+        finally:
+            close()
+
+    most = min(512, max(8, 2 * rate))
+    start = time.perf_counter()
+    try:
+        for sec in range(seconds):
+            for _ in range(rate):
+                jobs.put(True)
+                if not idle.acquire(blocking=False) and len(workers) < most:
+                    workers.append(threading.Thread(target=work))
+                    workers[-1].start()
+            time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
+    finally:
+        for worker in workers:
+            jobs.put(False)
+        for worker in workers:
+            worker.join()
+    return start, outcomes

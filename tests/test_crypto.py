@@ -1,8 +1,11 @@
 """Primitives: hash chains, Bloom filter math, key agreement."""
 
 import hashlib
+import json
 import math
 import secrets
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -20,6 +23,7 @@ from sopal.crypto import (
     hash_chain,
     new_capability,
 )
+from sopal.psi import DEFAULT_BETA_CAP
 
 from helpers import sized_filter, v1_filter_blob
 from oracles import pure_sha256, pure_x25519
@@ -363,6 +367,41 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(8, 0)
         assert BloomFilter(8, 2, b"\x00" * 16).salt == b"\x00" * 16
+
+    def test_largest_all_ones_filter_holds_its_bytes_alone(self):
+        # a parsed filter keeps its wire bits; a probe expands them to one
+        # byte per bit only for the length of the call
+        beta = DEFAULT_BETA_CAP
+        header = bytes([BF_WIRE_VERSION]) + beta.to_bytes(4, "big") + bytes([10]) + bytes(16)
+        items = [secrets.token_bytes(32) for _ in range(1500)]
+        blob = header + b"\xff" * (beta // 8)
+        tracemalloc.start()
+        try:
+            bf = BloomFilter.from_bytes(blob, context=b"\x01" * 64)
+            hits = bf.probe_all(items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bf.bits) == beta // 8
+        assert len(hits) == len(items)
+        assert peak <= 1.5 * beta
+
+    def test_known_answer_vector(self):
+        # inputs and outputs fixed when this filter version was current
+        # (tests/make_filter_vector.py); a byte change without a version
+        # bump fails here
+        path = Path(__file__).parent / "vectors" / f"filter_v{BF_WIRE_VERSION}.json"
+        vector = json.loads(path.read_text())
+        salt, context = bytes.fromhex(vector["salt"]), bytes.fromhex(vector["context"])
+        items = [bytes.fromhex(item) for item in vector["items"]]
+        probes = [bytes.fromhex(item) for item in vector["probes"]]
+        bf = BloomFilter(vector["beta"], vector["gamma"], salt, context=context)
+        bf.insert_all(items)
+        assert bf.to_bytes().hex() == vector["filter"]
+        parsed = BloomFilter.from_bytes(bytes.fromhex(vector["filter"]), context=context)
+        position = {item: i for i, item in enumerate(probes)}
+        for probed in (bf, parsed):
+            assert [position[item] for _, item in probed.probe_all(probes)] == vector["hits"]
 
 
 def _public(key: X25519PrivateKey) -> bytes:

@@ -3,6 +3,8 @@
 import hashlib
 import secrets
 import socket
+import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,10 @@ from sopal.psi import (
     WIRE_VERSION,
     ProtocolError,
     PsiSession,
+    _match_tags,
     _pack_hello,
     _pack_tags,
     _unpack_hello,
-    _unpack_tags,
     build_frame,
     make_reject,
     parse_frame,
@@ -93,6 +95,14 @@ class TestBasicFlows:
                 PsiSession.start_responder([bad], "v")
         init, resp, _ = run_session(dict.fromkeys(values), values)
         assert init.matched_values == frozenset(values)
+
+    def test_a_repeated_value_is_proved_once(self):
+        # the responder challenges each tag once, so the initiator must
+        # not answer a value it holds twice with two response tags
+        values = fresh_values(3)
+        init, resp, _ = run_session([*values, values[0]], values)
+        assert init.phase == resp.phase == PHASE_DONE
+        assert init.matched_values == resp.matched_values == frozenset(values)
 
     def test_one_shot_iterator_refused_before_it_is_consumed(self):
         """A session iterates its values once per phase, so it takes a
@@ -417,6 +427,26 @@ class TestFrameLimits:
         frame = init._seal(MSG_BF, BloomFilter(DEFAULT_BETA_CAP, 1).to_bytes())
         assert parse_frame(frame)[0] == MSG_BF
 
+    def test_long_challenge_costs_no_more_than_its_bytes(self):
+        # the tags are matched in place against the initiator's own, so
+        # it holds the payload and its plaintext, not a set of the tags
+        values = fresh_values(1500)
+        init, hello = PsiSession.start_initiator(values, "u")
+        resp = PsiSession.start_responder(values[:10], "v")
+        resp.step(init.step(resp.step(hello)[0])[0])
+        resp._send_counter -= 1  # reseal into the slot of the challenge just sent
+        payload = _pack_tags(sorted([*resp._candidates, *fresh_values(100_000 - 10)]))
+        forged = resp._seal(MSG_CHAL, payload)
+        tracemalloc.start()
+        try:
+            init.step(forged)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(payload)
+        assert init.phase == PHASE_DONE
+        assert init.matched_values == frozenset(values[:10])
+
     def test_oversized_hello_refused_before_its_body_is_read(self):
         sock_a, sock_b = socket.socketpair()
         with sock_a, sock_b:
@@ -561,7 +591,8 @@ class TestParsersOnArbitraryBytes:
     @settings(max_examples=300, deadline=None)
     @given(data=st.binary(max_size=200) | near_frame | near_hello)
     def test_parsers_raise_only_protocol_error(self, data):
-        for parse in (parse_frame, _unpack_hello, _unpack_tags):
+        match_tags = partial(_match_tags, own={bytes(32): b"v"})
+        for parse in (parse_frame, _unpack_hello, match_tags):
             try:
                 parse(data)
             except ProtocolError:
@@ -601,6 +632,8 @@ class TestParsersOnArbitraryBytes:
     @given(tags=st.lists(st.binary(min_size=32, max_size=32), max_size=20))
     def test_tags_round_trip(self, tags):
         payload = _pack_tags(tags)
-        assert _unpack_tags(payload) == set(tags)
-        with pytest.raises(ProtocolError):
-            _unpack_tags(payload + b"\x00")
+        assert _match_tags(payload, {tag: tag for tag in tags}) == set(tags)
+        assert _match_tags(payload, {}) == set()
+        for cut in (payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                _match_tags(cut, {})

@@ -874,6 +874,11 @@ class TestLoadProbeClient:
         # which a burst of two needs two; one per request would be 9
         assert len(connects) <= 3
 
+    def test_sweep_closes_every_workers_connection(self, fresh_server):
+        with no_resource_warnings():
+            report = load_probe(fresh_server.url, "mock:A", rates=[2, 3], duration_s=1)
+        assert [(s.sent, s.received) for s in report.samples] == [(2, 2), (3, 3)]
+
     def test_rates_below_one_are_refused_before_any_request(self, fresh_server, connects):
         with pytest.raises(ValueError, match="at least 1"):
             load_probe(fresh_server.url, "mock:A", rates=[-1, 0])
