@@ -155,9 +155,9 @@ class _Handler(socketserver.StreamRequestHandler):
         request = _REQUEST_LINE.fullmatch(self.requestline)
         if request is None:
             raise _Refusal(400, {"error": "malformed request line"})
+        self.method, http10 = request[1], request[4] == "0"
         if request[3] != "1":
             raise _Refusal(505, {"error": "only HTTP/1.x is served"})
-        self.method, http10 = request[1], request[4] == "0"
         self.fields = fields = {}
         hosts = 0
         for count in range(MAX_HEADER_LINES + 1):
@@ -193,6 +193,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if not http10 and fields.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length or 0)
+        if len(body) < (length or 0):  # closed early: incomplete (RFC 9112 section 8)
+            raise _Refusal(400, {"error": "body ended before its Content-Length"})
         connection = fields.get("connection", "").lower()
         self.close_connection = connection == "close" or (http10 and connection != "keep-alive")
         path, _, query = request[2].partition("?")
@@ -268,11 +270,13 @@ class SopalHttpServer(socketserver.ThreadingTCPServer):
     handler reads ``store``, ``connector`` and ``d_max`` from it per
     request, so ``store`` may be replaced while it serves.
 
-    Handles each connection on its own thread; the store's one lock
-    serializes their reads and writes.  Connections stay open between
-    requests until the client closes them, ``IDLE_TIMEOUT_S`` passes
-    without a request, or :meth:`stop` closes them all.  ``with server:``
-    starts and stops it.
+    Handles each connection on a thread that socketserver starts and
+    joins; the store's one lock serializes their reads and writes.
+    Connections stay open between requests until the client closes them,
+    ``IDLE_TIMEOUT_S`` passes without a request, or :meth:`stop` closes
+    them all.  The handler threads are not daemon threads, so a process
+    that never calls :meth:`stop` waits at exit until its open connections
+    close or go idle.  ``with server:`` starts and stops it.
     """
 
     allow_reuse_address = True
@@ -305,8 +309,7 @@ class SopalHttpServer(socketserver.ThreadingTCPServer):
         self.store = store
         self.connector = connector
         self.d_max = d_max
-        self._open: dict[socket.socket, threading.Thread] = {}
-        self._open_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
         self._serve_thread: threading.Thread | None = None
         if tls:
             # The handshake runs on the connection's handler thread, at its
@@ -330,17 +333,14 @@ class SopalHttpServer(socketserver.ThreadingTCPServer):
         scheme = "https" if isinstance(self.socket, ssl.SSLSocket) else "http"
         return f"{scheme}://{host}:{port}"
 
+    # No lock: each use of _open is one set call, and process_request
+    # never runs during stop(), since shutdown() waits for the serve loop.
     def process_request(self, request, client_address):
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._open_lock:  # so stop() sees only started threads
-            self._open[request] = thread
-            thread.start()
+        self._open.add(request)  # before its thread runs, so stop() sees it
+        super().process_request(request, client_address)
 
     def shutdown_request(self, request):
-        with self._open_lock:
-            self._open.pop(request, None)
+        self._open.discard(request)
         super().shutdown_request(request)
 
     def start(self) -> None:
@@ -350,21 +350,18 @@ class SopalHttpServer(socketserver.ThreadingTCPServer):
         self._serve_thread.start()
 
     def stop(self) -> None:
-        """Stop accepting, shut down every open connection and wait for its
-        handler thread to end, so no client is answered after this returns."""
+        """Stop accepting, shut down every open connection and wait, with no
+        timeout, for its handler thread to end, so no client is answered
+        after this returns; a handler ends once its current store or
+        connector call returns."""
         if self._serve_thread:  # shutdown() would wait for a serve_forever never run
             self.shutdown()
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
-        with self._open_lock:
-            live = dict(self._open)
-        for conn in live:
+        for conn in self._open.copy():
             with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-        # Joined: a handler thread alive at interpreter exit slows the exit.
-        for thread in live.values():
-            thread.join(timeout=5)
-        self.server_close()
+        self.server_close()  # ThreadingMixIn's: joins every handler thread
 
     # BaseServer's context manager only closes the socket.
     def __enter__(self) -> "SopalHttpServer":

@@ -182,9 +182,8 @@ def test_c05_bloom_filter_formulas():
     for p in (0.01, 0.001):
         alpha, probes = 1000, 100_000
         bf = sized_filter(alpha, p)
-        for _ in range(alpha):
-            bf.insert(rng.randbytes(32))
-        hits = sum(rng.randbytes(32) in bf for _ in range(probes))
+        bf.insert_all([rng.randbytes(32) for _ in range(alpha)])
+        hits = len(bf.probe_all([rng.randbytes(32) for _ in range(probes)]))
         rate = hits / probes
         estimate = bf_false_positive_estimate(alpha, bf.beta, bf.gamma)
         assert estimate / 3 <= rate <= estimate * 3, (p, rate, estimate)

@@ -152,9 +152,8 @@ class TestBloomFilter:
     def test_observed_rate_tracks_estimate(self, rng):
         alpha, probes = 400, 20000
         bf = sized_filter(alpha, 0.01)
-        for _ in range(alpha):
-            bf.insert(rng.randbytes(32))
-        hits = sum(rng.randbytes(32) in bf for _ in range(probes))
+        bf.insert_all([rng.randbytes(32) for _ in range(alpha)])
+        hits = len(bf.probe_all([rng.randbytes(32) for _ in range(probes)]))
         estimate = bf_false_positive_estimate(alpha, bf.beta, bf.gamma)
         assert estimate / 3 < hits / probes < estimate * 3
 
@@ -217,9 +216,8 @@ class TestBloomFilter:
         hits = 0
         for _ in range(filters):
             bf = BloomFilter(beta, gamma, rng.randbytes(16))
-            for _ in range(alpha):
-                bf.insert(rng.randbytes(32))
-            hits += sum(rng.randbytes(32) in bf for _ in range(probes))
+            bf.insert_all([rng.randbytes(32) for _ in range(alpha)])
+            hits += len(bf.probe_all([rng.randbytes(32) for _ in range(probes)]))
         expected = filters * probes * bf_false_positive_estimate(alpha, beta, gamma)
         # five binomial standard deviations around the estimate, which
         # at this size runs about 20% low (it treats the bits as filled

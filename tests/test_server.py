@@ -381,7 +381,8 @@ class TestPersistentConnections:
             handle.download("mock:A", 1)
         assert isinstance(raised.value.__cause__, ConnectionError)
 
-    def test_stop_waits_for_the_handler_threads(self, fresh_server, monkeypatch):
+    @pytest.mark.parametrize("connections", [1, 16])
+    def test_stop_waits_for_the_handler_threads(self, fresh_server, monkeypatch, connections):
         finish = _Handler.finish
 
         def slow_finish(handler):
@@ -391,10 +392,29 @@ class TestPersistentConnections:
         monkeypatch.setattr(_Handler, "finish", slow_finish)
         before = set(threading.enumerate())
         handle = HttpServerHandle(fresh_server.url)
-        handle.download("mock:A", 1)
+        downloaded = threading.Barrier(connections + 1)
+        stopped = threading.Event()
+
+        def client():
+            handle.download("mock:A", 1)
+            downloaded.wait(timeout=10)
+            stopped.wait(timeout=10)
+            handle.close()  # its own thread's connection
+
+        clients = [threading.Thread(target=client) for _ in range(connections)]
+        for t in clients:
+            t.start()
+        downloaded.wait(timeout=10)
+        start = time.perf_counter()
         fresh_server.stop()
-        assert [t for t in threading.enumerate() if t not in before] == []
-        handle.close()
+        elapsed = time.perf_counter() - start
+        left = [t for t in threading.enumerate() if t not in before and t not in clients]
+        stopped.set()
+        for t in clients:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert elapsed < 1.0
+        assert left == []
 
     def test_error_statuses_on_a_reused_connection(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)
@@ -526,6 +546,14 @@ class TestRequestFraming:
         assert self.records(fresh_server) == before
         assert request(fresh_server, "GET", "/v1/capabilities?dmax=1", token="mock:A")[0] == 200
 
+    def test_a_body_cut_short_is_refused_and_changes_nothing(self, fresh_server):
+        before = self.records(fresh_server)
+        with raw_connection(fresh_server) as (sock, reader):
+            sock.sendall(upload("A", "Content-Length: 65"))  # one byte more than sent
+            sock.shutdown(socket.SHUT_WR)
+            assert_refused_and_closed(reader, 400)
+        assert self.records(fresh_server) == before
+
     @pytest.mark.parametrize("lengths", [("64", "64"), ("64, 64",), ("64 , 64", "64")])
     def test_repeated_equal_content_lengths_are_accepted(self, fresh_server, lengths):
         cap = new_capability()
@@ -595,12 +623,19 @@ class TestRequestFraming:
             assert_refused_and_closed(reader, 501)
         assert self.records(fresh_server) == before
 
-    def test_head_answers_501_without_a_body(self, fresh_server):
+    @pytest.mark.parametrize(
+        "start, code",
+        [
+            pytest.param("HEAD /v1/health HTTP/1.1", 501, id="1.1-501"),
+            pytest.param("HEAD /v1/health HTTP/2.0", 505, id="2.0-505"),
+        ],
+    )
+    def test_head_answers_501_without_a_body(self, fresh_server, start, code):
         with raw_connection(fresh_server) as (sock, reader):
-            sock.sendall(raw_request("HEAD /v1/health HTTP/1.1", "Host: sopal"))
+            sock.sendall(raw_request(start, "Host: sopal"))
             status_line = reader.readline()
             head = reader.read()
-        assert status_line.startswith(b"HTTP/1.1 501 ")
+        assert status_line.startswith(b"HTTP/1.1 %d " % code)
         assert b"\r\nContent-Type: application/json\r\n" in head
         assert b"\r\nConnection: close\r\n" in head
         assert head.endswith(b"\r\n\r\n")
@@ -744,6 +779,149 @@ class TestRequestFraming:
         with raw_connection(fresh_server) as (sock, reader):
             sock.sendall(raw_request(*DOWNLOAD, *fields))
             assert_refused_and_closed(reader, 400)
+
+    # The parts of a request the property test below may make odd.  None
+    # holds a space where a request line has none, and no body holds one
+    # at all, so no line but the first parses as a request line.
+    method = st.sampled_from(["GET", "POST", "HEAD", "get", "post", "PUT", "BREW", ""])
+    dmax = st.one_of(
+        st.integers(-3, 10**6).map(str),
+        st.text(visible.replace(" ", "").replace("&", ""), max_size=6),
+        st.just("9" * 5000),
+    )
+    query = st.lists(
+        st.one_of(st.builds("dmax={}".format, dmax), st.sampled_from(["", "dmax", "x=1"])),
+        max_size=3,
+    ).map("&".join)
+    target = st.builds(
+        "{}{}".format,
+        st.sampled_from(
+            ["/v1/capabilities", "/v1/capability", "/v1/health", "/", "*", "/v1/health/",
+             "/" + "a" * 70_000]
+        ),
+        st.one_of(st.just(""), st.builds("?{}".format, query)),
+    )
+    version = st.sampled_from(
+        ["HTTP/1.0", "HTTP/2.0", "HTTP/0.9", "HTTP/1.2", "HTTP/1", "http/1.1", ""]
+    )
+    authorization = st.sampled_from(
+        ["Bearer mock:A", "Bearer mock:B", "Bearer mock:E", "Bearer mock:Z", "Bearer mock:",
+         "Bearer", "bearer mock:A", "Basic bW9jazpB", "Bearer  mock:A\t", "Bearer mock:\xe9"]
+    ).map("Authorization: {}".format)
+    request_field = st.sampled_from(
+        ["Host: sopal", "Transfer-Encoding: chunked", "Transfer-Encoding: identity",
+         "Expect: 100-continue", "Expect: 100-Continue", "Expect: nothing",
+         "Connection: close", "Connection: keep-alive", "X-Odd: \xff"]
+    )
+    odd_length = st.sampled_from(
+        ["", "-1", "+64", "0x40", "64, 64", "64,65", "6 4", "\xb2", "9" * 5000, "0" * 5000 + "64"]
+    )
+    body = st.binary(max_size=80).map(lambda data: data.replace(b" ", b""))
+    PARTS = ["method", "target", "version", "hosts", "authorization", "fields", "length", "body"]
+    REPLY_CODES = {100, 200, 400, 401, 403, 404, 413, 414, 431, 501, 502, 505}
+
+    @classmethod
+    def replies(cls, received, head):
+        """The status codes of the replies ``received`` holds, each with a
+        known code and framed by its Content-Length, except that the first
+        final reply has no body when ``head``."""
+        codes = []
+        while received:
+            section, blank, received = received.partition(b"\r\n\r\n")
+            assert blank, section
+            status_line, *lines = section.decode("latin-1").split("\r\n")
+            status = re.fullmatch(r"HTTP/1\.1 (\d{3}) \S.*", status_line)
+            assert status and int(status[1]) in cls.REPLY_CODES, status_line
+            codes.append(int(status[1]))
+            if codes[-1] != 100:
+                fields = dict(line.lower().split(": ", 1) for line in lines)
+                length = 0 if head else int(fields["content-length"])
+                assert len(received) >= length
+                received, head = received[length:], False
+        return codes
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        usual=st.sampled_from(
+            ["GET /v1/capabilities?dmax=1", "GET /v1/health", "POST /v1/capability",
+             "HEAD /v1/health"]
+        ),
+        odd=st.tuples(st.sampled_from([0, 1, 1, 2, 3]), st.permutations(PARTS)).map(
+            lambda drawn: drawn[1][: drawn[0]]
+        ),
+        data=st.data(),
+    )
+    def test_any_request_gets_framed_replies_and_changes_nothing_else(
+        self, fresh_server, monkeypatch, usual, odd, data
+    ):
+        """A usual request with up to three of its parts made odd."""
+
+        def part(name, value, strategy):
+            return data.draw(strategy, label=name) if name in odd else value
+
+        method, target = usual.split()
+        method = part("method", method, self.method)
+        target = part("target", target, self.target)
+        start = f"{method} {target} {part('version', 'HTTP/1.1', self.version)}"
+        hosts = part("hosts", 1, st.sampled_from([0, 2]))
+        auth = part("authorization", [DOWNLOAD[2]], st.lists(self.authorization, max_size=2))
+        extra = part(
+            "fields",
+            [],
+            st.one_of(
+                st.lists(self.request_field, min_size=1, max_size=4),
+                st.just(["X-Fill: 1"] * MAX_HEADER_LINES),
+            ),
+        )
+        body = new_capability().hex().encode() if usual.startswith("POST") else b""
+        body = part("body", body, self.body)
+        lengths = part(
+            "length",
+            [len(body)] if body else [],
+            st.lists(
+                st.one_of(self.odd_length, st.integers(0, len(body) + 8).map(str)),
+                min_size=1,
+                max_size=2,
+            )
+            | st.just([]),
+        )
+        fields = [
+            *["Host: sopal"] * hosts, *auth, *(f"Content-Length: {n}" for n in lengths), *extra
+        ]
+
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        errors = []
+        monkeypatch.setattr(
+            fresh_server, "handle_error", lambda request, address: errors.append(address)
+        )
+
+        def download():
+            with raw_connection(fresh_server) as (sock, reader):
+                sock.sendall(raw_request(*DOWNLOAD))
+                return read_reply(reader)[::2]  # status and body
+
+        records, before = self.records(fresh_server), download()
+        with socket.create_connection(fresh_server.address, timeout=IDLE_TIMEOUT_S / 2) as sock:
+            with contextlib.suppress(OSError):  # the server may refuse and close mid-send
+                sock.sendall(raw_request(start, *fields, end=b"\r\n" + body))
+                sock.shutdown(socket.SHUT_WR)
+            received = bytearray()
+            with contextlib.suppress(ConnectionResetError):  # a close with bytes unread
+                while chunk := sock.recv(65536):
+                    received += chunk
+        head = len(start) + 2 <= MAX_LINE_BYTES and re.fullmatch(r"HEAD \S+ HTTP/\d\.\d", start)
+        codes = self.replies(bytes(received), head)
+        deadline = time.monotonic() + 1.0
+        while fresh_server._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not fresh_server._open
+        assert errors == []
+        assert before[0] == 200
+        if not (method == "POST" and 200 in codes):
+            assert self.records(fresh_server) == records
+            assert download() == before
 
 
 class TestServerUrl:
