@@ -45,9 +45,11 @@ server = SopalHttpServer(SlowStore(store), connector, insecure_plaintext=True)
 server.start()
 print(f"server listening on {server.url}")
 
+# Both clients run in this thread, so they share its one connection.
+handle = HttpServerHandle(server.url)
 try:
-    a = DiscoveryClient("0", HttpServerHandle(server.url))
-    b = DiscoveryClient("1", HttpServerHandle(server.url))
+    a = DiscoveryClient("0", handle)
+    b = DiscoveryClient("1", handle)
     for client in (a, b):
         client.renew_capability()
         client.update_capabilities()
@@ -59,4 +61,5 @@ try:
     report = load_probe(server.url, "mock:0", rates=[5, 50, 250], duration_s=2)
     print(report.to_text())
 finally:
+    handle.close()
     server.stop()

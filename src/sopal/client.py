@@ -160,10 +160,14 @@ class HttpServerHandle:
 
     Each calling thread keeps one persistent HTTP/1.1 connection, so a
     client that renews, uploads and downloads again and again connects
-    once, not once per request.  A request on a reused connection that
-    the server has closed meanwhile (after its idle timeout, say) fails
-    before any status line arrives; it is sent once more on a fresh
-    connection, which is safe because every route is idempotent.
+    once, not once per request.  :meth:`close` closes the caller's
+    connection and those of threads that have ended, and a thread's
+    first request does the same, so a pool's ended workers leave no
+    socket open; a live thread's connection is its own.  A request on a
+    reused connection that the server has closed meanwhile (after its
+    idle timeout, say) fails before any status line arrives; it is sent
+    once more on a fresh connection, which is safe because every route
+    is idempotent.
     ``https`` URLs get an ``HTTPSConnection`` with the default TLS
     context, which verifies the server's certificate against the system
     trust store, or against the file that ``SSL_CERT_FILE`` names.
@@ -182,19 +186,25 @@ class HttpServerHandle:
             connection_class, match["netloc"], timeout=timeout_s
         )
         self._path_prefix = match["prefix"]
-        self._local = threading.local()
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
 
     def close(self) -> None:
-        """Close the calling thread's connection; its next request opens
-        a new one."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
+        """Close the calling thread's connection and those of every thread
+        that has ended; a live thread's next request opens a new one."""
+        caller = threading.current_thread()
+        for thread in list(self._conns):
+            if thread is caller or not thread.is_alive():
+                # pop, not del: two threads may close at once
+                conn = self._conns.pop(thread, None)
+                if conn is not None:
+                    conn.close()
 
     def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
-        conn = getattr(self._local, "conn", None)
+        thread = threading.current_thread()
+        conn = self._conns.get(thread)
         if conn is None:
-            conn = self._local.conn = self._new_connection()
+            self.close()
+            conn = self._conns[thread] = self._new_connection()
         reused = conn.sock is not None
         url = self._path_prefix + path
         headers = {"Authorization": f"Bearer {token}"}

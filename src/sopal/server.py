@@ -28,10 +28,11 @@ before the body is read closes the connection, so no unread body is
 read as a request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
-of downloads per second at a running ``http`` or ``https`` server from
-worker threads it owns, one :class:`~sopal.client.HttpServerHandle`
-connection each, closed when the rate ends (a request that raises counts
-as failed), and reports per-second responses, latency and the knee.
+of downloads per second at a running ``http`` or ``https`` server from a
+standard thread pool, one :class:`~sopal.client.HttpServerHandle`
+connection per worker, which the handle closes when each rate ends (a
+request that raises counts as failed), and reports per-second
+responses, latency and the knee.
 The server adds no cost of its own; to see saturation at desk scale,
 hand it a store whose ``distribute`` is slower, as demo 04 does.
 """
@@ -41,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import queue
 import re
 import socket
 import socketserver
@@ -49,6 +49,7 @@ import ssl
 import statistics
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from email.utils import formatdate
 from http import HTTPStatus
@@ -458,51 +459,22 @@ def load_probe(
     seconds = max(1, round(duration_s))
     samples = []
     for rate in rates:
-        start, outcomes = _bursts(timed_download, handle.close, rate, seconds)
-        done = sorted(outcome for outcome in outcomes if outcome)
+        try:
+            # The pool starts a worker only when none is idle.
+            with ThreadPoolExecutor(min(512, max(8, 2 * rate))) as pool:
+                futures, start = [], time.perf_counter()
+                for sec in range(seconds):
+                    futures += [pool.submit(timed_download) for _ in range(rate)]
+                    time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
+        finally:
+            handle.close()  # the ended workers' connections
+        done = sorted(future.result() for future in futures if not future.exception())
         finished = [int(end - start) for _, end in done]
         per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
         latencies = [latency for latency, _ in done]
-        failed = outcomes.count(None)
+        failed = len(futures) - len(done)
         samples.append(RateSample(rate, rate * seconds, len(done), failed, latencies, per_second))
 
     knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
     return LoadReport(baseline, float(seconds), samples, knee)
 
-
-def _bursts(request, close, rate: int, seconds: int) -> tuple[float, list]:
-    """Call ``request`` ``rate`` times a second; return the start time and
-    each result, None where it raised.  Workers start only when none is idle,
-    up to 2 * rate (8 to 512), and each calls ``close`` as it ends."""
-    jobs: queue.SimpleQueue[bool] = queue.SimpleQueue()
-    idle = threading.Semaphore(0)
-    outcomes: list = []
-    workers: list[threading.Thread] = []
-
-    def work() -> None:
-        try:
-            while jobs.get():
-                try:
-                    outcomes.append(request())
-                except Exception:
-                    outcomes.append(None)
-                idle.release()
-        finally:
-            close()
-
-    most = min(512, max(8, 2 * rate))
-    start = time.perf_counter()
-    try:
-        for sec in range(seconds):
-            for _ in range(rate):
-                jobs.put(True)
-                if not idle.acquire(blocking=False) and len(workers) < most:
-                    workers.append(threading.Thread(target=work))
-                    workers[-1].start()
-            time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
-    finally:
-        for worker in workers:
-            jobs.put(False)
-        for worker in workers:
-            worker.join()
-    return start, outcomes

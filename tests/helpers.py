@@ -6,6 +6,7 @@ import random
 import secrets
 from itertools import groupby
 from operator import itemgetter
+from types import SimpleNamespace
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
@@ -65,6 +66,22 @@ def distribution(r_u, pairs) -> DistributionResult:
         (degree, tuple(map(itemgetter(1), run))) for degree, run in groupby(pairs, itemgetter(0))
     )
     return DistributionResult(r_u=tuple(r_u), runs=runs)
+
+
+def replay_snapshot_vector(vector) -> CapabilityStore:
+    """The store that a snapshot vector's inputs build: each upload at its
+    clock time through a stub connector that answers the vector's friend
+    lists, then one expiry.  ``sopal.store.new_capability`` must already
+    be patched to mint the vector's ersatz capabilities."""
+    clock = SimpleNamespace(now=0.0)
+    connector = SimpleNamespace(friends_of=vector["friends"].__getitem__)
+    store = CapabilityStore(
+        connector=connector, default_ttl_s=vector["default_ttl_s"], clock=lambda: clock.now
+    )
+    for clock.now, uid, cap in vector["uploads"]:
+        store.upload_capability(uid, bytes.fromhex(cap))
+    store.expire_and_refresh(vector["expire_at"])
+    return store
 
 
 def assert_anonymous_runs(body) -> None:

@@ -386,7 +386,7 @@ class TestBloomFilter:
 
     def test_known_answer_vector(self):
         # inputs and outputs fixed when this filter version was current
-        # (tests/make_filter_vector.py); a byte change without a version
+        # (tests/make_vectors.py); a byte change without a version
         # bump fails here
         path = Path(__file__).parent / "vectors" / f"filter_v{BF_WIRE_VERSION}.json"
         vector = json.loads(path.read_text())

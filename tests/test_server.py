@@ -10,11 +10,13 @@ import socket
 import ssl
 import statistics
 import string
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -347,6 +349,47 @@ class TestPersistentConnections:
             assert not t.is_alive()
         handle.close()
         assert len(connects) == 3
+
+    def test_close_closes_the_connections_of_ended_pool_workers(self, fresh_server, connects):
+        handle = HttpServerHandle(fresh_server.url)
+        with no_resource_warnings():
+            with ThreadPoolExecutor(3) as pool:
+                downloads = [pool.submit(handle.download, "mock:A", 1) for _ in range(9)]
+            assert all(d.result().r_u for d in downloads)
+            handle.close()
+        assert 1 <= len(connects) <= 3
+        assert [conn.sock for conn in connects] == [None] * len(connects)
+
+    def test_a_threads_first_request_closes_ended_threads_connections(
+        self, fresh_server, connects
+    ):
+        handle = HttpServerHandle(fresh_server.url)
+        for _ in range(5):
+            t = threading.Thread(target=handle.download, args=("mock:A", 1))
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(connects) == 5
+        assert sum(conn.sock is not None for conn in connects) <= 1
+        handle.close()
+        assert [conn.sock for conn in connects] == [None] * 5
+
+    def test_racing_first_requests_close_each_ended_connection_once(self, fresh_server, connects):
+        # Each wave's first requests race to close the last wave's ended
+        # workers' connections.
+        handle = HttpServerHandle(fresh_server.url)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with no_resource_warnings():
+                for _ in range(8):
+                    with ThreadPoolExecutor(8) as pool:
+                        downloads = [pool.submit(handle.download, "mock:A", 1) for _ in range(16)]
+                    assert all(d.result().r_u for d in downloads)
+                handle.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [conn.sock for conn in connects] == [None] * len(connects)
 
     def test_kept_open_replies_do_not_wait_for_delayed_acks(self, fresh_server, connects):
         # Headers and body in two segments with Nagle on stall each reply

@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,10 @@ from sopal.graph import SocialGraph
 from sopal.server import ConnectorError, MockOsnConnector
 from sopal.sim import gnp_graph
 from sopal.store import (
+    DOWNLOAD_FORMAT,
     ERSATZ,
     MEMBER,
+    SNAPSHOT_VERSION,
     CapabilityStore,
     DistributionResult,
     NotEnrolledError,
@@ -28,6 +31,7 @@ from helpers import (
     graph_neighbors,
     graph_nodes,
     path_adjacency,
+    replay_snapshot_vector,
 )
 from oracles import reference_distribute
 
@@ -46,6 +50,13 @@ class FakeClock:
 def make_store(ground, **kwargs):
     connector = MockOsnConnector(ground)
     return CapabilityStore(SocialGraph(), connector, **kwargs), connector
+
+
+def load_vector(name):
+    """A known-answer vector from ``tests/vectors``, written by
+    ``tests/make_vectors.py`` when its format version was current; a
+    byte change without a version bump fails against it."""
+    return json.loads((Path(__file__).parent / "vectors" / f"{name}.json").read_text())
 
 
 class TestUpload:
@@ -92,6 +103,15 @@ class TestUpload:
 
 
 class TestDistribute:
+    def test_known_answer_vector(self):
+        vector = load_vector(f"download_v{DOWNLOAD_FORMAT}")
+        result = DistributionResult(
+            r_u=tuple((uid, bytes.fromhex(cap)) for uid, cap in vector["r_u"]),
+            runs=tuple((d, tuple(map(bytes.fromhex, values))) for d, values in vector["runs"]),
+        )
+        assert result.to_json() == vector["body"]
+        assert DistributionResult.from_json(vector["body"]) == result
+
     def test_star_with_ersatz_friends(self):
         store, _ = make_store(adjacency_from_edges([("U", "a"), ("U", "b")]))
         store.upload_capability("U", new_capability())
@@ -568,6 +588,24 @@ RECORD_FIELDS = ("id", "cap", "kind", "created_at", "ttl_s", "stale")
 
 
 class TestSnapshot:
+    def test_known_answer_vector(self, tmp_path, monkeypatch):
+        vector = load_vector(f"snapshot_v{SNAPSHOT_VERSION}")
+        minted = iter(map(bytes.fromhex, vector["ersatz_caps"]))
+        monkeypatch.setattr(sopal.store, "new_capability", minted.__next__)
+        store = replay_snapshot_vector(vector)
+        assert next(minted, None) is None
+        saved, committed = tmp_path / "saved.json", tmp_path / "committed.json"
+        store.save_snapshot(saved)
+        assert saved.read_text(encoding="utf-8") == vector["snapshot"]
+        committed.write_text(vector["snapshot"], encoding="utf-8")
+        loaded = CapabilityStore.load_snapshot(committed)
+        ids = sorted(graph_nodes(store.graph))
+        assert sorted(graph_nodes(loaded.graph)) == ids
+        assert [loaded.record_of(u) for u in ids] == [store.record_of(u) for u in ids]
+        assert loaded.graph.edges() == store.graph.edges()
+        loaded.save_snapshot(saved)
+        assert saved.read_text(encoding="utf-8") == vector["snapshot"]
+
     def test_roundtrip(self, tmp_path):
         ground = gnp_graph(20, 0.15, seed=2)
         store, connector = make_store(ground)
