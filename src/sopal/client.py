@@ -31,7 +31,7 @@ import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 from sopal.crypto import hash_chain, new_capability
 from sopal.psi import (
@@ -155,6 +155,34 @@ _SERVER_URL = re.compile(
 )
 
 
+# The limits the server reads a request head by, applied to each reply.
+_MAX_FIELD_LINES, _MAX_LINE_BYTES = 100, 65536
+_STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([2-5][0-9]{2})(?: [^\r\n]*)?\r?\n")
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
+    """(status, whether it closes the connection, body) of the next reply."""
+    line = reader.readline(_MAX_LINE_BYTES + 1)
+    if not line:
+        raise ConnectionResetError("server closed the connection without a reply")
+    status = _STATUS_LINE.fullmatch(line)
+    if status is None:
+        raise ValueError(f"malformed status line {line[:64]!r}")
+    fields = []
+    while (line := reader.readline(_MAX_LINE_BYTES + 1)) not in (b"\r\n", b"\n"):
+        name, colon, value = line.partition(b":")
+        if not colon or len(line) > _MAX_LINE_BYTES or len(fields) == _MAX_FIELD_LINES:
+            raise ValueError("malformed reply fields")
+        fields.append((name.strip().lower(), value.strip().lower()))
+    lengths = [value for name, value in fields if name == b"content-length"]
+    if len(lengths) != 1 or not lengths[0].isdigit() or b"transfer-encoding" in dict(fields):
+        raise ValueError("reply not framed by one Content-Length")
+    body = reader.read(int(lengths[0]))
+    if len(body) < int(lengths[0]):
+        raise ValueError("reply body ended before its Content-Length")
+    return int(status[1]), (b"connection", b"close") in fields, body
+
+
 class HttpServerHandle:
     """Server access over HTTP, matching :mod:`sopal.server`'s routes.
 
@@ -163,16 +191,20 @@ class HttpServerHandle:
     once, not once per request.  :meth:`close` closes the caller's
     connection and those of threads that have ended, and a thread's
     first request does the same, so a pool's ended workers leave no
-    socket open; a live thread's connection is its own.  A request on a
-    reused connection that the server has closed meanwhile (after its
-    idle timeout, say) fails before any status line arrives; it is sent
-    once more on a fresh connection, which is safe because every route
-    is idempotent.
-    ``https`` URLs get an ``HTTPSConnection`` with the default TLS
-    context, which verifies the server's certificate against the system
-    trust store, or against the file that ``SSL_CERT_FILE`` names.
-    A request raises :class:`AuthError` on a 401, ``NotEnrolledError`` on
-    a 403 and :class:`ServerError` on any other failure of the server.
+    socket open; a live thread's connection is its own.  A request goes out
+    in one write; if a reused connection ends before a status line (the
+    server's idle timeout, say), it is sent once more on a fresh one,
+    which is safe because every route is idempotent.
+    Reply framing: an ``HTTP/1.0`` or ``HTTP/1.1`` status line with a code
+    from 200 to 599; at most 100 field lines of at most 65,536 bytes, each
+    with a colon; exactly one all-digit ``Content-Length``, no
+    ``Transfer-Encoding``, and the whole body.  ``Connection: close``
+    closes the connection after the reply.  ``https`` URLs get an
+    ``HTTPSConnection`` with the default TLS context, which verifies the
+    server's certificate against the system trust store, or against the
+    file that ``SSL_CERT_FILE`` names.  A request raises :class:`AuthError`
+    on a 401, ``NotEnrolledError`` on a 403 and :class:`ServerError`, which
+    closes the connection, on any other failure, other framing included.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
@@ -185,8 +217,9 @@ class HttpServerHandle:
         self._new_connection = functools.partial(
             connection_class, match["netloc"], timeout=timeout_s
         )
+        self._host_field = f"Host: {match['netloc']}\r\n"
         self._path_prefix = match["prefix"]
-        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._conns: dict[threading.Thread, tuple[http.client.HTTPConnection, BinaryIO]] = {}
 
     def close(self) -> None:
         """Close the calling thread's connection and those of every thread
@@ -195,42 +228,49 @@ class HttpServerHandle:
         for thread in list(self._conns):
             if thread is caller or not thread.is_alive():
                 # pop, not del: two threads may close at once
-                conn = self._conns.pop(thread, None)
-                if conn is not None:
-                    conn.close()
+                for part in self._conns.pop(thread, ()):
+                    part.close()
 
     def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
+        if not token.isprintable():  # a line break would end the field
+            raise ValueError("token holds a control character")
+        head = f"{method} {self._path_prefix}{path} HTTP/1.1\r\n{self._host_field}"
+        head += f"Authorization: Bearer {token}\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        request = (head + "\r\n").encode("latin-1") + (body or b"")
         thread = threading.current_thread()
-        conn = self._conns.get(thread)
+        conn, reader = self._conns.pop(thread, (None, None))
         if conn is None:
             self.close()
-            conn = self._conns[thread] = self._new_connection()
-        reused = conn.sock is not None
-        url = self._path_prefix + path
-        headers = {"Authorization": f"Bearer {token}"}
-        try:
+        for retry in (conn is not None, False):
             try:
-                conn.request(method, url, body, headers)
-                resp = conn.getresponse()
-            except (ConnectionResetError, BrokenPipeError):
-                # http.client.RemoteDisconnected is a ConnectionResetError.
-                if not reused:
-                    raise
-                conn.close()
-                conn.request(method, url, body, headers)
-                resp = conn.getresponse()
-            status, data = resp.status, resp.read()
-        except BaseException as exc:
-            conn.close()
-            if isinstance(exc, (OSError, http.client.HTTPException)):
-                raise ServerError(str(exc)) from exc
-            raise
+                if conn is None:
+                    conn = self._new_connection()
+                    conn.connect()
+                    reader = conn.sock.makefile("rb")
+                conn.sock.sendall(request)
+                status, close, data = _read_reply(reader)
+                break
+            except BaseException as exc:
+                # Popped above; the reader holds the socket open until closed too.
+                for part in filter(None, (reader, conn)):
+                    part.close()
+                conn = reader = None
+                if retry and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    continue
+                if isinstance(exc, (OSError, ValueError)):
+                    raise ServerError(str(exc)) from exc
+                raise
+        self._conns[thread] = conn, reader
+        if close:
+            self.close()
         if 200 <= status < 300:
             return data
         detail = ""
         try:
             detail = json.loads(data.decode("utf-8")).get("error", "")
-        except (ValueError, AttributeError):
+        except (ValueError, AttributeError, RecursionError):
             pass
         if status == 401:
             raise AuthError(f"authentication failed: {detail}")

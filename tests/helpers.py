@@ -1,21 +1,28 @@
 """Shared world-building and wire-format utilities for the test suite."""
 
+import contextlib
 import datetime
+import gc
 import ipaddress
 import random
 import secrets
+import warnings
 from itertools import groupby
 from operator import itemgetter
 from types import SimpleNamespace
+from unittest import mock
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.x509.oid import NameOID
 
 from sopal.client import DiscoveryClient, LocalServerHandle
 from sopal.crypto import BloomFilter, bf_hash_count, bf_optimal_size
 from sopal.graph import SocialGraph
+import sopal.crypto
+import sopal.psi
 from sopal.psi import PsiSession
 from sopal.server import MockOsnConnector
 from sopal.sim import CoverageCell, CoverageReport
@@ -82,6 +89,44 @@ def replay_snapshot_vector(vector) -> CapabilityStore:
         store.upload_capability(uid, bytes.fromhex(cap))
     store.expire_and_refresh(vector["expire_at"])
     return store
+
+
+def replay_frame_vector(vector) -> tuple[dict[str, PsiSession], list[tuple[str, bytes]]]:
+    """Run the session that a frame vector's inputs describe: its X25519
+    private keys, session id and filter salt stand in for the fresh ones
+    that ``sopal.psi`` and ``sopal.crypto`` draw.  Returns both sessions,
+    by role, and every frame in the order sent, with its sender's role."""
+    keys = iter(
+        X25519PrivateKey.from_private_bytes(bytes.fromhex(vector[role]["private_key"]))
+        for role in ("initiator", "responder")
+    )
+    tokens = iter(bytes.fromhex(vector[name]) for name in ("session_id", "filter_salt"))
+
+    def token_bytes(n: int) -> bytes:
+        token = next(tokens)
+        assert len(token) == n
+        return token
+
+    def start(role: str):
+        values = [bytes.fromhex(value) for value in vector[role]["values"]]
+        start = PsiSession.start_initiator if role == "initiator" else PsiSession.start_responder
+        return start(values, vector[role]["id"], fp_target=vector["fp_target"])
+
+    with (
+        mock.patch.object(sopal.psi, "X25519PrivateKey", SimpleNamespace(generate=keys.__next__)),
+        mock.patch.object(sopal.psi, "secrets", SimpleNamespace(token_bytes=token_bytes)),
+        mock.patch.object(sopal.crypto, "secrets", SimpleNamespace(token_bytes=token_bytes)),
+    ):
+        initiator, frame = start("initiator")
+        sessions = {"initiator": initiator, "responder": start("responder")}
+        frames, receiver = [("initiator", frame)], "responder"
+        while frame is not None:
+            frame, _ = sessions[receiver].step(frame)
+            if frame is not None:
+                frames.append((receiver, frame))
+            receiver = "initiator" if receiver == "responder" else "responder"
+    assert next(keys, None) is None and next(tokens, None) is None
+    return sessions, frames
 
 
 def assert_anonymous_runs(body) -> None:
@@ -175,6 +220,18 @@ def sized_session(beta: int, gamma: int, base=PsiSession):
             self.filter_gamma = gamma
 
     return SizedSession
+
+
+@contextlib.contextmanager
+def no_resource_warnings():
+    """Fail if a socket (or other resource) left unclosed in the block is
+    finalised; earlier garbage is collected first, so it is not counted."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def self_signed_cert(directory) -> tuple[str, str]:

@@ -1,5 +1,5 @@
-"""Write the known-answer vectors for the current filter, download and
-snapshot versions.
+"""Write the known-answer vectors for the current filter, download,
+snapshot and frame versions.
 
 Run by hand, from the repository root, only when one of these formats
 changes and its version is bumped:
@@ -17,12 +17,17 @@ It writes, under ``tests/vectors/``:
 * ``snapshot_v<SNAPSHOT_VERSION>.json``: friend lists, timed uploads, an
   expiry time and the ersatz capabilities the store mints, and the file
   that ``save_snapshot`` writes for the store they build
-  (``helpers.replay_snapshot_vector``).
+  (``helpers.replay_snapshot_vector``);
+* ``frame_v<WIRE_VERSION>.json``: both peers' ids, input values and
+  X25519 private keys, the session id, the filter salt and the
+  false-positive target, then every frame of the session they run, in
+  the order sent, and the intersection both sides end with
+  (``helpers.replay_frame_vector``).
 
 Every input comes from a generator seeded by the format's name and
 version, so a rerun rewrites the same bytes.  Older files stay
-committed; ``test_crypto.py`` and ``test_store.py`` check the current
-ones.
+committed; ``test_crypto.py``, ``test_store.py`` and ``test_psi.py``
+check the current ones.
 """
 
 import json
@@ -32,9 +37,10 @@ from pathlib import Path
 from unittest import mock
 
 from sopal.crypto import BF_WIRE_VERSION, BloomFilter
+from sopal.psi import WIRE_VERSION
 from sopal.store import DOWNLOAD_FORMAT, SNAPSHOT_VERSION, DistributionResult
 
-from helpers import replay_snapshot_vector
+from helpers import replay_frame_vector, replay_snapshot_vector
 
 ITEMS = 1000
 FRESH_PROBES = 1000
@@ -45,6 +51,7 @@ GAMMA = 10
 CAP_BYTES = 32
 # json.dumps escapes it to \u00eb, \u5c71\u7530 and a surrogate pair
 NON_ASCII_ID = "Zoë 山田 \U0001f642"
+FRAME_FP_TARGET = 0.1
 
 
 def filter_vector() -> dict:
@@ -136,6 +143,34 @@ def snapshot_vector() -> dict:
     return vector
 
 
+def frame_vector() -> dict:
+    """Initiator A and responder B, who share five values, as two members
+    with a common friend C share what C's capability gives them; each
+    holds values the other does not.  The loose false-positive target
+    makes the filter pass some of B's other values, which the response
+    round then removes."""
+    rng = random.Random(f"sopal frame v{WIRE_VERSION}")
+    shared = [rng.randbytes(CAP_BYTES) for _ in range(5)]
+    vector = {"version": WIRE_VERSION, "fp_target": FRAME_FP_TARGET}
+    for role, uid, own in [("initiator", "A", 35), ("responder", "B", 25)]:
+        values = shared + [rng.randbytes(CAP_BYTES) for _ in range(own)]
+        rng.shuffle(values)
+        vector[role] = {
+            "id": uid,
+            "values": [value.hex() for value in values],
+            "private_key": rng.randbytes(32).hex(),
+        }
+    vector["session_id"] = rng.randbytes(16).hex()
+    vector["filter_salt"] = rng.randbytes(16).hex()
+    sessions, frames = replay_frame_vector(vector)
+    vector["frames"] = [
+        {"sender": sender, "type": frame[1], "frame": frame.hex()} for sender, frame in frames
+    ]
+    vector["intersection"] = sorted(value.hex() for value in shared)
+    assert all(session.matched_values == set(shared) for session in sessions.values())
+    return vector
+
+
 def main() -> None:
     out = Path(__file__).parent / "vectors"
     out.mkdir(exist_ok=True)
@@ -143,6 +178,7 @@ def main() -> None:
         (f"filter_v{BF_WIRE_VERSION}", filter_vector),
         (f"download_v{DOWNLOAD_FORMAT}", download_vector),
         (f"snapshot_v{SNAPSHOT_VERSION}", snapshot_vector),
+        (f"frame_v{WIRE_VERSION}", frame_vector),
     ]:
         path = out / f"{name}.json"
         path.write_text(json.dumps(make(), indent=1) + "\n")

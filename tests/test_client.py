@@ -1,7 +1,9 @@
 """Discovery client: input sets, path lengths, refresh, session API."""
 
+import contextlib
 import gc
 import random
+import re
 import socket
 import threading
 import tracemalloc
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from sopal.client import (
     AnnotatedItem,
     DiscoveryClient,
+    HttpServerHandle,
+    ServerError,
     SessionError,
     build_input_set,
     run_discovery_pair,
@@ -35,6 +39,7 @@ from helpers import (
     adjacency_from_edges,
     distribution,
     enrolled_world,
+    no_resource_warnings,
     path_adjacency,
     random_member_subset,
     v1_filter_blob,
@@ -648,3 +653,161 @@ class TestSessionApi:
         assert a.get_result("B").dist == 2
         assert a.get_result("D").dist == 2
         assert clients["B"].get_result("A").common_friend_ids == frozenset({"C"})
+
+
+class ScriptedServer:
+    """A raw HTTP peer on loopback for one client thread.  It records the
+    bytes of each request it reads and answers with the next scripted
+    reply, then closes the connection if that reply is marked ``close``."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.netloc = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self.requests: list[bytes] = []
+        self.replies: list[tuple[bytes, bool]] = []
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(target=self._serve)
+        self._thread.start()
+
+    def _serve(self):
+        with self._listener:
+            while not self._stopped.is_set():
+                try:
+                    sock, _ = self._listener.accept()
+                except TimeoutError:
+                    continue
+                # The client closes a connection whose reply it refuses.
+                with sock, sock.makefile("rb") as reader, contextlib.suppress(ConnectionError):
+                    sock.settimeout(10)
+                    while True:
+                        head = b""
+                        while (line := reader.readline()) not in (b"\r\n", b""):
+                            head += line
+                        if not line:
+                            break
+                        length = re.search(rb"\r\nContent-Length: ([0-9]+)\r\n", head)
+                        body = reader.read(int(length[1])) if length else b""
+                        self.requests.append(head + b"\r\n" + body)
+                        reply, close = self.replies.pop(0)
+                        sock.sendall(reply)
+                        if close:
+                            break
+
+    def stop(self):
+        self._stopped.set()
+        self._thread.join(timeout=10)
+
+
+def reply(status=200, body=b"{}", *fields):
+    head = [f"HTTP/1.1 {status} X", f"Content-Length: {len(body)}", *fields]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+@pytest.fixture
+def scripted():
+    server = ScriptedServer()
+    with no_resource_warnings():
+        yield server
+        server.stop()
+
+
+class TestReplyReader:
+    """``HttpServerHandle`` against scripted replies: what it sends, the
+    framing it accepts, and that a refused reply costs its connection."""
+
+    def test_requests_are_framed_as_written(self, scripted, connects):
+        scripted.replies += [(reply(body=distribution((), ()).to_json().encode()), False)] * 2
+        handle = HttpServerHandle(f"http://{scripted.netloc}/api/")
+        assert handle.download("mock:A", 1).r_u == ()
+        cap = new_capability()
+        handle.upload("mock:A", cap)
+        handle.close()
+        get, post = (request.split(b"\r\n") for request in scripted.requests)
+        assert get == [
+            b"GET /api/v1/capabilities?dmax=1 HTTP/1.1",
+            f"Host: {scripted.netloc}".encode(),
+            b"Authorization: Bearer mock:A",
+            b"",
+            b"",
+        ]
+        assert post == [
+            b"POST /api/v1/capability HTTP/1.1",
+            f"Host: {scripted.netloc}".encode(),
+            b"Authorization: Bearer mock:A",
+            b"Content-Length: 64",
+            b"",
+            cap.hex().encode(),
+        ]
+        assert len(connects) == 1
+
+    # A reply in other framing, and whether the server closes after it.
+    BAD_REPLIES = {
+        "no length": (b"HTTP/1.1 200 OK\r\n\r\n", False),
+        "chunked": (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+            False,
+        ),
+        "length and chunked": (reply(200, b"x" * 5, "Transfer-Encoding: chunked"), False),
+        "signed length": (b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello", False),
+        "length list": (b"HTTP/1.1 200 OK\r\nContent-Length: 5, 6\r\n\r\nhello", False),
+        "two lengths": (reply(200, b"hello", "Content-Length: 5"), False),
+        "two-digit status": (b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n", False),
+        "600 status": (reply(600), False),
+        "HTTP/2": (b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+        "no HTTP": (b"SOPAL 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+        "100 status": (b"HTTP/1.1 100 Continue\r\n\r\n" + reply(), False),
+        "101 field lines": (reply(200, b"{}", *["X-Filler: 1"] * 100), False),
+        "no colon": (reply(200, b"{}", "X-Filler " + "1" * 80), False),
+        "long line": (reply(200, b"{}", "X-Filler: " + "1" * 65536), False),
+        "short body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", True),
+        "short head": (b"HTTP/1.1 200 OK\r\nContent-", True),
+    }
+
+    @pytest.mark.parametrize("bad, close", BAD_REPLIES.values(), ids=BAD_REPLIES)
+    def test_a_reply_in_other_framing_fails_and_costs_its_connection(
+        self, scripted, connects, bad, close
+    ):
+        scripted.replies += [(reply(), False), (bad, close), (reply(), False)]
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        assert handle._request("GET", "/v1/health", "t") == b"{}"
+        with pytest.raises(ServerError):
+            handle._request("GET", "/v1/health", "t")
+        assert handle._request("GET", "/v1/health", "t") == b"{}"
+        handle.close()
+        assert len(connects) == 2
+
+    def test_a_hundred_field_lines_are_read(self, scripted, connects):
+        # The Content-Length line is the hundredth.
+        scripted.replies += [(reply(200, b"{}", *["X-Filler: 1"] * 99), False)] * 2
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        for _ in range(2):
+            assert handle._request("GET", "/v1/health", "t") == b"{}"
+        handle.close()
+        assert len(connects) == 1
+
+    def test_connection_close_ends_the_connection_after_its_reply(self, scripted, connects):
+        scripted.replies += [(reply(200, b'{"a": 1}', "Connection: close"), True), (reply(), False)]
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        assert handle._request("GET", "/v1/health", "t") == b'{"a": 1}'
+        assert handle._request("GET", "/v1/health", "t") == b"{}"
+        handle.close()
+        assert len(connects) == 2
+
+    def test_a_deeply_nested_error_body_is_a_server_error(self, scripted, connects):
+        # A 500 in good framing keeps the connection, as a 404 does.
+        scripted.replies += [(reply(500, b"[" * 100000), False), (reply(), False)]
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        with pytest.raises(ServerError, match="server returned 500"):
+            handle._request("GET", "/v1/health", "t")
+        assert handle._request("GET", "/v1/health", "t") == b"{}"
+        handle.close()
+        assert len(connects) == 1
+
+    def test_a_token_that_would_break_the_head_is_refused_unsent(self, scripted, connects):
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        for token in ["mock:A\r\nX-Injected: 1", "mock:A\n", "mock:\x00A"]:
+            with pytest.raises(ValueError):
+                handle.upload(token, new_capability())
+        handle.close()
+        assert (connects, scripted.requests) == ([], [])

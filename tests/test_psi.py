@@ -1,10 +1,12 @@
 """The interactive intersection protocol: flows, failures, privacy."""
 
 import hashlib
+import json
 import secrets
 import socket
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from sopal.psi import (
     recv_frame,
 )
 
-from helpers import RecordingSession, sized_session, v1_filter_blob
+from helpers import RecordingSession, replay_frame_vector, sized_session, v1_filter_blob
 from oracles import brute_intersection
 
 
@@ -567,6 +569,30 @@ class TestChallengeTags:
         tags = {chal[i : i + 32] for i in range(4, len(chal), 32)}
         assert len(tags) >= len(shared)
         assert tags <= prefixes
+
+
+class TestFrameVector:
+    def test_known_answer_vector(self):
+        # inputs and frames fixed when this wire version was current
+        # (tests/make_vectors.py); a byte change without a version bump
+        # fails here
+        path = Path(__file__).parent / "vectors" / f"frame_v{WIRE_VERSION}.json"
+        vector = json.loads(path.read_text())
+        assert vector["version"] == WIRE_VERSION
+        sessions, frames = replay_frame_vector(vector)
+        assert [(f["sender"], f["type"]) for f in vector["frames"]] == [
+            ("initiator", MSG_HELLO),
+            ("responder", MSG_HELLO),
+            ("initiator", MSG_BF),
+            ("responder", MSG_CHAL),
+            ("initiator", MSG_RESP),
+        ]
+        assert [(sender, frame.hex()) for sender, frame in frames] == [
+            (f["sender"], f["frame"]) for f in vector["frames"]
+        ]
+        intersection = {bytes.fromhex(value) for value in vector["intersection"]}
+        assert sessions["initiator"].matched_values == intersection
+        assert sessions["responder"].matched_values == intersection
 
 
 class TestParsersOnArbitraryBytes:

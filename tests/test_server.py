@@ -2,7 +2,6 @@
 probe."""
 
 import contextlib
-import gc
 import http.client
 import json
 import re
@@ -15,7 +14,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -40,7 +38,12 @@ from sopal.server import (
 )
 from sopal.store import CapabilityStore, NotEnrolledError
 
-from helpers import adjacency_from_edges, assert_anonymous_runs, self_signed_cert
+from helpers import (
+    adjacency_from_edges,
+    assert_anonymous_runs,
+    no_resource_warnings,
+    self_signed_cert,
+)
 
 
 GROUND = adjacency_from_edges(
@@ -82,32 +85,6 @@ def fresh_server():
     server.start()
     yield server
     server.stop()
-
-
-@pytest.fixture
-def connects(monkeypatch):
-    """Every HTTP(S) client connection that connected, in order."""
-    calls = []
-    original = http.client.HTTPConnection.connect
-
-    def connect(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
-    return calls
-
-
-@contextlib.contextmanager
-def no_resource_warnings():
-    """Fail if a socket (or other resource) left unclosed in the block is
-    finalised; earlier garbage is collected first, so it is not counted."""
-    gc.collect()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-        gc.collect()
-    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def exchange(conn, method, path, token=None, body=None):
@@ -785,7 +762,8 @@ class TestRequestFraming:
         assert fresh_server.store.record_of("A").cap == cap
 
     def test_no_request_goes_through_the_email_parser(self, fresh_server, monkeypatch):
-        # http.server parses headers by calling http.client.parse_headers
+        # http.server parses request heads, and http.client's getresponse
+        # reply heads, by calling http.client.parse_headers
         def email_parse(*args, **kwargs):
             raise AssertionError("http.client.parse_headers called")
 
@@ -796,6 +774,12 @@ class TestRequestFraming:
             assert read_reply(reader)[0] == 200
             sock.sendall(raw_request(*DOWNLOAD))
             assert read_reply(reader)[0] == 200
+        assert fresh_server.store.record_of("A").cap == cap
+        handle = HttpServerHandle(fresh_server.url)
+        cap = new_capability()
+        handle.upload("mock:A", cap)
+        assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+        handle.close()
         assert fresh_server.store.record_of("A").cap == cap
 
     @settings(
