@@ -45,7 +45,7 @@ server = SopalHttpServer(SlowStore(store), connector, insecure_plaintext=True)
 server.start()
 print(f"server listening on {server.url}")
 
-# Both clients run in this thread, so they share its one connection.
+# The two clients request one after another, so they share one connection.
 handle = HttpServerHandle(server.url)
 try:
     a = DiscoveryClient("0", handle)

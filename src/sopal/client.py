@@ -23,6 +23,7 @@ advanced ``rejectSoPaLSession``, ``updateCapabilities`` and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import http.client
 import json
@@ -157,6 +158,8 @@ _SERVER_URL = re.compile(
 
 # The limits the server reads a request head by, applied to each reply.
 _MAX_FIELD_LINES, _MAX_LINE_BYTES = 100, 65536
+# The largest reply body read (64 MiB), psi's cap on a CHAL or RESP payload.
+MAX_REPLY_BYTES = 2**26
 _STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([2-5][0-9]{2})(?: [^\r\n]*)?\r?\n")
 
 
@@ -177,8 +180,12 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
     lengths = [value for name, value in fields if name == b"content-length"]
     if len(lengths) != 1 or not lengths[0].isdigit() or b"transfer-encoding" in dict(fields):
         raise ValueError("reply not framed by one Content-Length")
-    body = reader.read(int(lengths[0]))
-    if len(body) < int(lengths[0]):
+    # The digit count goes first: read() fails on a length too large for an index.
+    digits = lengths[0].lstrip(b"0") or b"0"
+    if len(digits) > len(str(MAX_REPLY_BYTES)) or int(digits) > MAX_REPLY_BYTES:
+        raise ValueError(f"reply body exceeds {MAX_REPLY_BYTES} bytes")
+    body = reader.read(int(digits))
+    if len(body) < int(digits):
         raise ValueError("reply body ended before its Content-Length")
     return int(status[1]), (b"connection", b"close") in fields, body
 
@@ -186,25 +193,24 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
 class HttpServerHandle:
     """Server access over HTTP, matching :mod:`sopal.server`'s routes.
 
-    Each calling thread keeps one persistent HTTP/1.1 connection, so a
-    client that renews, uploads and downloads again and again connects
-    once, not once per request.  :meth:`close` closes the caller's
-    connection and those of threads that have ended, and a thread's
-    first request does the same, so a pool's ended workers leave no
-    socket open; a live thread's connection is its own.  A request goes out
-    in one write; if a reused connection ends before a status line (the
-    server's idle timeout, say), it is sent once more on a fresh one,
-    which is safe because every route is idempotent.
+    A request, from any thread, takes the most recently used idle HTTP/1.1
+    connection, or connects, and puts it back after its reply, so requests
+    one after another connect once and no more connections open than
+    requests ever ran at once; :meth:`close` closes the idle ones.  A
+    request goes out in one write; if a reused connection ends before a
+    status line (the server's idle timeout, say), it is sent once more on
+    a fresh one, which is safe because every route is idempotent.
     Reply framing: an ``HTTP/1.0`` or ``HTTP/1.1`` status line with a code
     from 200 to 599; at most 100 field lines of at most 65,536 bytes, each
-    with a colon; exactly one all-digit ``Content-Length``, no
-    ``Transfer-Encoding``, and the whole body.  ``Connection: close``
-    closes the connection after the reply.  ``https`` URLs get an
-    ``HTTPSConnection`` with the default TLS context, which verifies the
-    server's certificate against the system trust store, or against the
-    file that ``SSL_CERT_FILE`` names.  A request raises :class:`AuthError`
-    on a 401, ``NotEnrolledError`` on a 403 and :class:`ServerError`, which
-    closes the connection, on any other failure, other framing included.
+    with a colon; exactly one all-digit ``Content-Length`` of at most
+    ``MAX_REPLY_BYTES``, no ``Transfer-Encoding``, and the whole body.
+    ``Connection: close`` closes the connection after the reply.
+    ``https`` URLs get an ``HTTPSConnection`` with the default TLS context,
+    which verifies the server's certificate against the system trust
+    store, or against the file that ``SSL_CERT_FILE`` names.  A request
+    raises :class:`AuthError` on a 401, ``NotEnrolledError`` on a 403 and
+    :class:`ServerError`, which closes the connection, on any other
+    failure, other framing included.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0):
@@ -219,16 +225,14 @@ class HttpServerHandle:
         )
         self._host_field = f"Host: {match['netloc']}\r\n"
         self._path_prefix = match["prefix"]
-        self._conns: dict[threading.Thread, tuple[http.client.HTTPConnection, BinaryIO]] = {}
+        self._idle: list[tuple[http.client.HTTPConnection, BinaryIO]] = []
 
     def close(self) -> None:
-        """Close the calling thread's connection and those of every thread
-        that has ended; a live thread's next request opens a new one."""
-        caller = threading.current_thread()
-        for thread in list(self._conns):
-            if thread is caller or not thread.is_alive():
-                # pop, not del: two threads may close at once
-                for part in self._conns.pop(thread, ()):
+        """Close every idle connection, popping each, as requests may put
+        theirs back meanwhile; one in flight is left for the next close."""
+        with contextlib.suppress(IndexError):
+            while True:
+                for part in self._idle.pop():
                     part.close()
 
     def _request(self, method: str, path: str, token: str, body: bytes | None = None) -> bytes:
@@ -239,10 +243,9 @@ class HttpServerHandle:
         if body is not None:
             head += f"Content-Length: {len(body)}\r\n"
         request = (head + "\r\n").encode("latin-1") + (body or b"")
-        thread = threading.current_thread()
-        conn, reader = self._conns.pop(thread, (None, None))
-        if conn is None:
-            self.close()
+        conn = reader = None
+        with contextlib.suppress(IndexError):
+            conn, reader = self._idle.pop()
         for retry in (conn is not None, False):
             try:
                 if conn is None:
@@ -262,9 +265,11 @@ class HttpServerHandle:
                 if isinstance(exc, (OSError, ValueError)):
                     raise ServerError(str(exc)) from exc
                 raise
-        self._conns[thread] = conn, reader
         if close:
-            self.close()
+            reader.close()
+            conn.close()
+        else:
+            self._idle.append((conn, reader))
         if 200 <= status < 300:
             return data
         detail = ""

@@ -29,10 +29,9 @@ read as a request.
 
 :func:`load_probe` is the matching measurement client: it fires bursts
 of downloads per second at a running ``http`` or ``https`` server from a
-standard thread pool, one :class:`~sopal.client.HttpServerHandle`
-connection per worker, which the handle closes when each rate ends (a
-request that raises counts as failed), and reports per-second
-responses, latency and the knee.
+standard thread pool through one :class:`~sopal.client.HttpServerHandle`
+for the whole sweep (a request that raises counts as failed), and
+reports per-second responses, latency and the knee.
 The server adds no cost of its own; to see saturation at desk scale,
 hand it a store whose ``distribute`` is slower, as demo 04 does.
 """
@@ -443,37 +442,32 @@ def load_probe(
         raise ValueError(f"rates must be at least 1, got {list(rates)}")
     if dmax < 0:
         raise ValueError(f"dmax must be at least 0, got {dmax}")
-    handle = HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)
-
-    def timed_download() -> tuple[float, float]:
-        start = time.perf_counter()
-        handle.download(token, dmax)
-        end = time.perf_counter()
-        return end - start, end
-
-    try:
-        baseline = statistics.median(timed_download()[0] for _ in range(5))
-    finally:
-        handle.close()
-
     seconds = max(1, round(duration_s))
     samples = []
-    for rate in rates:
-        try:
+    with contextlib.closing(HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)) as handle:
+
+        def timed_download() -> tuple[float, float]:
+            start = time.perf_counter()
+            handle.download(token, dmax)
+            end = time.perf_counter()
+            return end - start, end
+
+        baseline = statistics.median(timed_download()[0] for _ in range(5))
+        for rate in rates:
             # The pool starts a worker only when none is idle.
             with ThreadPoolExecutor(min(512, max(8, 2 * rate))) as pool:
                 futures, start = [], time.perf_counter()
                 for sec in range(seconds):
                     futures += [pool.submit(timed_download) for _ in range(rate)]
                     time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
-        finally:
-            handle.close()  # the ended workers' connections
-        done = sorted(future.result() for future in futures if not future.exception())
-        finished = [int(end - start) for _, end in done]
-        per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
-        latencies = [latency for latency, _ in done]
-        failed = len(futures) - len(done)
-        samples.append(RateSample(rate, rate * seconds, len(done), failed, latencies, per_second))
+            done = sorted(future.result() for future in futures if not future.exception())
+            finished = [int(end - start) for _, end in done]
+            per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
+            latencies = [latency for latency, _ in done]
+            failed = len(futures) - len(done)
+            samples.append(
+                RateSample(rate, rate * seconds, len(done), failed, latencies, per_second)
+            )
 
     knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
     return LoadReport(baseline, float(seconds), samples, knee)

@@ -6,6 +6,9 @@ changes and its version is bumped:
 
     PYTHONPATH=src python tests/make_vectors.py
 
+CI runs it too, and fails if it changes or adds any file under
+``tests/vectors/``.
+
 It writes, under ``tests/vectors/``:
 
 * ``filter_v<BF_WIRE_VERSION>.json``: the inputs (salt, context, beta,

@@ -393,6 +393,26 @@ class TestErrorClasses:
         err = capsys.readouterr().err
         assert "server unreachable: malformed download" in err
 
+    def test_huge_reply_length_is_a_server_failure(self, tmp_path, capsys):
+        members = tmp_path / "members.txt"
+        members.write_text("A\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_huge_length():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(4096)
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 30 + b"\r\n\r\n")
+
+            peer = threading.Thread(target=answer_huge_length)
+            peer.start()
+            addr = "127.0.0.1:%d" % listener.getsockname()[1]
+            assert main(["enroll", "--members", str(members), "--addr", addr]) == 4
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+        err = capsys.readouterr().err
+        assert "server unreachable" in err and "Traceback" not in err
+
     def test_silent_server_times_out_as_a_server_failure(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             host, port = listener.getsockname()

@@ -6,6 +6,7 @@ import random
 import re
 import socket
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -656,9 +657,10 @@ class TestSessionApi:
 
 
 class ScriptedServer:
-    """A raw HTTP peer on loopback for one client thread.  It records the
-    bytes of each request it reads and answers with the next scripted
-    reply, then closes the connection if that reply is marked ``close``."""
+    """A raw HTTP peer on loopback, one connection at a time.  It records
+    the bytes of each request it reads and answers with the next scripted
+    reply once ``release`` is set (it starts set), then closes the
+    connection if that reply is marked ``close``."""
 
     def __init__(self):
         self._listener = socket.create_server(("127.0.0.1", 0))
@@ -666,6 +668,8 @@ class ScriptedServer:
         self.netloc = "127.0.0.1:%d" % self._listener.getsockname()[1]
         self.requests: list[bytes] = []
         self.replies: list[tuple[bytes, bool]] = []
+        self.release = threading.Event()
+        self.release.set()
         self._stopped = threading.Event()
         self._thread = threading.Thread(target=self._serve)
         self._thread.start()
@@ -690,6 +694,7 @@ class ScriptedServer:
                         body = reader.read(int(length[1])) if length else b""
                         self.requests.append(head + b"\r\n" + body)
                         reply, close = self.replies.pop(0)
+                        self.release.wait(timeout=10)
                         sock.sendall(reply)
                         if close:
                             break
@@ -762,6 +767,8 @@ class TestReplyReader:
         "long line": (reply(200, b"{}", "X-Filler: " + "1" * 65536), False),
         "short body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", True),
         "short head": (b"HTTP/1.1 200 OK\r\nContent-", True),
+        "huge length": (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 30 + b"\r\n\r\n", False),
+        "over the cap": (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (2**26 + 1), False),
     }
 
     @pytest.mark.parametrize("bad, close", BAD_REPLIES.values(), ids=BAD_REPLIES)
@@ -776,6 +783,28 @@ class TestReplyReader:
         assert handle._request("GET", "/v1/health", "t") == b"{}"
         handle.close()
         assert len(connects) == 2
+
+    def test_close_leaves_a_request_in_flight_its_connection(self, scripted, connects):
+        scripted.replies.append((reply(), False))
+        scripted.release.clear()
+        handle = HttpServerHandle(f"http://{scripted.netloc}")
+        results = []
+        in_flight = threading.Thread(
+            target=lambda: results.append(handle._request("GET", "/v1/health", "t"))
+        )
+        in_flight.start()
+        deadline = time.monotonic() + 10
+        while not scripted.requests and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(connects) == 1
+        handle.close()  # from this thread while the other's reply is held back
+        assert connects[0].sock is not None
+        scripted.release.set()
+        in_flight.join(timeout=10)
+        assert results == [b"{}"]
+        assert connects[0].sock is not None
+        handle.close()
+        assert [conn.sock for conn in connects] == [None]
 
     def test_a_hundred_field_lines_are_read(self, scripted, connects):
         # The Content-Length line is the hundredth.

@@ -306,26 +306,22 @@ class TestEndpoints:
 
 
 class TestPersistentConnections:
-    def test_one_connection_per_calling_thread(self, fresh_server, connects):
+    def test_requests_one_after_another_share_one_connection(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)
         for _ in range(5):
             assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
         handle.upload("mock:A", new_capability())
         assert len(connects) == 1
-
-        def work():
-            for _ in range(3):
-                handle.download("mock:A", 1)
+        with no_resource_warnings():
+            # from five threads, run one after another
+            for _ in range(5):
+                t = threading.Thread(target=handle.download, args=("mock:A", 1))
+                t.start()
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert len(connects) == 1
             handle.close()
-
-        threads = [threading.Thread(target=work) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        handle.close()
-        assert len(connects) == 3
+        assert [conn.sock for conn in connects] == [None]
 
     def test_close_closes_the_connections_of_ended_pool_workers(self, fresh_server, connects):
         handle = HttpServerHandle(fresh_server.url)
@@ -337,23 +333,9 @@ class TestPersistentConnections:
         assert 1 <= len(connects) <= 3
         assert [conn.sock for conn in connects] == [None] * len(connects)
 
-    def test_a_threads_first_request_closes_ended_threads_connections(
-        self, fresh_server, connects
-    ):
-        handle = HttpServerHandle(fresh_server.url)
-        for _ in range(5):
-            t = threading.Thread(target=handle.download, args=("mock:A", 1))
-            t.start()
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert len(connects) == 5
-        assert sum(conn.sock is not None for conn in connects) <= 1
-        handle.close()
-        assert [conn.sock for conn in connects] == [None] * 5
-
     def test_racing_first_requests_close_each_ended_connection_once(self, fresh_server, connects):
-        # Each wave's first requests race to close the last wave's ended
-        # workers' connections.
+        # Each wave's requests race to take and put back the connections
+        # that the last wave left idle.
         handle = HttpServerHandle(fresh_server.url)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -402,7 +384,9 @@ class TestPersistentConnections:
         assert isinstance(raised.value.__cause__, ConnectionError)
 
     @pytest.mark.parametrize("connections", [1, 16])
-    def test_stop_waits_for_the_handler_threads(self, fresh_server, monkeypatch, connections):
+    def test_stop_waits_for_the_handler_threads(
+        self, fresh_server, monkeypatch, connects, connections
+    ):
         finish = _Handler.finish
 
         def slow_finish(handler):
@@ -411,20 +395,22 @@ class TestPersistentConnections:
 
         monkeypatch.setattr(_Handler, "finish", slow_finish)
         before = set(threading.enumerate())
-        handle = HttpServerHandle(fresh_server.url)
         downloaded = threading.Barrier(connections + 1)
         stopped = threading.Event()
 
         def client():
+            # A handle of its own, so no client takes another's idle connection.
+            handle = HttpServerHandle(fresh_server.url)
             handle.download("mock:A", 1)
             downloaded.wait(timeout=10)
             stopped.wait(timeout=10)
-            handle.close()  # its own thread's connection
+            handle.close()
 
         clients = [threading.Thread(target=client) for _ in range(connections)]
         for t in clients:
             t.start()
         downloaded.wait(timeout=10)
+        assert len(connects) == connections
         start = time.perf_counter()
         fresh_server.stop()
         elapsed = time.perf_counter() - start
