@@ -23,10 +23,10 @@ import threading
 from sopal.client import AuthError, DiscoveryClient, HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import load_edge_list, load_membership
-from sopal.psi import recv_frame
+from sopal.psi import DEFAULT_FP_TARGET, recv_frame
 from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import SimConfig, load_graph_source, run_coverage
-from sopal.store import CapabilityStore, NotEnrolledError
+from sopal.store import DEFAULT_TTL_S, CapabilityStore, NotEnrolledError
 
 EXIT_MISSING_FILE = 3
 EXIT_UNREACHABLE = 4
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--members", help="optionally pre-enroll ids from this file")
     serve.add_argument("--addr", default=DEFAULT_ADDR, help="host:port to bind")
     serve.add_argument("--dmax", type=int, default=1)
-    serve.add_argument("--ttl-hours", type=float, default=48.0)
+    serve.add_argument("--ttl-hours", type=float, default=DEFAULT_TTL_S / 3600.0)
     serve.add_argument("--tls-cert", help="PEM certificate; omit for plaintext test mode")
     serve.add_argument("--tls-key", help="PEM private key")
     serve.add_argument(
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("uid_b")
     discover.add_argument("--addr", default=DEFAULT_ADDR, help=CLIENT_ADDR_HELP)
     discover.add_argument("--dmax", type=int, default=1)
-    discover.add_argument("--fp-target", type=float, default=0.001)
+    discover.add_argument("--fp-target", type=float, default=DEFAULT_FP_TARGET)
 
     simulate = sub.add_parser("simulate", help="run the coverage simulation")
     simulate.add_argument(
@@ -115,10 +115,6 @@ def cmd_serve(args) -> int:
             store.default_ttl_s = ttl_s
         else:
             store = CapabilityStore(connector=connector, default_ttl_s=ttl_s)
-        if args.state:
-            # Written once before serving, so a path that cannot hold the
-            # snapshot fails now instead of losing the records at shutdown.
-            store.save_snapshot(args.state)
     except OSError as exc:
         raise ValueError(f"cannot use state file {args.state}: {exc}") from exc
     if args.members:
@@ -140,6 +136,14 @@ def cmd_serve(args) -> int:
         raise
     except OSError as exc:
         raise ValueError(f"cannot listen on {host}:{port}: {exc}") from exc
+    if args.state:
+        # Written after every other check passed and before serving, so an
+        # unusable path fails now instead of losing the records at shutdown.
+        try:
+            store.save_snapshot(args.state)
+        except OSError as exc:
+            server.stop()
+            raise ValueError(f"cannot use state file {args.state}: {exc}") from exc
     # Set before the announcement, so a SIGTERM sent on reading it stops cleanly.
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
@@ -191,9 +195,10 @@ def cmd_discover(args) -> int:
     results = [None, None]
 
     def run(side, client, peer, sock):
-        results[side] = client.run_discovery(
-            peer, sock.sendall, lambda: recv_frame(sock), initiate=side == 0
-        )
+        with sock.makefile("rb") as reader:
+            results[side] = client.run_discovery(
+                peer, sock.sendall, lambda: recv_frame(reader), initiate=side == 0
+            )
 
     sock_a, sock_b = socket.socketpair()
     with sock_a, sock_b:

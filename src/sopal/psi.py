@@ -379,21 +379,15 @@ class PsiSession:
         return plaintext
 
 
-def recv_frame(sock) -> bytes:
-    """Read exactly one frame from a stream socket."""
-    header = _recv_exact(sock, HEADER_LEN)
-    length = int.from_bytes(header[18:22], "big")
-    _check_declared_length(header[1], length)
-    return header + _recv_exact(sock, length)
-
-
-def _recv_exact(sock, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ProtocolError("peer closed the connection mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def recv_frame(reader) -> bytes:
+    """Read exactly one frame from a buffered binary stream, such as a
+    socket's ``makefile("rb")``.  The reader may read ahead past the
+    frame, so every frame of one stream must go through one reader."""
+    header = reader.read(HEADER_LEN)
+    if len(header) == HEADER_LEN:
+        length = int.from_bytes(header[18:22], "big")
+        _check_declared_length(header[1], length)
+        payload = reader.read(length)
+        if len(payload) == length:
+            return header + payload
+    raise ProtocolError("peer closed the connection mid-frame")

@@ -167,6 +167,7 @@ class _PairPool(Sequence):
     within a row, in index order: the order of a list built by scanning
     every member pair, so ``random.Random.sample`` draws the same pairs
     from it, with a few big-int operations per item and no list of pairs.
+    Iteration is the ``Sequence`` mixin's, one index lookup per item.
     """
 
     def __init__(self, rows: list[tuple[int, int]]):
@@ -192,13 +193,6 @@ class _PairPool(Sequence):
             else:
                 hi = mid
         return i, lo
-
-    def __iter__(self):
-        for i, mask in self._rows:
-            while mask:
-                low = mask & -mask
-                yield i, low.bit_length() - 1
-                mask ^= low
 
 
 def _reach_masks(nbrs: Sequence[Sequence[int]], depth: int) -> list[list[int]]:

@@ -176,7 +176,7 @@ class CapabilityStore:
             self.graph.record_member(uid, friends)
             self._put(CapRecord(uid, cap, MEMBER, now, self.default_ttl_s))
 
-    def expire_and_refresh(self, now: float | None = None) -> int:
+    def expire_and_refresh(self) -> int:
         """Apply TTLs; returns how many records expired.
 
         Expired member records are marked stale and drop out of
@@ -184,8 +184,7 @@ class CapabilityStore:
         get fresh random values, so their old values stop matching in any
         later discovery.
         """
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         count = 0
         with self._lock:
             for uid, rec in list(self._records.items()):

@@ -87,7 +87,8 @@ def replay_snapshot_vector(vector) -> CapabilityStore:
     )
     for clock.now, uid, cap in vector["uploads"]:
         store.upload_capability(uid, bytes.fromhex(cap))
-    store.expire_and_refresh(vector["expire_at"])
+    clock.now = vector["expire_at"]
+    store.expire_and_refresh()
     return store
 
 

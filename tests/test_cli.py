@@ -15,12 +15,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import sopal.cli
-from sopal.cli import main
+from sopal.cli import build_parser, main
 from sopal.client import HttpServerHandle, ServerError
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector, SopalHttpServer
-from sopal.store import CapabilityStore
+from sopal.psi import DEFAULT_FP_TARGET
+from sopal.store import DEFAULT_TTL_S, CapabilityStore
 
 from helpers import adjacency_from_edges, self_signed_cert
 
@@ -460,6 +461,51 @@ class TestServeParser:
         argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
         argv += ["--insecure-plaintext", "--members", str(tmp_path / "absent.txt")]
         assert main(argv + ["--state", str(tmp_path / "state.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            (["--insecure-plaintext", "--dmax", "-1"], 5),
+            (["--tls-cert", "absent.pem", "--tls-key", "absent.pem"], 3),
+            (["--insecure-plaintext", "--members", "absent.txt"], 3),
+        ],
+        ids=["negative-dmax", "missing-certificate", "missing-members"],
+    )
+    def test_refused_arguments_write_no_state_file(
+        self, graph_file, tmp_path, monkeypatch, capsys, extra, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        state = tmp_path / "state.json"
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        assert main(argv + ["--state", str(state), *extra]) == code
+        assert not state.exists()
+
+    def test_unusable_state_path_closes_the_bound_server(
+        self, graph_file, tmp_path, monkeypatch, capsys
+    ):
+        servers = []
+
+        class RecordedServer(SopalHttpServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+        monkeypatch.setattr(sopal.cli, "SopalHttpServer", RecordedServer)
+        state = tmp_path / "nodir" / "state.json"
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        assert main(argv + ["--insecure-plaintext", "--state", str(state)]) == 5
+        assert f"cannot use state file {state}" in capsys.readouterr().err
+        assert [server.socket.fileno() for server in servers] == [-1]
+
+    def test_defaults_come_from_the_library_constants(self, monkeypatch):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--graph", "g"]).ttl_hours * 3600.0 == DEFAULT_TTL_S
+        assert parser.parse_args(["discover", "A", "B"]).fp_target == DEFAULT_FP_TARGET
+        monkeypatch.setattr(sopal.cli, "DEFAULT_TTL_S", 7200.0)
+        monkeypatch.setattr(sopal.cli, "DEFAULT_FP_TARGET", 0.25)
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--graph", "g"]).ttl_hours == 2.0
+        assert parser.parse_args(["discover", "A", "B"]).fp_target == 0.25
 
 
 class TestServeExpiry:

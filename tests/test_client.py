@@ -610,13 +610,14 @@ class TestSessionApi:
     def test_discovery_over_stream_sockets(self):
         a, b = self.make_pair()
         sock_a, sock_b = socket.socketpair()
+        reader_a, reader_b = sock_a.makefile("rb"), sock_b.makefile("rb")
         results = {}
 
         def run_b():
             results["b"] = b.run_discovery(
                 "A",
                 sock_b.sendall,
-                lambda: recv_frame(sock_b),
+                lambda: recv_frame(reader_b),
                 initiate=False,
             )
 
@@ -625,12 +626,12 @@ class TestSessionApi:
         results["a"] = a.run_discovery(
             "B",
             sock_a.sendall,
-            lambda: recv_frame(sock_a),
+            lambda: recv_frame(reader_a),
             initiate=True,
         )
         thread.join()
-        sock_a.close()
-        sock_b.close()
+        for stream in (reader_a, reader_b, sock_a, sock_b):
+            stream.close()
         assert results["a"].dist == results["b"].dist == 2
 
     def test_concurrent_sessions_share_the_cache(self):
