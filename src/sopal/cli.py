@@ -1,12 +1,12 @@
 """Operator entry points.
 
 Subcommands: ``serve`` (run the capability server), ``enroll`` (upload
-capabilities for listed users), ``discover`` (two local clients over a
-socket pair), ``simulate`` (coverage CSV), and ``loadprobe`` (throughput
-report).  Each error class has one exit code: 3 for a missing file, 4
-for any failure on the server's side (``ServerError``), 5 for malformed
-configuration or a local file or address that cannot be used, 6 for a
-refused token or an unenrolled user.
+capabilities for listed users), ``discover`` (two local clients whose
+frames are relayed in process), ``simulate`` (coverage CSV), and
+``loadprobe`` (throughput report).  Each error class has one exit code:
+3 for a missing file, 4 for any failure on the server's side
+(``ServerError``), 5 for malformed configuration or a local file or
+address that cannot be used, 6 for a refused token or an unenrolled user.
 """
 
 from __future__ import annotations
@@ -16,14 +16,19 @@ import contextlib
 import logging
 import os
 import signal
-import socket
 import sys
 import threading
 
-from sopal.client import AuthError, DiscoveryClient, HttpServerHandle, ServerError
+from sopal.client import (
+    AuthError,
+    DiscoveryClient,
+    HttpServerHandle,
+    ServerError,
+    run_discovery_pair,
+)
 from sopal.crypto import new_capability
 from sopal.graph import load_edge_list, load_membership
-from sopal.psi import DEFAULT_FP_TARGET, recv_frame
+from sopal.psi import DEFAULT_FP_TARGET
 from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
 from sopal.sim import SimConfig, load_graph_source, run_coverage
 from sopal.store import DEFAULT_TTL_S, CapabilityStore, NotEnrolledError
@@ -41,8 +46,8 @@ EXPIRY_SWEEP_S = 60.0
 
 def _parse_addr(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be host:port, got {addr!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be host:port with a port of 0-65535, got {addr!r}")
     return host, int(port)
 
 
@@ -109,6 +114,8 @@ def cmd_serve(args) -> int:
     adjacency = load_edge_list(args.graph)
     connector = MockOsnConnector(adjacency)
     ttl_s = args.ttl_hours * 3600.0
+    if not 0 < ttl_s < float("inf"):
+        raise ValueError(f"--ttl-hours must be a positive finite number, got {args.ttl_hours}")
     try:
         if args.state and os.path.exists(args.state):
             store = CapabilityStore.load_snapshot(args.state, connector)
@@ -117,9 +124,10 @@ def cmd_serve(args) -> int:
             store = CapabilityStore(connector=connector, default_ttl_s=ttl_s)
     except OSError as exc:
         raise ValueError(f"cannot use state file {args.state}: {exc}") from exc
-    if args.members:
-        for uid in load_membership(args.members):
-            store.upload_capability(uid, new_capability())
+    for uid in load_membership(args.members) if args.members else ():
+        if uid not in adjacency:
+            raise ValueError(f"member {uid!r} of {args.members} is not in the graph")
+        store.upload_capability(uid, new_capability())
     host, port = _parse_addr(args.addr)
     try:
         server = SopalHttpServer(
@@ -192,28 +200,12 @@ def cmd_discover(args) -> int:
             client.renew_capability()
             client.update_capabilities()
 
-    results = [None, None]
-
-    def run(side, client, peer, sock):
-        with sock.makefile("rb") as reader:
-            results[side] = client.run_discovery(
-                peer, sock.sendall, lambda: recv_frame(reader), initiate=side == 0
-            )
-
-    sock_a, sock_b = socket.socketpair()
-    with sock_a, sock_b:
-        responder = threading.Thread(target=run, args=(1, client_b, args.uid_a, sock_b))
-        responder.start()
-        run(0, client_a, args.uid_b, sock_a)
-        responder.join()
-
+    results = run_discovery_pair(client_a, client_b)
     for uid, res in zip((args.uid_a, args.uid_b), results):
         dist = res.dist if res.dist is not None else "none"
-        print(f"{uid}: Dist={dist} matches={res.match_count}", end="")
-        if res.common_friend_ids:
-            print(f" common_friends={','.join(sorted(res.common_friend_ids))}")
-        else:
-            print()
+        line = f"{uid}: Dist={dist} matches={res.match_count}"
+        common = ",".join(sorted(res.common_friend_ids))
+        print(f"{line} common_friends={common}" if common else line)
     return 0
 
 

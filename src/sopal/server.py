@@ -442,6 +442,8 @@ def load_probe(
         raise ValueError(f"rates must be at least 1, got {list(rates)}")
     if dmax < 0:
         raise ValueError(f"dmax must be at least 0, got {dmax}")
+    if not abs(duration_s) < float("inf"):
+        raise ValueError(f"duration_s must be finite, got {duration_s}")
     seconds = max(1, round(duration_s))
     samples = []
     with contextlib.closing(HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)) as handle:

@@ -327,6 +327,8 @@ class CapabilityStore:
                 )
                 if rec.kind not in (MEMBER, ERSATZ):
                     raise ValueError(f"record {rec.uid!r} has unknown kind {rec.kind!r}")
+                if rec.uid in store._records:
+                    raise ValueError(f"record {rec.uid!r} is listed twice")
                 store._check_length(rec.cap)
                 store._records[rec.uid] = rec
             edges = [_typed(edge, list) for edge in _typed(body["edges"], list)]

@@ -663,6 +663,64 @@ class TestServeProcess:
         assert "serving on" not in proc.stdout
 
 
+class TestOutOfRangeInputs:
+    """Out-of-range inputs are bad configuration (exit 5), not a traceback or a
+    server that runs."""
+
+    def run_cli(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sopal.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+
+    def test_member_the_graph_lacks(self, tmp_path, graph_file):
+        members = tmp_path / "members.txt"
+        members.write_text("A\nZ\n")
+        state = tmp_path / "state.json"
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        argv += ["--insecure-plaintext", "--state", str(state)]
+        proc = self.run_cli(*argv, "--members", str(members))
+        assert proc.returncode == 5
+        assert "'Z'" in proc.stderr and "Traceback" not in proc.stderr
+        assert not state.exists()
+
+    def test_port_above_65535(self, graph_file):
+        argv = ["serve", "--graph", str(graph_file), "--insecure-plaintext"]
+        proc = self.run_cli(*argv, "--addr", "127.0.0.1:70000")
+        assert proc.returncode == 5
+        assert "0-65535" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_infinite_probe_duration(self):
+        # nothing listens on the discard port, so a probe that sent a
+        # request would exit 4 for an unreachable server
+        argv = ["loadprobe", "--addr", "127.0.0.1:9", "--uid", "A", "--rates", "1"]
+        proc = self.run_cli(*argv, "--duration", "inf")
+        assert proc.returncode == 5
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("hours", ["0", "-1", "nan", "inf", "1e308"])
+    def test_ttl_hours_not_positive_and_finite(self, tmp_path, graph_file, capsys, hours):
+        # a state file that was read would be refused as malformed instead
+        state = tmp_path / "state.json"
+        state.write_text("{not json")
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        argv += ["--insecure-plaintext", "--state", str(state), "--ttl-hours", hours]
+        assert main(argv) == 5
+        assert "--ttl-hours must be a positive finite number" in capsys.readouterr().err
+        assert state.read_text() == "{not json"
+
+    def test_snapshot_that_repeats_an_id(self, tmp_path, graph_file):
+        record = {"id": "A", "cap": "00" * 32, "kind": "member"}
+        record.update(created_at=0.0, ttl_s=3600.0, stale=False)
+        state = tmp_path / "state.json"
+        body = {"format_version": 3, "default_ttl_s": 3600.0, "edges": []}
+        body["records"] = [record, dict(record, kind="ersatz")]
+        state.write_text(json.dumps(body))
+        argv = ["serve", "--graph", str(graph_file), "--addr", "127.0.0.1:0"]
+        proc = self.run_cli(*argv, "--insecure-plaintext", "--state", str(state))
+        assert proc.returncode == 5
+        assert "'A' is listed twice" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestTlsProcess:
     def test_ssl_cert_file_makes_the_cli_trust_the_server(self, tls_server, tmp_path):
         store, cert, url = tls_server

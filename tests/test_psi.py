@@ -511,9 +511,10 @@ class TestSessionBinding:
         replayed = init2._seal(MSG_BF, stale_bf.to_bytes())
         init2._send_counter = 1
         chal, _ = resp2.step(replayed)
-        # no session 2 item can sit in a filter keyed to session 1's
-        # public keys, so the candidate set and both final results are empty
-        assert resp2._candidates == {}
+        # a filter keyed to session 1's public keys holds no session 2 item,
+        # so a candidate is only a Bloom false positive (about 8e-4 per value
+        # in this 90-bit filter) and both final results are empty
+        assert len(resp2._candidates) <= 2
         resp_frame, done = init2.step(chal)
         assert done and init2.matched_values == frozenset()
         resp2.step(resp_frame)

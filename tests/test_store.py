@@ -690,6 +690,11 @@ class TestSnapshot:
                 "256 bits",
                 id="short-capability",
             ),
+            pytest.param(
+                lambda body: body["records"].append(dict(body["records"][0], kind="ersatz")),
+                "listed twice",
+                id="repeated-id",
+            ),
         ],
     )
     def test_rejects_inconsistent_snapshot(self, tmp_path, corrupt, reason):
