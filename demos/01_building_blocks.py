@@ -11,10 +11,10 @@ from sopal.crypto import (
     bf_false_positive_estimate,
     bf_hash_count,
     bf_optimal_size,
-    establish_session,
     hash_chain,
     new_capability,
 )
+from sopal.psi import establish_session
 
 print("=" * 64)
 print("1. Bearer capabilities and hash chains")

@@ -12,8 +12,8 @@ Run:  python demos/04_server_and_load.py
 import threading
 import time
 
-from sopal.client import DiscoveryClient, HttpServerHandle, run_discovery_pair
-from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
+from sopal.client import DiscoveryClient, HttpServerHandle, load_probe, run_discovery_pair
+from sopal.server import MockOsnConnector, SopalHttpServer
 from sopal.sim import gnp_graph
 from sopal.store import CapabilityStore
 

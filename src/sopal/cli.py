@@ -19,19 +19,14 @@ import signal
 import sys
 import threading
 
-from sopal.client import (
-    AuthError,
-    DiscoveryClient,
-    HttpServerHandle,
-    ServerError,
-    run_discovery_pair,
-)
-from sopal.crypto import new_capability
+from sopal.crypto import DEFAULT_FP_TARGET, new_capability
 from sopal.graph import load_edge_list, load_membership
-from sopal.psi import DEFAULT_FP_TARGET
-from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
+from sopal.server import MockOsnConnector, SopalHttpServer
 from sopal.sim import SimConfig, load_graph_source, run_coverage
-from sopal.store import DEFAULT_TTL_S, CapabilityStore, NotEnrolledError
+from sopal.store import DEFAULT_TTL_S, AuthError, CapabilityStore, NotEnrolledError, ServerError
+
+# The client commands import sopal.client inside their functions: it pulls
+# in sopal.psi and the cryptography package, which `sopal serve` never uses.
 
 EXIT_MISSING_FILE = 3
 EXIT_UNREACHABLE = 4
@@ -171,6 +166,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_enroll(args) -> int:
+    from sopal.client import HttpServerHandle
+
     members = load_membership(args.members)
     if not members:
         print("membership file is empty; nothing to do")
@@ -192,6 +189,8 @@ def _addr_url(addr: str) -> str:
 
 
 def cmd_discover(args) -> int:
+    from sopal.client import DiscoveryClient, HttpServerHandle, run_discovery_pair
+
     handle = HttpServerHandle(_addr_url(args.addr))
     client_a = DiscoveryClient(args.uid_a, handle, d_max=args.dmax, fp_target=args.fp_target)
     client_b = DiscoveryClient(args.uid_b, handle, d_max=args.dmax, fp_target=args.fp_target)
@@ -241,6 +240,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_loadprobe(args) -> int:
+    from sopal.client import load_probe
+
     rates = [int(x) for x in args.rates.split(",")]
     url = _addr_url(args.addr)
     with _open_out(args.out) as out:

@@ -19,6 +19,13 @@ The session surface is the four basic calls (``startSoPaLSession``,
 advanced ``rejectSoPaLSession``, ``updateCapabilities`` and
 ``renewCapability``.  Frames are opaque byte strings, so any carrier
 (socket, short-range link, file pipe) can relay them.
+
+:func:`load_probe` measures a running ``http`` or ``https`` server: it
+fires bursts of downloads per second from a standard thread pool through
+one :class:`HttpServerHandle` for the whole sweep (a request that raises
+counts as failed), and reports per-second responses, latency and the
+knee.  The server adds no cost of its own; to see saturation at desk
+scale, hand it a store whose ``distribute`` is slower, as demo 04 does.
 """
 
 from __future__ import annotations
@@ -28,36 +35,31 @@ import functools
 import http.client
 import json
 import re
+import statistics
 import threading
-from dataclasses import dataclass
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import BinaryIO, Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
-from sopal.crypto import hash_chain, new_capability
-from sopal.psi import (
-    DEFAULT_FP_TARGET,
-    MSG_HELLO,
-    PHASE_DONE,
-    ProtocolError,
-    PsiSession,
-    make_reject,
+from sopal.crypto import DEFAULT_FP_TARGET, hash_chain, new_capability
+from sopal.psi import MSG_HELLO, PHASE_DONE, ProtocolError, PsiSession, make_reject
+from sopal.store import (
+    AuthError,
+    CapabilityStore,
+    DistributionResult,
+    NotEnrolledError,
+    ServerError,
 )
-from sopal.store import CapabilityStore, DistributionResult, NotEnrolledError
+
+# How long the load probe waits for one response before counting it failed.
+PROBE_TIMEOUT_S = 30.0
 
 
 class SessionError(Exception):
     """A discovery session is missing, unfinished, or ended abnormally."""
-
-
-class ServerError(RuntimeError):
-    """A failure on the server's side: no connection, a TLS refusal, a
-    timeout, a broken HTTP exchange, a status other than 2xx, 401 and
-    403, or a malformed download body; ``__cause__`` holds the original."""
-
-
-class AuthError(Exception):
-    """The presented token does not authenticate any OSN user."""
 
 
 class AnnotatedItem(NamedTuple):
@@ -292,6 +294,104 @@ class HttpServerHandle:
             return DistributionResult.from_json(data.decode("utf-8"))
         except ValueError as exc:
             raise ServerError(f"malformed download: {exc}") from exc
+
+
+@dataclass
+class RateSample:
+    """Measurements for one offered request rate."""
+
+    rate: int
+    sent: int
+    received: int
+    failed: int
+    latencies_s: list[float] = field(default_factory=list)
+    per_second_received: list[int] = field(default_factory=list)
+
+    @property
+    def median_latency_s(self) -> float:
+        return statistics.median(self.latencies_s) if self.latencies_s else float("inf")
+
+    @property
+    def peak_responses_per_second(self) -> int:
+        """Largest one-second completion count; the plateau indicator."""
+        return max(self.per_second_received, default=0)
+
+
+@dataclass
+class LoadReport:
+    """Sweep result: per-rate samples, the single-request baseline, the
+    seconds each rate ran, and the saturation knee (first rate whose median
+    latency exceeds five times the baseline)."""
+
+    baseline_latency_s: float
+    duration_s: float
+    samples: list[RateSample]
+    knee_rate: int | None
+
+    def to_text(self) -> str:
+        lines = [
+            f"baseline latency: {self.baseline_latency_s * 1000:.1f} ms",
+            f"duration per rate: {self.duration_s:.1f} s",
+            "rate sent received failed peak_resp/s median_ms",
+        ]
+        for s in self.samples:
+            lines.append(
+                f"{s.rate:4d} {s.sent:4d} {s.received:8d} {s.failed:6d} "
+                f"{s.peak_responses_per_second:11d} {s.median_latency_s * 1000:9.1f}"
+            )
+        knee = f"{self.knee_rate} req/s" if self.knee_rate is not None else "not reached"
+        lines.append(f"saturation knee: {knee}")
+        return "\n".join(lines)
+
+
+def load_probe(
+    base_url: str,
+    token: str,
+    rates: Sequence[int],
+    duration_s: float = 5.0,
+    *,
+    dmax: int = 1,
+) -> LoadReport:
+    """Measure a running server with bursts of ``rate`` downloads per
+    second for each rate in ``rates``, each rate for ``duration_s``
+    rounded to whole seconds, at least one.
+
+    Every request is accounted as received or failed, so
+    ``sent == received + failed`` per sample.
+    """
+    if any(rate < 1 for rate in rates):
+        raise ValueError(f"rates must be at least 1, got {list(rates)}")
+    if dmax < 0:
+        raise ValueError(f"dmax must be at least 0, got {dmax}")
+    if not abs(duration_s) < float("inf"):
+        raise ValueError(f"duration_s must be finite, got {duration_s}")
+    seconds = max(1, round(duration_s))
+    samples = []
+    with contextlib.closing(HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)) as handle:
+
+        def timed_download() -> tuple[float, float]:
+            start = time.perf_counter()
+            handle.download(token, dmax)
+            end = time.perf_counter()
+            return end - start, end
+
+        baseline = statistics.median(timed_download()[0] for _ in range(5))
+        for rate in rates:
+            # The pool starts a worker only when none is idle.
+            with ThreadPoolExecutor(min(512, max(8, 2 * rate))) as pool:
+                futures, start = [], time.perf_counter()
+                for sec in range(seconds):
+                    futures += [pool.submit(timed_download) for _ in range(rate)]
+                    time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
+            done = sorted(future.result() for future in futures if not future.exception())
+            finished = [int(end - start) for _, end in done]
+            per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
+            latencies = [latency for latency, _ in done]
+            failed = len(futures) - len(done)
+            samples.append(RateSample(rate, len(futures), len(done), failed, latencies, per_second))
+
+    knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
+    return LoadReport(baseline, float(seconds), samples, knee)
 
 
 class _ClientSession:

@@ -1,5 +1,4 @@
-"""Cryptographic building blocks: hash chains, salted Bloom filters, and
-session key agreement.
+"""Cryptographic building blocks: hash chains and salted Bloom filters.
 
 A bearer capability is a fresh uniformly random byte string whose
 possession proves an authentic friendship.  Higher-order values are
@@ -8,11 +7,11 @@ proves a social path without revealing the base value.  Bloom filters
 carry capability sets compactly during discovery; each filter has one
 fresh salt, and every item is hashed once with BLAKE2b keyed by it, all
 of its bit positions and its discovery challenge tag coming from that
-single digest.  X25519 key agreement produces the per-session symmetric
-key that protects the discovery transcript.
+single digest.  Only :mod:`hashlib` is used here; the session key
+agreement lives with the protocol in :mod:`sopal.psi`.
 
-Every use of SHA-256 here is domain-separated with a one-byte context
-label so chain values and derived keys live in disjoint input spaces.
+Chain steps hash under the one-byte SHA-256 label 0x01 and psi's session
+key under 0x03, so chain values and derived keys never share an input.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ import math
 import secrets
 import struct
 from typing import Iterable
-
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
 
 CAPABILITY_BITS = 256
 DIGEST_BYTES = 32
@@ -38,9 +32,10 @@ BF_MAX_GAMMA = 16
 # Filter wire header: version, beta, gamma, salt.
 BF_HEADER_BYTES = 1 + 4 + 1 + BF_SALT_BYTES
 
-# One-byte domain separation labels.
+# The chain's one-byte domain separation label; psi's key label is 0x03.
 _CHAIN_LABEL = b"\x01"
-_KDF_LABEL = b"\x03"
+# The Bloom filter false-positive target a discovery session sizes for.
+DEFAULT_FP_TARGET = 0.001
 
 _LN2 = math.log(2)
 
@@ -254,20 +249,3 @@ class BloomFilter:
         bf = cls(beta, gamma, data[6:BF_HEADER_BYTES], context=context)
         bf.bits[:] = memoryview(data)[BF_HEADER_BYTES:]
         return bf
-
-
-def establish_session(
-    private_key: X25519PrivateKey, peer_public: bytes, binding: bytes
-) -> bytes:
-    """Run X25519 with the peer and derive the 32-byte symmetric session key.
-
-    The key is ``SHA-256(0x03 || shared secret || binding)``.  The PSI's
-    binding is both public keys, initiator first, so both endpoints
-    derive the identical value and the key is bound to this pairing.
-
-    Raises ValueError for malformed or degenerate peer public keys.
-    """
-    secret = private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
-    if secret == bytes(len(secret)):
-        raise ValueError("degenerate peer public key")
-    return hashlib.sha256(_KDF_LABEL + secret + binding).digest()

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
-Adjacency = Mapping[str, set[str]]
+Adjacency = Mapping[str, Collection[str]]
 
 
 @dataclass
@@ -38,28 +38,32 @@ class SocialGraph:
     snapshot by :meth:`from_parts`), so every edge has at least one
     member endpoint and none is a self loop.  Edges are never removed: a
     member re-registering with a different friend list unions the new
-    edges with the ones already observed.
+    edges with the ones already observed.  Each row of neighbours is a list
+    with no repeats, a quarter of a set's memory; each edge is in both rows.
 
     Not synchronized: a caller that shares the graph between threads
     holds its own lock around every read and write.
     """
 
     def __init__(self):
-        self._adj: dict[str, set[str]] = {}
+        self._adj: dict[str, list[str]] = {}
 
     @classmethod
     def from_parts(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SocialGraph":
-        """Rebuild a graph from its nodes and edges; raises ValueError for
-        a self loop or an edge with an endpoint that is not among ``nodes``."""
+        """Rebuild a graph from its nodes and edges, in their order and each
+        once; raises ValueError for a self loop or an endpoint not in ``nodes``."""
         graph = cls()
-        adj = graph._adj = {uid: set() for uid in nodes}
+        adj = graph._adj = {uid: [] for uid in nodes}
+        seen = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"edge {u!r}-{v!r} is a self loop")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge {u!r}-{v!r} has an endpoint that is not a node")
-            adj[u].add(v)
-            adj[v].add(u)
+            if (v, u) not in seen and (u, v) not in seen:
+                seen.add((u, v))
+                adj[u].append(v)
+                adj[v].append(u)
         return graph
 
     def record_member(self, uid: str, friend_list: Iterable[str]) -> None:
@@ -68,13 +72,13 @@ class SocialGraph:
         Friends not yet in the graph become nodes; a node keeps its
         accumulated edges when it enrolls itself later.
         """
-        self._adj.setdefault(uid, set())
+        row = self._adj.setdefault(uid, [])
+        known = {uid, *row}
         for friend in friend_list:
-            if friend == uid:
-                continue
-            self._adj.setdefault(friend, set())
-            self._adj[uid].add(friend)
-            self._adj[friend].add(uid)
+            if friend not in known:
+                known.add(friend)
+                row.append(friend)
+                self._adj.setdefault(friend, []).append(uid)  # no check: each edge is in both rows
 
     def edges(self) -> list[tuple[str, str]]:
         """All known edges as sorted (low, high) pairs, each taken once from

@@ -38,16 +38,16 @@ from operator import itemgetter
 from typing import Collection
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from sopal.crypto import (
     BF_HEADER_BYTES,
+    DEFAULT_FP_TARGET,
     DIGEST_BYTES,
     BloomFilter,
     bf_hash_count,
     bf_optimal_size,
-    establish_session,
 )
 
 WIRE_VERSION = 4
@@ -65,7 +65,6 @@ SESSION_ID_BYTES = 16
 HEADER_LEN = 22
 TAG_BYTES = DIGEST_BYTES
 
-DEFAULT_FP_TARGET = 0.001
 # The largest filter a peer may send, in bits, against hostile memory
 # blowup.  Its one use is the BF frame's payload limit below.
 DEFAULT_BETA_CAP = 2**24
@@ -87,6 +86,9 @@ _HEADER = struct.Struct(">BB16sI")
 _TAG = struct.Struct(f"{TAG_BYTES}s")
 
 _TAG1_LABEL = b"chal1"
+# The session key's one-byte SHA-256 label, disjoint from the chain's 0x01
+# (sopal.crypto) and from the first byte of _TAG1_LABEL.
+_KDF_LABEL = b"\x03"
 
 PHASE_ACTIVE = "active"
 PHASE_DONE = "done"
@@ -170,6 +172,21 @@ def _match_tags(payload: bytes, own: dict[bytes, bytes]) -> set[bytes]:
         raise ProtocolError("tag list length mismatch")
     tags = map(itemgetter(0), _TAG.iter_unpack(memoryview(payload)[4:]))
     return set(map(own.__getitem__, filter(own.__contains__, tags)))
+
+
+def establish_session(private_key: X25519PrivateKey, peer_public: bytes, binding: bytes) -> bytes:
+    """Run X25519 with the peer and derive the 32-byte symmetric session key.
+
+    The key is ``SHA-256(0x03 || shared secret || binding)``.  The PSI's
+    binding is both public keys, initiator first, so both endpoints
+    derive the identical value and the key is bound to this pairing.
+
+    Raises ValueError for malformed or degenerate peer public keys.
+    """
+    secret = private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    if secret == bytes(len(secret)):
+        raise ValueError("degenerate peer public key")
+    return hashlib.sha256(_KDF_LABEL + secret + binding).digest()
 
 
 class PsiSession:

@@ -27,13 +27,9 @@ up to ``MAX_BODY_BYTES``, one ``Host``, GET and POST only); a refusal
 before the body is read closes the connection, so no unread body is
 read as a request.
 
-:func:`load_probe` is the matching measurement client: it fires bursts
-of downloads per second at a running ``http`` or ``https`` server from a
-standard thread pool through one :class:`~sopal.client.HttpServerHandle`
-for the whole sweep (a request that raises counts as failed), and
-reports per-second responses, latency and the knee.
-The server adds no cost of its own; to see saturation at desk scale,
-hand it a store whose ``distribute`` is slower, as demo 04 does.
+The server imports no client code, so a serving process loads neither
+:mod:`sopal.client` nor the ``cryptography`` package;
+:func:`sopal.client.load_probe` measures it from outside.
 """
 
 from __future__ import annotations
@@ -45,17 +41,12 @@ import re
 import socket
 import socketserver
 import ssl
-import statistics
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from sopal.client import AuthError, HttpServerHandle
-from sopal.store import CapabilityStore, NotEnrolledError
+from sopal.store import AuthError, CapabilityStore, NotEnrolledError
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +67,6 @@ _FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([\t\x20-\x7e\x80-\xff]
 # How often serve_forever checks for a shutdown request; stop() waits
 # for at most one interval.
 POLL_INTERVAL_S = 0.05
-# How long the load probe waits for one response before counting it failed.
-PROBE_TIMEOUT_S = 30.0
 # Connections the kernel queues for the accept loop.  A burst beyond it
 # is dropped and waits on the client's connect retries; 512 holds the
 # load probe's largest burst.
@@ -370,107 +359,3 @@ class SopalHttpServer(socketserver.ThreadingTCPServer):
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-# -- load probe -------------------------------------------------------------
-
-
-@dataclass
-class RateSample:
-    """Measurements for one offered request rate."""
-
-    rate: int
-    sent: int
-    received: int
-    failed: int
-    latencies_s: list[float] = field(default_factory=list)
-    per_second_received: list[int] = field(default_factory=list)
-
-    @property
-    def median_latency_s(self) -> float:
-        return statistics.median(self.latencies_s) if self.latencies_s else float("inf")
-
-    @property
-    def peak_responses_per_second(self) -> int:
-        """Largest one-second completion count; the plateau indicator."""
-        return max(self.per_second_received, default=0)
-
-
-@dataclass
-class LoadReport:
-    """Sweep result: per-rate samples, the single-request baseline, the
-    seconds each rate ran, and the saturation knee (first rate whose median
-    latency exceeds five times the baseline)."""
-
-    baseline_latency_s: float
-    duration_s: float
-    samples: list[RateSample]
-    knee_rate: int | None
-
-    def to_text(self) -> str:
-        lines = [
-            f"baseline latency: {self.baseline_latency_s * 1000:.1f} ms",
-            f"duration per rate: {self.duration_s:.1f} s",
-            "rate sent received failed peak_resp/s median_ms",
-        ]
-        for s in self.samples:
-            lines.append(
-                f"{s.rate:4d} {s.sent:4d} {s.received:8d} {s.failed:6d} "
-                f"{s.peak_responses_per_second:11d} {s.median_latency_s * 1000:9.1f}"
-            )
-        knee = f"{self.knee_rate} req/s" if self.knee_rate is not None else "not reached"
-        lines.append(f"saturation knee: {knee}")
-        return "\n".join(lines)
-
-
-def load_probe(
-    base_url: str,
-    token: str,
-    rates: Sequence[int],
-    duration_s: float = 5.0,
-    *,
-    dmax: int = 1,
-) -> LoadReport:
-    """Measure a running server with bursts of ``rate`` downloads per
-    second for each rate in ``rates``, each rate for ``duration_s``
-    rounded to whole seconds, at least one.
-
-    Every request is accounted as received or failed, so
-    ``sent == received + failed`` per sample.
-    """
-    if any(rate < 1 for rate in rates):
-        raise ValueError(f"rates must be at least 1, got {list(rates)}")
-    if dmax < 0:
-        raise ValueError(f"dmax must be at least 0, got {dmax}")
-    if not abs(duration_s) < float("inf"):
-        raise ValueError(f"duration_s must be finite, got {duration_s}")
-    seconds = max(1, round(duration_s))
-    samples = []
-    with contextlib.closing(HttpServerHandle(base_url, timeout_s=PROBE_TIMEOUT_S)) as handle:
-
-        def timed_download() -> tuple[float, float]:
-            start = time.perf_counter()
-            handle.download(token, dmax)
-            end = time.perf_counter()
-            return end - start, end
-
-        baseline = statistics.median(timed_download()[0] for _ in range(5))
-        for rate in rates:
-            # The pool starts a worker only when none is idle.
-            with ThreadPoolExecutor(min(512, max(8, 2 * rate))) as pool:
-                futures, start = [], time.perf_counter()
-                for sec in range(seconds):
-                    futures += [pool.submit(timed_download) for _ in range(rate)]
-                    time.sleep(max(0.0, start + sec + 1 - time.perf_counter()))
-            done = sorted(future.result() for future in futures if not future.exception())
-            finished = [int(end - start) for _, end in done]
-            per_second = [finished.count(sec) for sec in range(max(finished, default=0) + 1)]
-            latencies = [latency for latency, _ in done]
-            failed = len(futures) - len(done)
-            samples.append(
-                RateSample(rate, rate * seconds, len(done), failed, latencies, per_second)
-            )
-
-    knee = next((s.rate for s in samples if s.median_latency_s > 5 * baseline), None)
-    return LoadReport(baseline, float(seconds), samples, knee)
-

@@ -21,6 +21,7 @@ then rename); the in-memory store is the source of truth in between.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -44,6 +45,16 @@ ERSATZ = "ersatz"
 
 class NotEnrolledError(LookupError):
     """The id has no member record, so it cannot download capabilities."""
+
+
+class AuthError(Exception):
+    """The presented token does not authenticate any OSN user."""
+
+
+class ServerError(RuntimeError):
+    """A failure on the server's side: no connection, a TLS refusal, a
+    timeout, a broken HTTP exchange, a status other than 2xx, 401 and
+    403, or a malformed download body; ``__cause__`` holds the original."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +156,8 @@ class CapabilityStore:
     ):
         if graph is not None and len(graph):
             raise ValueError("the store's graph must start empty")
+        if not 0 < default_ttl_s < math.inf:
+            raise ValueError(f"default_ttl_s must be positive and finite, got {default_ttl_s}")
         self.graph = graph if graph is not None else SocialGraph()
         self.connector = connector
         self.default_ttl_s = default_ttl_s
@@ -327,6 +340,8 @@ class CapabilityStore:
                 )
                 if rec.kind not in (MEMBER, ERSATZ):
                     raise ValueError(f"record {rec.uid!r} has unknown kind {rec.kind!r}")
+                if not (0 < rec.ttl_s < math.inf and abs(rec.created_at) < math.inf):
+                    raise ValueError(f"record {rec.uid!r} needs a finite created_at and ttl_s > 0")
                 if rec.uid in store._records:
                     raise ValueError(f"record {rec.uid!r} is listed twice")
                 store._check_length(rec.cap)

@@ -56,6 +56,11 @@ def graph_neighbors(graph: SocialGraph, uid: str) -> set[str]:
     return set(graph._adj.get(uid, ()))
 
 
+def graph_rows(graph: SocialGraph) -> dict[str, list[str]]:
+    """Every node's neighbour row as the graph stores it, repeats included."""
+    return {uid: list(row) for uid, row in graph._adj.items()}
+
+
 def report_cell(
     report: CoverageReport, fraction: float, length: int, ersatz: bool
 ) -> CoverageCell | None:

@@ -14,7 +14,7 @@ import time
 
 import mpmath
 
-from sopal.client import run_discovery_pair
+from sopal.client import load_probe, run_discovery_pair
 from sopal.crypto import (
     BloomFilter,
     bf_false_positive_estimate,
@@ -24,7 +24,7 @@ from sopal.crypto import (
 )
 from sopal.graph import SocialGraph
 from sopal.psi import PsiSession
-from sopal.server import MockOsnConnector, SopalHttpServer, load_probe
+from sopal.server import MockOsnConnector, SopalHttpServer
 from sopal.sim import (
     SimConfig,
     discoverable,

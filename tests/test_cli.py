@@ -16,12 +16,11 @@ import pytest
 
 import sopal.cli
 from sopal.cli import build_parser, main
-from sopal.client import HttpServerHandle, ServerError
-from sopal.crypto import new_capability
+from sopal.client import HttpServerHandle
+from sopal.crypto import DEFAULT_FP_TARGET, new_capability
 from sopal.graph import SocialGraph
 from sopal.server import MockOsnConnector, SopalHttpServer
-from sopal.psi import DEFAULT_FP_TARGET
-from sopal.store import DEFAULT_TTL_S, CapabilityStore
+from sopal.store import DEFAULT_TTL_S, CapabilityStore, ServerError
 
 from helpers import adjacency_from_edges, self_signed_cert
 

@@ -18,7 +18,6 @@ from sopal.client import (
     AnnotatedItem,
     DiscoveryClient,
     HttpServerHandle,
-    ServerError,
     SessionError,
     build_input_set,
     run_discovery_pair,
@@ -35,6 +34,7 @@ from sopal.psi import (
     recv_frame,
 )
 from sopal.sim import gnp_graph
+from sopal.store import ServerError
 
 from helpers import (
     adjacency_from_edges,

@@ -19,11 +19,10 @@ from sopal.crypto import (
     bf_false_positive_estimate,
     bf_hash_count,
     bf_optimal_size,
-    establish_session,
     hash_chain,
     new_capability,
 )
-from sopal.psi import DEFAULT_BETA_CAP
+from sopal.psi import DEFAULT_BETA_CAP, establish_session
 
 from helpers import sized_filter, v1_filter_blob
 from oracles import pure_sha256, pure_x25519

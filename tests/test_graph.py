@@ -18,7 +18,13 @@ from sopal.server import MockOsnConnector
 from sopal.sim import gnp_graph
 from sopal.store import ERSATZ, MEMBER, CapabilityStore, NotEnrolledError
 
-from helpers import adjacency_from_edges, graph_neighbors, graph_nodes, path_adjacency
+from helpers import (
+    adjacency_from_edges,
+    graph_neighbors,
+    graph_nodes,
+    graph_rows,
+    path_adjacency,
+)
 from oracles import bfs
 from test_sim import odd_gnp_graphs
 
@@ -188,6 +194,43 @@ def test_ring_walk_matches_bfs_oracle(adjacency, data):
         assert len(rings) == 1 + max(want.values())
         assert rings == [{v for v, d in want.items() if d == k} for k in range(len(rings))]
         assert hop_layers(adjacency, start, depth) == want
+
+
+_IDS = st.sampled_from("ABCDEFG")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    calls=st.lists(st.tuples(_IDS, st.lists(_IDS, max_size=8)), max_size=12),
+    data=st.data(),
+)
+def test_rows_match_a_set_of_edges_model(calls, data):
+    """Repeated ids, self loops, duplicate friends and re-registrations
+    with a changed list, then a ``from_parts`` round trip from the edges
+    given in a drawn order, each also reversed: every row is free of
+    repeats and symmetric, and the edges and rings are the model's."""
+    g = SocialGraph()
+    nodes, model = set(), set()
+    for uid, friends in calls:
+        g.record_member(uid, friends)
+        nodes |= {uid, *friends}
+        model |= {(min(uid, f), max(uid, f)) for f in friends if f != uid}
+    adjacency = adjacency_from_edges(model)
+    edges = g.edges() + [(v, u) for u, v in g.edges()]
+    restored = SocialGraph.from_parts(sorted(nodes), data.draw(st.permutations(edges)))
+    for graph in (g, restored):
+        rows = graph_rows(graph)
+        assert set(rows) == nodes
+        for uid, row in rows.items():
+            assert len(row) == len(set(row))
+            assert all(uid in rows[v] for v in row)
+        assert graph.edges() == sorted(model)
+        for start in nodes:
+            for depth in range(4):
+                want = bfs(adjacency, start, depth)
+                rings = graph.hop_rings(start, depth)
+                assert rings == [{v for v, d in want.items() if d == k} for k in range(len(rings))]
+                assert len(rings) == 1 + max(want.values())
 
 
 class TestFileFormats:

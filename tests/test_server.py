@@ -4,24 +4,27 @@ probe."""
 import contextlib
 import http.client
 import json
+import os
 import re
 import socket
 import ssl
 import statistics
 import string
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sopal.client
-from sopal.client import HttpServerHandle, ServerError
+from sopal.client import HttpServerHandle, load_probe
 from sopal.crypto import new_capability
 from sopal.graph import SocialGraph
 from sopal.server import (
@@ -29,14 +32,12 @@ from sopal.server import (
     MAX_BODY_BYTES,
     MAX_HEADER_LINES,
     MAX_LINE_BYTES,
-    AuthError,
     ConnectorError,
     MockOsnConnector,
     SopalHttpServer,
     _Handler,
-    load_probe,
 )
-from sopal.store import CapabilityStore, NotEnrolledError
+from sopal.store import AuthError, CapabilityStore, NotEnrolledError, ServerError
 
 from helpers import (
     adjacency_from_edges,
@@ -1108,3 +1109,21 @@ class TestLoadProbeClient:
         sample = report.samples[0]
         assert (sample.sent, sample.received, sample.failed) == (3, 0, 3)
         assert len(calls) == 8
+
+
+def test_server_and_cli_load_no_client_stack():
+    """A fresh process that imports the server and the CLI, as ``sopal
+    serve`` does, loads neither the client side nor ``cryptography``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, sopal.server, sopal.cli; print(*sys.modules, sep='\\n')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "sopal.server" in loaded
+    assert not loaded & {"cryptography", "sopal.psi", "sopal.client"}

@@ -1,6 +1,7 @@
 """Capability store: uploads, ersatz nodes, distribution, TTL, snapshots."""
 
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -583,6 +584,8 @@ class TestExpiry:
         assert ra.dist is None and rb.dist is None
 
 
+# TTLs that are not finite or not positive.
+BAD_TTLS = (math.nan, math.inf, -3600.0, 0)
 SNAPSHOT_KEYS = ("format_version", "default_ttl_s", "records", "edges")
 RECORD_FIELDS = ("id", "cap", "kind", "created_at", "ttl_s", "stale")
 
@@ -695,6 +698,30 @@ class TestSnapshot:
                 "listed twice",
                 id="repeated-id",
             ),
+            *(
+                pytest.param(
+                    lambda body, value=value: body.update(default_ttl_s=value),
+                    "default_ttl_s must be positive and finite",
+                    id=f"default_ttl_s-{value}",
+                )
+                for value in BAD_TTLS
+            ),
+            *(
+                pytest.param(
+                    lambda body, value=value: body["records"][0].update(ttl_s=value),
+                    "needs a finite created_at and ttl_s > 0",
+                    id=f"ttl_s-{value}",
+                )
+                for value in BAD_TTLS
+            ),
+            *(
+                pytest.param(
+                    lambda body, value=value: body["records"][0].update(created_at=value),
+                    "needs a finite created_at",
+                    id=f"created_at-{value}",
+                )
+                for value in (math.nan, -math.inf)
+            ),
         ],
     )
     def test_rejects_inconsistent_snapshot(self, tmp_path, corrupt, reason):
@@ -708,6 +735,11 @@ class TestSnapshot:
         path.write_text(json.dumps(body))
         with pytest.raises(ValueError, match=reason):
             CapabilityStore.load_snapshot(path)
+
+    @pytest.mark.parametrize("ttl", BAD_TTLS)
+    def test_constructor_rejects_a_ttl_that_is_not_positive_and_finite(self, ttl):
+        with pytest.raises(ValueError, match="default_ttl_s must be positive and finite"):
+            CapabilityStore(default_ttl_s=ttl)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
