@@ -189,6 +189,8 @@ def _addr_url(addr: str) -> str:
 
 
 def cmd_discover(args) -> int:
+    if args.uid_a == args.uid_b:
+        raise ValueError(f"discover needs two different ids, got {args.uid_a!r} twice")
     from sopal.client import DiscoveryClient, HttpServerHandle, run_discovery_pair
 
     handle = HttpServerHandle(_addr_url(args.addr))

@@ -17,8 +17,10 @@ revealed only for length-2 matches; anything longer stays anonymous.
 The session surface is the four basic calls (``startSoPaLSession``,
 ``handleSoPaLMessage``, ``getResult``, ``endSoPaLSession``) plus the
 advanced ``rejectSoPaLSession``, ``updateCapabilities`` and
-``renewCapability``.  Frames are opaque byte strings, so any carrier
-(socket, short-range link, file pipe) can relay them.
+``renewCapability``.  Frames are opaque byte strings: a carrier (socket,
+short-range link, file pipe) relays each through ``handle_message``, and
+on a stream the envelope's 4-byte length delimits a frame (README, "Frame
+envelope").  :func:`run_discovery_pair` relays between two local clients.
 
 :func:`load_probe` measures a running ``http`` or ``https`` server: it
 fires bursts of downloads per second from a standard thread pool through
@@ -42,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from sopal.crypto import DEFAULT_FP_TARGET, hash_chain, new_capability
 from sopal.psi import MSG_HELLO, PHASE_DONE, ProtocolError, PsiSession, make_reject
@@ -555,26 +557,6 @@ class DiscoveryClient:
         return DistResult(
             dist=dist, common_friend_ids=frozenset(common), match_count=len(lengths)
         )
-
-    # -- transports ------------------------------------------------------------
-
-    def run_discovery(
-        self,
-        device_id: str,
-        send: Callable[[bytes], None],
-        recv: Callable[[], bytes],
-        *,
-        initiate: bool,
-    ) -> DistResult:
-        """Drive a whole session over a byte-frame transport."""
-        if initiate:
-            send(self.start_session(device_id))
-        while True:
-            reply, finished = self.handle_message(device_id, recv())
-            if reply is not None:
-                send(reply)
-            if finished:
-                return self.get_result(device_id)
 
 
 def run_discovery_pair(a: DiscoveryClient, b: DiscoveryClient) -> tuple[DistResult, DistResult]:

@@ -73,7 +73,7 @@ _MAX_ID_BYTES = 65535
 # AEAD tag appended to every encrypted payload.
 _AEAD_TAG_BYTES = 16
 # The largest payload each message type's format allows, checked against
-# the declared length before anything is read or authenticated.
+# the declared length before the frame's length is compared or anything decrypted.
 _MAX_PAYLOAD_BY_TYPE = {
     MSG_HELLO: 1 + 32 + 2 + _MAX_ID_BYTES,
     MSG_BF: _AEAD_TAG_BYTES + BF_HEADER_BYTES + DEFAULT_BETA_CAP // 8,
@@ -113,13 +113,6 @@ def parse_frame(data: bytes) -> tuple[int, bytes, bytes]:
     version, msg_type, session_id, length = _HEADER.unpack_from(data)
     if version != WIRE_VERSION:
         raise ProtocolError(f"unsupported wire version {version}")
-    _check_declared_length(msg_type, length)
-    if len(data) != HEADER_LEN + length:
-        raise ProtocolError("frame length does not match declared payload length")
-    return msg_type, session_id, data[HEADER_LEN:]
-
-
-def _check_declared_length(msg_type: int, length: int) -> None:
     limit = _MAX_PAYLOAD_BY_TYPE.get(msg_type)
     if limit is None:
         raise ProtocolError(f"unknown message type {msg_type}")
@@ -128,6 +121,9 @@ def _check_declared_length(msg_type: int, length: int) -> None:
             f"declared payload length {length} exceeds the {limit}-byte limit "
             f"for message type {msg_type}"
         )
+    if len(data) != HEADER_LEN + length:
+        raise ProtocolError("frame length does not match declared payload length")
+    return msg_type, session_id, data[HEADER_LEN:]
 
 
 def make_reject(session_id: bytes | None = None) -> bytes:
@@ -395,16 +391,3 @@ class PsiSession:
         self._recv_counter += 1
         return plaintext
 
-
-def recv_frame(reader) -> bytes:
-    """Read exactly one frame from a buffered binary stream, such as a
-    socket's ``makefile("rb")``.  The reader may read ahead past the
-    frame, so every frame of one stream must go through one reader."""
-    header = reader.read(HEADER_LEN)
-    if len(header) == HEADER_LEN:
-        length = int.from_bytes(header[18:22], "big")
-        _check_declared_length(header[1], length)
-        payload = reader.read(length)
-        if len(payload) == length:
-            return header + payload
-    raise ProtocolError("peer closed the connection mid-frame")

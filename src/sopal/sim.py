@@ -59,8 +59,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("member_fractions", "path_lengths", "ersatz_modes"):
-            if not getattr(self, name):
+            if not (values := getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         if any(not 0.0 < f <= 1.0 for f in self.member_fractions):
             raise ValueError("member fractions must lie in (0, 1]")
         limit = 2 * self.d_max + 2

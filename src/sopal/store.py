@@ -249,16 +249,18 @@ class CapabilityStore:
         return DistributionResult(r_u=tuple(r_u), runs=runs)
 
     def _chain(self, degree: int, uids: set[str]) -> dict[str, bytes]:
-        """The memo at ``degree``, filled for ``uids`` from the degree below; needs the lock."""
-        if degree == 0:
-            return {u: b"" if (r := self._records[u]).stale else r.cap for u in uids}
-        memo = self._chains.setdefault(degree, {})
-        missing = uids.difference(memo)
-        if missing:
-            base = self._chain(degree - 1, missing)
+        """The memo at ``degree``, filled for ``uids`` from the degrees below; needs the lock."""
+        # Walk down while ids are missing, then hash upward: a download may outreach the stack.
+        pending, records = [], self._records
+        while degree and (missing := uids.difference(memo := self._chains.setdefault(degree, {}))):
+            pending.append((memo, missing))
+            degree, uids = degree - 1, missing
+        base = memo if degree else {u: b"" if (r := records[u]).stale else r.cap for u in uids}
+        for memo, missing in reversed(pending):
             for u in missing:
                 memo[u] = hash_chain(base[u], 1) if base[u] else b""
-        return memo
+            base = memo
+        return base
 
     def record_of(self, uid: str) -> CapRecord | None:
         with self._lock:

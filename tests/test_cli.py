@@ -696,6 +696,12 @@ class TestOutOfRangeInputs:
         assert proc.returncode == 5
         assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_discover_with_itself(self):
+        # nothing listens on the discard port, so a request sent would exit 4
+        proc = self.run_cli("discover", "A", "A", "--addr", "127.0.0.1:9")
+        assert proc.returncode == 5
+        assert "two different ids" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("hours", ["0", "-1", "nan", "inf", "1e308"])
     def test_ttl_hours_not_positive_and_finite(self, tmp_path, graph_file, capsys, hours):
         # a state file that was read would be refused as malformed instead

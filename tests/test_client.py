@@ -31,7 +31,6 @@ from sopal.psi import (
     _unpack_hello,
     make_reject,
     parse_frame,
-    recv_frame,
 )
 from sopal.sim import gnp_graph
 from sopal.store import ServerError
@@ -606,33 +605,6 @@ class TestSessionApi:
             assert uid not in message
         for value in [*alice.input_items(), *bob.input_items()]:
             assert value.hex() not in message
-
-    def test_discovery_over_stream_sockets(self):
-        a, b = self.make_pair()
-        sock_a, sock_b = socket.socketpair()
-        reader_a, reader_b = sock_a.makefile("rb"), sock_b.makefile("rb")
-        results = {}
-
-        def run_b():
-            results["b"] = b.run_discovery(
-                "A",
-                sock_b.sendall,
-                lambda: recv_frame(reader_b),
-                initiate=False,
-            )
-
-        thread = threading.Thread(target=run_b)
-        thread.start()
-        results["a"] = a.run_discovery(
-            "B",
-            sock_a.sendall,
-            lambda: recv_frame(reader_a),
-            initiate=True,
-        )
-        thread.join()
-        for stream in (reader_a, reader_b, sock_a, sock_b):
-            stream.close()
-        assert results["a"].dist == results["b"].dist == 2
 
     def test_concurrent_sessions_share_the_cache(self):
         ground = adjacency_from_edges([("A", "C"), ("B", "C"), ("D", "C")])

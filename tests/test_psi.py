@@ -3,7 +3,6 @@
 import hashlib
 import json
 import secrets
-import socket
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from sopal.crypto import BloomFilter, bf_optimal_size
 from sopal.psi import (
     DEFAULT_BETA_CAP,
-    HEADER_LEN,
     MSG_BF,
     MSG_CHAL,
     MSG_HELLO,
@@ -37,7 +35,6 @@ from sopal.psi import (
     build_frame,
     make_reject,
     parse_frame,
-    recv_frame,
 )
 
 from helpers import RecordingSession, replay_frame_vector, sized_session, v1_filter_blob
@@ -404,7 +401,7 @@ class TestReject:
 
 class TestFrameLimits:
     """Each message type has its own payload cap, enforced on the declared
-    length before any of the payload is read."""
+    length before the frame's own length is compared."""
 
     LIMITS = {
         MSG_HELLO: 1 + 32 + 2 + 65535,
@@ -449,42 +446,6 @@ class TestFrameLimits:
         assert peak <= 3 * len(payload)
         assert init.phase == PHASE_DONE
         assert init.matched_values == frozenset(values[:10])
-
-    def test_oversized_hello_refused_before_its_body_is_read(self):
-        sock_a, sock_b = socket.socketpair()
-        with sock_a, sock_b, sock_b.makefile("rb") as reader:
-            sock_b.settimeout(5)
-            header = bytes([WIRE_VERSION, MSG_HELLO]) + bytes(16) + (2**20).to_bytes(4, "big")
-            sock_a.sendall(header + b"body")
-            with pytest.raises(ProtocolError, match="limit"):
-                recv_frame(reader)
-            # the reader may have buffered the body; it must not have consumed it
-            assert reader.read1(16) == b"body"
-
-
-class TestRecvFrame:
-    """Frames read from a socket's buffered reader."""
-
-    FRAME = build_frame(MSG_HELLO, bytes(16), b"payload")
-
-    @pytest.mark.parametrize("cut", [HEADER_LEN - 1, HEADER_LEN + 3], ids=["header", "payload"])
-    def test_stream_ending_inside_a_frame_is_refused(self, cut):
-        sock_a, sock_b = socket.socketpair()
-        with sock_a, sock_b, sock_b.makefile("rb") as reader:
-            sock_b.settimeout(5)
-            sock_a.sendall(self.FRAME[:cut])
-            sock_a.shutdown(socket.SHUT_WR)
-            with pytest.raises(ProtocolError, match="peer closed"):
-                recv_frame(reader)
-
-    def test_two_frames_in_one_write_come_back_as_two(self):
-        second = make_reject(bytes(range(16)))
-        sock_a, sock_b = socket.socketpair()
-        with sock_a, sock_b, sock_b.makefile("rb") as reader:
-            sock_b.settimeout(5)
-            sock_a.sendall(self.FRAME + second)
-            assert recv_frame(reader) == self.FRAME
-            assert recv_frame(reader) == second
 
 
 class TestSessionBinding:

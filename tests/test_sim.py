@@ -202,6 +202,21 @@ class TestRunCoverage:
             with pytest.raises(ValueError, match=name):
                 SimConfig(**{name: ()})
 
+    @pytest.mark.parametrize(
+        "repeat",
+        [
+            {"member_fractions": (0.5, 0.5)},
+            {"path_lengths": (3, 3)},
+            {"ersatz_modes": (True, True)},
+            {"member_fractions": (0.2, 0.4, 0.2)},
+        ],
+        ids=["fractions", "lengths", "ersatz-modes", "fractions-apart"],
+    )
+    def test_repeated_value_refused(self, repeat):
+        # each repeat would print a duplicate row of the pooled pair count
+        with pytest.raises(ValueError, match=f"{next(iter(repeat))} repeats"):
+            SimConfig(**repeat)
+
     @pytest.mark.parametrize("field", ["pairs_per_cell", "min_pairs"])
     def test_pair_counts_below_one_refused(self, field):
         # zero pairs per cell, or a zero minimum with an empty pool, would

@@ -525,6 +525,25 @@ class TestChainMemo:
         store.distribute("U", 3)
         assert hashed == [cap_d, hash_chain(cap_d, 1), hash_chain(cap_d, 2)]
 
+    def test_download_deeper_than_the_recursion_limit(self):
+        # a path 0 - 1 - ... - 1101 whose members all go stale but the two
+        # ends, so the memo walks 1100 degrees down to hash node 1101
+        d_max = 1100
+        assert sys.getrecursionlimit() < d_max
+        ground = path_adjacency(*map(str, range(d_max + 2)))
+        clock = FakeClock()
+        store, _ = make_store(ground, clock=clock)
+        for uid in ground:
+            store.upload_capability(uid, new_capability())
+        clock.advance(store.default_ttl_s + 1)
+        assert store.expire_and_refresh() == len(ground)
+        live = {uid: new_capability() for uid in ("0", str(d_max + 1))}
+        for uid, cap in live.items():
+            store.upload_capability(uid, cap)
+        result = store.distribute("0", d_max)
+        assert result.r_h[0][0] == d_max
+        assert (result.r_u, result.r_h) == reference_distribute(ground, live, "0", d_max)
+
 
 class TestExpiry:
     def test_nothing_expired(self):
