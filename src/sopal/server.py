@@ -113,7 +113,7 @@ def _json(body: dict) -> bytes:
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: reads, routes and answers its requests in turn.
-    Each of ``routes`` returns the 200 reply's body or raises :class:`_Refusal`."""
+    Each route returns the 200 body or raises :class:`_Refusal`; other faults get a 500."""
 
     timeout = IDLE_TIMEOUT_S
     # One write per reply, yet TLS sends a record per 16 kB and a 100
@@ -190,7 +190,13 @@ class _Handler(socketserver.StreamRequestHandler):
         route = self.routes.get((self.method, path))
         if route is None:
             raise _Refusal(404, {"error": "no such route"})
-        return route(self, query, body)
+        try:
+            return route(self, query, body)
+        except _Refusal:
+            raise
+        except Exception:  # a fault in the route: log it here, tell the client nothing of it
+            logger.exception('%s "%s" failed', self.client_address[0], self.requestline)
+            raise _Refusal(500, {"error": "internal server error"}) from None
 
     def _reply(self, code: int, body: bytes) -> None:
         """Send the status line, fields and body (none to a HEAD) in one write."""

@@ -9,15 +9,14 @@ full protocol run.
 :func:`run_coverage` applies the same model to many pairs at once on
 per-node reach bitmasks: one Python int per node and hop count whose bit
 ``j`` says that the ``j``-th node in string order is within that many
-hops.  The attested graph never leaves that index space: an edge is
-attestable, both ways, when it is listed under its lower endpoint, and a
-member set keeps the attestable edges that touch a member (ersatz on) or
-join two (ersatz off); the first attested level is then one AND per
-node on the closed attestable neighbourhoods.  A sampled pair is found
-when its ends' masks at ``d_max + 1`` attested hops share a third node,
-and the pairs at one ground distance form a lazy sequence that
-``random.sample`` draws from exactly as from the full list: the sampling
-is exact.
+hops.  The graph is undirected, as every source here makes it.  The
+attested graph never leaves that index space: a member set keeps the
+edges that touch a member (ersatz on) or join two (ersatz off), so the
+first attested level is one AND per node on the closed neighbourhoods.
+A sampled pair is found when its ends' masks at ``d_max + 1`` attested
+hops share a third node, and the pairs at one ground distance form a
+lazy sequence that ``random.sample`` draws from exactly as from the full
+list: the sampling is exact.
 
 The original evaluation graphs are not redistributable, so the module
 ships synthetic generators (forest-fire style, preferential attachment,
@@ -221,6 +220,8 @@ def _reach_masks(nbrs: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
 def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
     """Run the full sampling procedure of :class:`SimConfig` on ``adjacency``.
 
+    ``adjacency`` must be undirected: each neighbour of a node has an
+    entry that lists the node back, or ValueError is raised at once.
     Deterministic for a fixed seed: repetitions draw their member sets
     and pair samples from child generators keyed off the master seed.
     Cells with fewer than ``min_pairs`` qualifying pairs are skipped with
@@ -230,8 +231,8 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
     replacement, from every member pair at exactly that ground distance.
     Per-node reach bitmasks (:func:`_reach_masks`) stand in for a BFS per
     member and a scan of all member pairs.  Once per call, the ground
-    masks are built to the longest path length, and ``closed`` holds each
-    node and its attestable neighbours.  Per fraction and ersatz mode,
+    masks are built to the longest path length; their level 1, ``closed``,
+    holds each node and its neighbours.  Per fraction and ersatz mode,
     attested level 1 is one AND of ``closed`` per node; each further level
     follows the kept edges, for every node up to level ``d_max`` and at
     level ``d_max + 1`` only for the ends of the sampled pairs, the only
@@ -239,26 +240,17 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
     at most N²/8 bytes per level for N nodes; one repetition on
     ``pa:2000:3`` peaks at about 6 MB of Python objects.
     """
+    if any(u not in adjacency.get(v, ()) for u, vs in adjacency.items() for v in vs):
+        raise ValueError("adjacency is not undirected: a neighbour does not list its node back")
     nodes = sorted(adjacency)
-    named = adjacency.keys() | {v for nbrs in adjacency.values() for v in nbrs}
-    index = {node: i for i, node in enumerate(sorted(named))}
-    # Ground walks follow the arcs as listed, so a node that is not a key
-    # has no way out; index order is string order, so an arc i -> j with
-    # i < j is listed under its lower endpoint and attestable both ways.
-    arcs = [[index[v] for v in adjacency.get(node, ())] for node in index]
-    attestable: list[list[int]] = [[] for _ in index]
-    for i, js in enumerate(arcs):
-        for j in js:
-            if i < j:
-                attestable[i].append(j)
-                attestable[j].append(i)
-    ground = _reach_masks(arcs, max(config.path_lengths))
-    # rings[n][i]: the nodes exactly n ground hops from node i, all that
-    # is read of the ground masks
+    index = {node: i for i, node in enumerate(nodes)}
+    nbrs = [[index[v] for v in adjacency[node]] for node in nodes]
+    ground = _reach_masks(nbrs, max(config.path_lengths))
+    # rings[n][i]: the nodes exactly n ground hops from node i, and
+    # closed[i]: node i and its neighbours, all that is read of the masks
     rings = {n: [a ^ b for a, b in zip(ground[n], ground[n - 1])] for n in config.path_lengths}
+    closed = ground[1]
     del ground
-    # closed[i]: node i and every node one attestable edge away
-    closed = _reach_masks(attestable, 1)[1]
     per_cell: dict[tuple[float, int, bool], list[float]] = {}
     pairs_seen: dict[tuple[float, int, bool], int] = {}
 
@@ -266,9 +258,9 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
         for fraction in config.member_fractions:
             rng = random.Random(f"{config.seed}/cov/{rep}/{fraction}")
             size = max(2, round(fraction * len(nodes)))
-            member_idx = sorted(index[m] for m in rng.sample(nodes, min(size, len(nodes))))
+            member_idx = sorted(rng.sample(range(len(nodes)), min(size, len(nodes))))
             member_bits = sum(1 << i for i in member_idx)
-            flags = bytearray(len(index))
+            flags = bytearray(len(nodes))
             for i in member_idx:
                 flags[i] = 1
             samples: dict[int, Sequence[tuple[int, int]]] = {}
@@ -297,7 +289,7 @@ def run_coverage(config: SimConfig, adjacency: Adjacency) -> CoverageReport:
 
                 def hop(i: int, prev: list[int]) -> int:
                     reach = prev[i]
-                    for j in attestable[i]:
+                    for j in nbrs[i]:
                         if (flags[i] or flags[j]) if ersatz_on else (flags[i] and flags[j]):
                             reach |= prev[j]
                     return reach

@@ -253,12 +253,13 @@ class CapabilityStore:
         # Walk down while ids are missing, then hash upward: a download may outreach the stack.
         pending, records = [], self._records
         while degree and (missing := uids.difference(memo := self._chains.setdefault(degree, {}))):
-            pending.append((memo, missing))
-            degree, uids = degree - 1, missing
+            memo.update((u, b"") for u in missing if records[u].stale)  # stale: no chain, stop here
+            pending.append((memo, uids := missing.difference(memo)))
+            degree -= 1
         base = memo if degree else {u: b"" if (r := records[u]).stale else r.cap for u in uids}
         for memo, missing in reversed(pending):
             for u in missing:
-                memo[u] = hash_chain(base[u], 1) if base[u] else b""
+                memo[u] = hash_chain(base[u], 1)
             base = memo
         return base
 

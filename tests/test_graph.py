@@ -26,7 +26,24 @@ from helpers import (
     path_adjacency,
 )
 from oracles import bfs
-from test_sim import odd_gnp_graphs
+
+
+@st.composite
+def odd_gnp_graphs(draw):
+    """Small G(n, p) graphs with some edges listed at one end only and some
+    neighbours with no entry of their own, named to sort among the ids."""
+    n = draw(st.integers(4, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adjacency = gnp_graph(n, draw(st.floats(0.05, 0.4)), seed=rng.random())
+    nodes = sorted(adjacency)
+    one_way = draw(st.floats(0.0, 0.5))
+    for u in nodes:
+        for v in sorted(adjacency[u]):
+            if rng.random() < one_way:
+                adjacency[u].discard(v)
+    for _ in range(draw(st.integers(0, 12))):
+        adjacency[rng.choice(nodes)].add(f"{rng.randrange(4)}x")
+    return adjacency
 
 
 def enrolled_store(ground, members):

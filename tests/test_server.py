@@ -374,6 +374,28 @@ class TestPersistentConnections:
         handle.close()
         assert len(connects) == 2
 
+    def test_crashing_route_answers_500_once(self, fresh_server, connects, caplog):
+        # A fault in a route is answered on the warmed connection, not
+        # dropped, so the handle does not send the request a second time.
+        handle = HttpServerHandle(fresh_server.url)
+        handle.download("mock:A", 1)
+        calls = []
+
+        def crash(uid, d_max):
+            calls.append(uid)
+            raise RuntimeError("detail for the log only")
+
+        fresh_server.store.distribute = crash
+        with caplog.at_level("ERROR", logger="sopal.server"):
+            with pytest.raises(ServerError, match="500: internal server error$"):
+                handle.download("mock:A", 1)
+        assert calls == ["A"]
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
+        del fresh_server.store.distribute
+        assert [fid for fid, _ in handle.download("mock:A", 1).r_u] == ["B", "C"]
+        handle.close()
+        assert len(connects) == 1
+
     def test_stop_closes_open_connections(self, fresh_server):
         handle = HttpServerHandle(fresh_server.url)
         handle.download("mock:A", 1)

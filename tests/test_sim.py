@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sopal import sim
+from sopal.graph import load_edge_list
 from sopal.sim import (
     SimConfig,
     _PairPool,
@@ -225,28 +226,6 @@ class TestRunCoverage:
             SimConfig(**{field: 0})
 
 
-def _with_unlisted_neighbours(adjacency, seed):
-    """``adjacency`` plus ten ids that some nodes name as neighbours but
-    that have no entry of their own."""
-    rng = random.Random(f"{seed}/unlisted")
-    out = {u: set(nbrs) for u, nbrs in adjacency.items()}
-    for u in rng.sample(sorted(out), 60):
-        out[u].add(f"x{rng.randrange(10)}")
-    return out
-
-
-def _one_way(adjacency, seed):
-    """``adjacency`` with about a third of the edges listed at one end only."""
-    rng = random.Random(f"{seed}/oneway")
-    out = {u: set(nbrs) for u, nbrs in adjacency.items()}
-    for u in sorted(out):
-        for v in sorted(out[u]):
-            if u < v and rng.random() < 0.33:
-                a, b = (u, v) if rng.random() < 0.5 else (v, u)
-                out[a].discard(b)
-    return out
-
-
 class TestCoverageMatchesReference:
     """``run_coverage`` gives the CSV and the warnings of the direct
     algorithm in ``oracles.reference_run_coverage``."""
@@ -268,18 +247,10 @@ class TestCoverageMatchesReference:
             lambda: gnp_graph(120, 0.02, seed=6),
             {"min_pairs": 40, "pairs_per_cell": 30},
         ),
-        "unlisted-neighbours": (
-            lambda: _with_unlisted_neighbours(gnp_graph(200, 0.02, seed=7), 7),
-            {},
-        ),
-        "one-way-edges": (lambda: _one_way(gnp_graph(200, 0.03, seed=8), 8), {}),
         # level 1 is the last level: no further hop is followed
         "dmax0": (lambda: gnp_graph(200, 0.03, seed=9), {"d_max": 0}),
         # levels 2 and 3 for every node, then level 4 at the pairs' ends
-        "one-way-dmax3": (
-            lambda: _one_way(preferential_attachment_graph(250, 2, seed=10), 10),
-            {"d_max": 3},
-        ),
+        "pa-dmax3": (lambda: preferential_attachment_graph(250, 2, seed=10), {"d_max": 3}),
     }
 
     def config_for(self, overrides):
@@ -317,47 +288,54 @@ class TestCoverageMatchesReference:
         assert any(200 < n <= self.SAMPLE_LIST_LIMIT for n, _, k in sizes if k == 200)
         assert any(n > self.SAMPLE_LIST_LIMIT for n, _, k in sizes if k == 200)
 
-    def test_unlisted_neighbours_and_one_way_edges_matter(self):
-        """The two odd adjacencies change the answer, so matching the
-        reference on them is not matching it on the plain graph."""
-        for case, base in (
-            ("unlisted-neighbours", gnp_graph(200, 0.02, seed=7)),
-            ("one-way-edges", gnp_graph(200, 0.03, seed=8)),
-        ):
-            make_graph, overrides = self.CASES[case]
-            config = self.config_for(overrides)
-            assert run_coverage(config, make_graph()).to_csv() != (
-                run_coverage(config, base).to_csv()
-            )
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            pytest.param(lambda adj: adj["1"].discard("0"), id="one-way-edge"),
+            pytest.param(lambda adj: adj["1"].add("x"), id="neighbour-only-id"),
+        ],
+    )
+    def test_directed_adjacency_refused(self, odd, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_coverage built masks before refusing")
+
+        monkeypatch.setattr(sim, "_reach_masks", refuse)
+        adjacency = path_adjacency("0", "1", "2")
+        odd(adjacency)
+        with pytest.raises(ValueError, match="not undirected"):
+            run_coverage(self.config_for({}), adjacency)
+
+    def test_loaded_edge_list_accepted(self, tmp_path):
+        """A file with a self loop, a repeated line, a reversed duplicate
+        and a comment loads as the plain graph and runs as the reference."""
+        adjacency = preferential_attachment_graph(200, 2, seed=3)
+        lines = [f"{u} {v}" for u in sorted(adjacency) for v in sorted(adjacency[u]) if u < v]
+        u, v = lines[0].split()
+        lines += ["# odd lines", f"{u} {u}", f"{u} {v}", f"{v} {u}  # reversed"]
+        path = tmp_path / "edges.txt"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_edge_list(path)
+        assert loaded == adjacency
+        config = self.config_for({})
+        want_csv, _, _ = reference_run_coverage(config, adjacency)
+        assert run_coverage(config, loaded).to_csv() == want_csv
 
     def test_run_coverage_stays_in_index_space(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("run_coverage built a name-keyed attested graph")
 
         monkeypatch.setattr(sim, "known_adjacency", refuse)
-        make_graph, overrides = self.CASES["one-way-edges"]
+        make_graph, overrides = self.CASES["pa-dmax2"]
         adjacency = make_graph()
         config = self.config_for(overrides)
         want_csv, _, _ = reference_run_coverage(config, adjacency)
         assert run_coverage(config, adjacency).to_csv() == want_csv
 
 
-@st.composite
-def odd_gnp_graphs(draw):
-    """Small G(n, p) graphs with some edges listed at one end only and some
-    neighbours with no entry of their own, named to sort among the ids."""
-    n = draw(st.integers(4, 30))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    adjacency = gnp_graph(n, draw(st.floats(0.05, 0.4)), seed=rng.random())
-    nodes = sorted(adjacency)
-    one_way = draw(st.floats(0.0, 0.5))
-    for u in nodes:
-        for v in sorted(adjacency[u]):
-            if rng.random() < one_way:
-                adjacency[u].discard(v)
-    for _ in range(draw(st.integers(0, 12))):
-        adjacency[rng.choice(nodes)].add(f"{rng.randrange(4)}x")
-    return adjacency
+# small G(n, p) graphs, sparse to dense
+small_gnp_graphs = st.builds(
+    gnp_graph, st.integers(4, 30), st.floats(0.05, 0.4), st.integers(0, 2**32)
+)
 
 
 @st.composite
@@ -380,8 +358,8 @@ def small_configs(draw):
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(adjacency=odd_gnp_graphs(), config=small_configs())
-def test_run_coverage_matches_reference_on_odd_graphs(adjacency, config, caplog):
+@given(adjacency=small_gnp_graphs, config=small_configs())
+def test_run_coverage_matches_reference_on_small_graphs(adjacency, config, caplog):
     caplog.clear()
     want_csv, want_warnings, _ = reference_run_coverage(config, adjacency)
     with caplog.at_level("WARNING", logger="sopal.sim"):

@@ -527,7 +527,8 @@ class TestChainMemo:
 
     def test_download_deeper_than_the_recursion_limit(self):
         # a path 0 - 1 - ... - 1101 whose members all go stale but the two
-        # ends, so the memo walks 1100 degrees down to hash node 1101
+        # ends, so the memo walks 1100 degrees down to hash node 1101 and
+        # keeps each stale node at its own degree only
         d_max = 1100
         assert sys.getrecursionlimit() < d_max
         ground = path_adjacency(*map(str, range(d_max + 2)))
@@ -543,6 +544,7 @@ class TestChainMemo:
         result = store.distribute("0", d_max)
         assert result.r_h[0][0] == d_max
         assert (result.r_u, result.r_h) == reference_distribute(ground, live, "0", d_max)
+        assert sum(map(len, store._chains.values())) < 2 * len(ground)
 
 
 class TestExpiry:
